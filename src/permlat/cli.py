@@ -31,6 +31,7 @@ from .errors import (
     DegreeMismatchError,
     GroupFileError,
     InvalidPermutationError,
+    NotAnElementError,
     PermlatError,
 )
 from .groups import DEFAULT_GROUP_CAP
@@ -342,7 +343,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--lattice-cap",
         type=int,
         default=DEFAULT_LATTICE_CAP,
-        help=f"largest subgroup count to enumerate (default {DEFAULT_LATTICE_CAP})",
+        help="largest group order whose subgroup lattice is enumerated "
+        f"(default {DEFAULT_LATTICE_CAP})",
     )
     caps.add_argument(
         "--max-normal-e",
@@ -435,7 +437,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GroupFileError, InvalidPermutationError, DegreeMismatchError) as exc:
+    except (
+        GroupFileError,
+        InvalidPermutationError,
+        DegreeMismatchError,
+        NotAnElementError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapExceededError as exc:

@@ -30,6 +30,10 @@ class LatticeCapError(CapExceededError):
     pass
 
 
+class NotAnElementError(PermlatError):
+    """A permutation was looked up in a group that does not contain it."""
+
+
 class NotNormalError(PermlatError):
     pass
 

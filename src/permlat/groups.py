@@ -18,6 +18,7 @@ from .errors import (
     BadTableError,
     DegreeMismatchError,
     GroupOrderCapError,
+    NotAnElementError,
     NotAutomorphismError,
     NotNormalError,
     PermlatError,
@@ -194,7 +195,7 @@ class Group:
         try:
             return self._index[p.images]
         except KeyError:
-            raise PermlatError(f"{p!r} is not an element of this group") from None
+            raise NotAnElementError(f"{p!r} is not an element of this group") from None
 
     def __contains__(self, p: Perm) -> bool:
         return isinstance(p, Perm) and p.images in self._index
@@ -208,22 +209,49 @@ class Group:
     # -- index-level machinery -------------------------------------------
 
     def table(self) -> list[list[int]]:
+        """``table()[a][b]`` is the index of a*b.
+
+        Left multiplication by each generator is taken once from the
+        permutations; every other row then follows along a breadth-first
+        word tree, since row g*a is row a mapped through x -> g*x.
+        """
         if self._table is None:
             idx = self._index
-            self._table = [
-                [idx[(a * b).images] for b in self.elements] for a in self.elements
+            lefts = [
+                [idx[(g * x).images] for x in self.elements] for g in self.generators
             ]
+            rows: list = [None] * self.order
+            rows[0] = list(range(self.order))
+            reached = [0]
+            for a in reached:
+                row = rows[a]
+                for left in lefts:
+                    c = left[a]
+                    if rows[c] is None:
+                        rows[c] = [left[x] for x in row]
+                        reached.append(c)
+            if len(reached) != self.order:
+                raise PermlatError("generators do not generate the group")
+            self._table = rows
         return self._table
 
     def inverse_table(self) -> list[int]:
         if self._inv is None:
-            idx = self._index
-            self._inv = [idx[p.inverse().images] for p in self.elements]
+            self._inv = [row.index(0) for row in self.table()]
         return self._inv
 
     def element_orders(self) -> list[int]:
         if self._orders is None:
-            self._orders = [p.order() for p in self.elements]
+            t = self.table()
+            orders = [1] * self.order
+            for x in range(1, self.order):
+                k = 1
+                y = x
+                while y != 0:
+                    y = t[y][x]
+                    k += 1
+                orders[x] = k
+            self._orders = orders
         return self._orders
 
     @property

@@ -1,10 +1,15 @@
 """Exhaustive subgroup lattices over element-index bitsets.
 
-Enumeration seeds with every cyclic subgroup and repeatedly joins existing
-entries with prime-power cyclic subgroups until a fixed point; that reaches
-every subgroup because each subgroup is generated by its prime-power cyclic
-subgroups and all intermediate joins are again subgroups. Equivalence with a
-brute-force oracle is part of the test suite.
+Subgroups are enumerated one conjugacy class at a time by cyclic extension
+(Neubüser's method): starting from the trivial subgroup, each class
+representative H is joined with every prime-power cyclic subgroup C, and a
+join not seen before contributes its whole conjugation orbit at once while
+only the join itself goes on the work list. Every subgroup is generated by
+its prime-power cyclic subgroups, so it ends a chain of such joins, and
+working up to conjugacy loses nothing: if K = <H^g, C> then
+K^(g^-1) = <H, C^(g^-1)>, a join made from the representative H. The orbits
+are the conjugacy classes of subgroups. Equivalence with a brute-force
+oracle is part of the test suite.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from .groups import (
     Subgroup,
     _close_bits,
     _conjugate_bits,
+    _factorize,
     _iter_bits,
 )
 
@@ -33,49 +39,33 @@ class SubgroupLattice:
     """All subgroups of a group, sorted by (order, bitset), plus conjugacy
     classes and normality/maximality flags."""
 
-    def __init__(self, group: Group, all_bits: list[int]):
+    def __init__(self, group: Group, orbits: list[list[int]]):
+        """``orbits`` are the conjugacy classes of subgroups, as bitsets."""
         self.group = group
-        entries = sorted(all_bits, key=lambda b: (b.bit_count(), b))
+        entries = sorted(
+            (b for orbit in orbits for b in orbit),
+            key=lambda b: (b.bit_count(), b),
+        )
         self.subgroups = [Subgroup(group, b) for b in entries]
         self.index_by_bits = {b: i for i, b in enumerate(entries)}
         self._by_order: dict[int, list[int]] = {}
         for i, sub in enumerate(self.subgroups):
             self._by_order.setdefault(sub.order, []).append(i)
         self._memo: dict = {}
-        self._compute_conjugacy()
-        self._compute_flags()
-
-    # -- construction helpers --------------------------------------------
-
-    def _compute_conjugacy(self) -> None:
-        g = self.group
-        t = g.table()
-        inv = g.inverse_table()
-        gidx = g.generator_indices()
-        n = len(self.subgroups)
-        class_of = [-1] * n
-        classes: list[list[int]] = []
-        for i in range(n):
-            if class_of[i] != -1:
-                continue
-            cid = len(classes)
-            class_of[i] = cid
-            orbit = [i]
-            stack = [i]
-            while stack:
-                j = stack.pop()
-                bits = self.subgroups[j].members
-                for gi in gidx:
-                    cb = _conjugate_bits(t, inv, bits, gi)
-                    k = self.index_by_bits[cb]
-                    if class_of[k] == -1:
-                        class_of[k] = cid
-                        orbit.append(k)
-                        stack.append(k)
-            classes.append(sorted(orbit))
+        # Classes are numbered by their lowest entry, members ascending.
+        classes = sorted(
+            sorted(self.index_by_bits[b] for b in orbit) for orbit in orbits
+        )
+        class_of = [0] * len(entries)
+        for cid, cls in enumerate(classes):
+            for i in cls:
+                class_of[i] = cid
         self.conjugacy_classes = classes
         self.class_of = class_of
         self.normal_flags = [len(classes[c]) == 1 for c in class_of]
+        self._compute_flags()
+
+    # -- construction helpers --------------------------------------------
 
     def _compute_flags(self) -> None:
         n = len(self.subgroups)
@@ -214,62 +204,52 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
             f"group order {group.order} exceeds lattice cap {cap}", cap
         )
     t = group.table()
+    inv = group.inverse_table()
+    gidx = group.generator_indices()
     orders = group.element_orders()
-    n = group.order
 
-    cyclic_bits: dict[int, int] = {}  # bits -> generating element
-    for i in range(1, n):
-        bits = 1
-        x = i
-        while x != 0:
-            bits |= 1 << x
-            x = t[x][i]
-        if bits not in cyclic_bits:
-            cyclic_bits[bits] = i
+    pp_cyclics: dict[int, int] = {}  # bits -> generating element
+    for i in range(1, group.order):
+        if len(_factorize(orders[i])) == 1:
+            bits = 1
+            x = i
+            while x != 0:
+                bits |= 1 << x
+                x = t[x][i]
+            pp_cyclics.setdefault(bits, i)
 
-    pp_cyclics = [
-        (bits, g)
-        for bits, g in cyclic_bits.items()
-        if len(_factor_set(orders[g])) == 1
-    ]
-
-    subs: dict[int, None] = {1: None}
-    gens_of: dict[int, tuple[int, ...]] = {1: ()}
-    for bits, g in cyclic_bits.items():
-        if bits not in subs:
-            subs[bits] = None
-            gens_of[bits] = (g,)
-    work = list(subs.keys())
+    orbits = [[1]]
+    seen = {1}
+    work: list[tuple[int, tuple[int, ...]]] = [(1, ())]
     while work:
-        hb = work.pop()
-        hgens = gens_of[hb]
+        hb, hgens = work.pop()
         hsize = hb.bit_count()
-        for cb, cg in pp_cyclics:
+        for cb, cg in pp_cyclics.items():
             if (hb >> cg) & 1:
                 continue
             if hsize >= cb.bit_count():
                 jb = _close_bits(t, hb, hgens, (cg,))
             else:
                 jb = _close_bits(t, cb, (cg,), hgens)
-            if jb not in subs:
-                subs[jb] = None
-                gens_of[jb] = hgens + (cg,)
-                work.append(jb)
-    return SubgroupLattice(group, list(subs.keys()))
+            if jb not in seen:
+                orbit = _conjugation_orbit(t, inv, gidx, jb)
+                seen.update(orbit)
+                orbits.append(orbit)
+                work.append((jb, hgens + (cg,)))
+    return SubgroupLattice(group, orbits)
 
 
-def _factor_set(m: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
+def _conjugation_orbit(table, inv, gens, bits: int) -> list[int]:
+    """Bitsets of all conjugates of a subgroup, by BFS over the generators."""
+    orbit = [bits]
+    seen = {bits}
+    for b in orbit:
+        for g in gens:
+            c = _conjugate_bits(table, inv, b, g)
+            if c not in seen:
+                seen.add(c)
+                orbit.append(c)
+    return orbit
 
 
 # -- subgroup operations that do not need the full lattice -------------------

@@ -79,6 +79,37 @@ def brute_is_normal(group, elems):
     return True
 
 
+def conjugation_partition(group, sets):
+    """Classes of the given subgroups under conjugation by the generators.
+
+    Joins each set with its conjugate by every generator in a union-find,
+    then returns the classes as sorted position lists, ordered by their
+    lowest position.
+    """
+    t = group.table()
+    inv = group.inverse_table()
+    gens = [group.index_of(p) for p in group.generators]
+    pos = {frozenset(s): i for i, s in enumerate(sets)}
+    parent = list(range(len(sets)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, s in enumerate(sets):
+        for g in gens:
+            conj = frozenset(t[t[inv[g]][x]][g] for x in s)
+            a, b = find(i), find(pos[conj])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    classes = {}
+    for i in range(len(sets)):
+        classes.setdefault(find(i), []).append(i)
+    return sorted(classes.values())
+
+
 def brute_normal_subgroups(group):
     return [s for s in brute_subgroups(group) if brute_is_normal(group, s)]
 

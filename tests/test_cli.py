@@ -123,6 +123,16 @@ def test_check_subgroup_degree_mismatch():
     assert code == 2
 
 
+def test_check_subgroup_generator_outside_group(capsys):
+    code = main(
+        ["check-subgroup", "A4", "--gens", "(1 2)", "--predicate", "normal"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "not an element" in err
+
+
 def test_verify_single_statement(capsys):
     code = main(
         ["verify", "--statement", "remark1", "--corpus", "builtin",

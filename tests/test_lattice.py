@@ -3,8 +3,9 @@ plus the lattice-level predicate examples pinned to hand-derived values."""
 
 import pytest
 
-from permlat.errors import LatticeCapError
-from permlat.groups import close_generators, direct_product
+from permlat.corpus import builtin_corpus
+from permlat.errors import LatticeCapError, PermlatError
+from permlat.groups import Group, close_generators, direct_product
 from permlat.lattice import (
     centralizer,
     core,
@@ -17,7 +18,7 @@ from permlat.lattice import (
 )
 from permlat.perms import Perm, parse_cycle_string
 
-from oracles import brute_is_normal, brute_subgroups
+from oracles import brute_is_normal, brute_subgroups, conjugation_partition
 
 
 def gens(degree, *texts):
@@ -235,3 +236,72 @@ def test_socle():
     assert lat.socle().order == 4
     q = q8()
     assert enumerate_subgroups(q).socle().order == 2
+
+
+def builtin(name):
+    return dict(builtin_corpus())[name]
+
+
+def symmetric(n):
+    cycle = Perm.from_cycles(n, [tuple(range(1, n + 1))])
+    return close_generators(n, [Perm.from_cycles(n, [(1, 2)]), cycle])
+
+
+# Published subgroup and conjugacy-class counts (OEIS A005432 for S_n);
+# S4 is pinned by test_s4_lattice_counts.
+@pytest.mark.parametrize(
+    "make, cap, subgroups, classes",
+    [
+        (lambda: builtin("A5"), 400, 59, 9),
+        (lambda: symmetric(5), 400, 156, 19),
+        (lambda: builtin("PSL(2,7)"), 400, 179, 15),
+        (lambda: builtin("A6"), 400, 501, 22),
+        (lambda: symmetric(6), 720, 1455, 56),
+    ],
+    ids=["A5", "S5", "PSL(2,7)", "A6", "S6"],
+)
+def test_published_lattice_counts(make, cap, subgroups, classes):
+    lat = enumerate_subgroups(make(), cap=cap)
+    assert len(lat) == subgroups
+    assert len(lat.conjugacy_classes) == classes
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "D8xC3", "G324"])
+def test_classes_match_conjugation_partition(name):
+    g = builtin(name)
+    lat = enumerate_subgroups(g)
+    sets = [bits_to_set(s.members) for s in lat.subgroups]
+    assert lat.conjugacy_classes == conjugation_partition(g, sets)
+    for cid, cls in enumerate(lat.conjugacy_classes):
+        assert all(lat.class_of[i] == cid for i in cls)
+
+
+def fresh_copy(g):
+    """The same group with no table attached, so table() is computed."""
+    return Group(g.degree, g.generators, g.elements)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        s4,
+        lambda: builtin("A5"),
+        lambda: builtin("PSL(2,7)"),
+        lambda: builtin("A6"),
+        lambda: direct_product(s3(), q8()),
+    ],
+    ids=["S4", "A5", "PSL(2,7)", "A6", "S3xQ8"],
+)
+def test_index_tables_match_perm_arithmetic(make):
+    g = fresh_copy(make())
+    els = g.elements
+    assert g.table() == [[g.index_of(a * b) for b in els] for a in els]
+    assert g.inverse_table() == [g.index_of(p.inverse()) for p in els]
+    assert g.element_orders() == [p.order() for p in els]
+
+
+def test_table_needs_generating_set():
+    g = s3()
+    short = Group(g.degree, g.generators[:1], g.elements)
+    with pytest.raises(PermlatError):
+        short.table()

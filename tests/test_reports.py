@@ -1,5 +1,6 @@
 """Report assembly: determinism, schema shape, CSV, DOT, golden file."""
 
+import hashlib
 import json
 import os
 
@@ -15,6 +16,7 @@ from permlat.reports import (
 )
 from permlat.errors import PermlatError
 from permlat.lattice import enumerate_subgroups
+from permlat.statements import STATEMENT_IDS
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -187,3 +189,17 @@ def test_golden_json_shape():
     )
     with open(os.path.join(DATA_DIR, "golden_remark1.json")) as fh:
         assert rep.to_json() == fh.read()
+
+
+# sha256 of the JSON report for every statement over the builtin corpus
+# at the default caps; the same digest the benchmark pins for its
+# "registry" workload.
+REGISTRY_DIGEST = "47efc6d6f189426750d5f17f97fbbeddd604233c299a987d35df3e16692fe427"
+
+
+def test_full_registry_golden_digest():
+    rep = run_verification(list(STATEMENT_IDS), builtin_corpus(), "builtin corpus")
+    assert len(rep.verdicts) == 4686
+    assert not rep.inconsistencies()
+    digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
+    assert digest == REGISTRY_DIGEST
