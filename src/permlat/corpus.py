@@ -267,13 +267,14 @@ def _elementary_abelian(p: int, rank: int, name: str) -> Group:
     return close_generators(p * rank, gens, name=name)
 
 
-def _example_pair() -> list:
-    s3 = _symmetric(3, "S3")
-    b = wreath_regular(s3, 3)
+def example_pair() -> tuple[Group, Group]:
+    """The order-324 control example: B648 = S3 wr C3 on 9 points and its
+    2-residual G324 = O^2(B648). Fresh groups on every call."""
+    b = wreath_regular(_symmetric(3, "S3"), 3)
     b.name = "B648"
     g = p_residual(b, 2).as_group()
     g.name = "G324"
-    return [("B648", b), ("G324", g)]
+    return b, g
 
 
 # Explicitly listed products; the budgeted scan skips these combinations.
@@ -312,7 +313,7 @@ def _builtin() -> tuple:
     base.append(("Q8xC3", q8c3))
     base.append(("S3xS3", s3s3))
     base.append(("C3:C4", _dicyclic(3, "C3:C4")))
-    base.extend(_example_pair())
+    base.extend((g.name, g) for g in example_pair())
 
     candidates = []
     for i, (na, ga) in enumerate(base):

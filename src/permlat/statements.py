@@ -23,8 +23,8 @@ from .groups import (
     close_generators,
     p_residual,
     quotient,
-    wreath_regular,
 )
+from .corpus import example_pair
 from .lattice import (
     DEFAULT_LATTICE_CAP,
     SubgroupLattice,
@@ -1322,21 +1322,16 @@ def build_example42(lattice_cap: int = DEFAULT_LATTICE_CAP) -> Example42:
     """Control group of order 324 where the minimal-prime hypothesis is
     dropped and the p-length conclusion fails.
 
-    The 2-residual of the regular wreath product of S3 by C3 has order
-    324, an elementary abelian O_3 of order 27 with quotient of type A4,
-    and a Sylow 3-subgroup of order 81 whose maximal subgroups are all
+    The 2-residual of the regular wreath product of S3 by C3, in its
+    action on 9 points (``corpus.example_pair``), has order 324, an
+    elementary abelian O_3 of order 27 with quotient of type A4, and a
+    Sylow 3-subgroup of order 81 whose maximal subgroups are all
     complemented (hence weakly s-supplemented) in G. Yet the 3-length of
     G is 2: the order-|D| clause alone does not bound p-length once p is
     not the smallest prime divisor.
     """
-    s3 = close_generators(
-        3,
-        [Perm.from_cycles(3, [(1, 2, 3)]), Perm.from_cycles(3, [(1, 2)])],
-        name="S3",
-    )
-    b = wreath_regular(s3, 3)
+    b, g = example_pair()
     _require(b.order == 648, f"wreath order {b.order} != 648")
-    g = p_residual(b, 2).as_group()
     _require(g.order == 324, f"2-residual order {g.order} != 324")
     ga = GroupAnalysis(g, "example324", lattice_cap=lattice_cap)
     lat = ga.lat

@@ -185,3 +185,42 @@ def _is_prime(n):
             return False
         d += 1
     return True
+
+
+def brute_is_associative(table):
+    """(a*b)*c == a*(b*c) on every triple, one triple at a time."""
+    n = len(table)
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1.
+
+    With 0 as the identity these are exactly the loops of order n on a
+    fixed labelling. Plain backtracking, cell by cell in row order.
+    """
+    rows = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    out = []
+
+    def fill(cell):
+        if cell == n * n:
+            out.append([list(r) for r in rows])
+            return
+        r, c = divmod(cell, n)
+        if rows[r][c] is not None:
+            fill(cell + 1)
+            return
+        used = set(rows[r][:c]) | {rows[i][c] for i in range(r)}
+        for v in range(n):
+            if v not in used:
+                rows[r][c] = v
+                fill(cell + 1)
+                rows[r][c] = None
+
+    fill(0)
+    return out

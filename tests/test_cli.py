@@ -5,9 +5,14 @@ error, 3 = cap exceeded.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permlat
 from permlat.cli import main
 
 S4_FILE = """\
@@ -241,3 +246,13 @@ def test_verify_inconsistency_path(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = capsys.readouterr().err
     assert "rigged" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(permlat.__file__).parents[1]))
+    code = "import sys, permlat.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 import pytest
 
+import permlat.groups
 from permlat.errors import (
     ActionRelationError,
     BadTableError,
@@ -16,10 +17,17 @@ from permlat.groups import (
     trivial_group,
     wreath_regular,
 )
+from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
 from permlat.structure import fingerprint, is_nilpotent
 
-from oracles import close_set, commutator_closure, naive_product_set
+from oracles import (
+    brute_is_associative,
+    close_set,
+    commutator_closure,
+    naive_product_set,
+    reduced_latin_squares,
+)
 
 
 def gens(degree, *texts):
@@ -126,6 +134,51 @@ def test_wreath_degree_one():
     assert fingerprint(wreath_regular(a4, 1)) == fingerprint(a4)
 
 
+def wreath_by_semidirect(bottom, k):
+    """The same wreath product as a semidirect product of k copies of
+    ``bottom`` by C_k, returned through its regular representation."""
+    base = bottom
+    for _ in range(k - 1):
+        base = direct_product(base, bottom)
+    top = close_generators(k, [Perm.from_cycles(k, [tuple(range(1, k + 1))])])
+    m = len(bottom.generators)
+    images = [
+        base.generators[((j // m + 1) % k) * m + (j % m)] for j in range(k * m)
+    ]
+    return semidirect_product(base, top, [images])
+
+
+@pytest.fixture(scope="module")
+def s3_wreath_pair():
+    s3 = close_generators(3, gens(3, "(1 2 3)", "(1 2)"))
+    return wreath_regular(s3, 3), wreath_by_semidirect(s3, 3)
+
+
+def test_wreath_acts_on_blocks(s3_wreath_pair):
+    w, regular = s3_wreath_pair
+    assert (w.degree, w.order) == (9, 648)
+    assert (regular.degree, regular.order) == (648, 648)
+    assert fingerprint(w) == fingerprint(regular)
+
+
+def test_wreath_two_residual_matches_regular_construction(s3_wreath_pair):
+    residuals = [p_residual(g, 2).as_group() for g in s3_wreath_pair]
+    assert [g.order for g in residuals] == [324, 324]
+    assert fingerprint(residuals[0]) == fingerprint(residuals[1])
+    assert [len(enumerate_subgroups(g).subgroups) for g in residuals] == [340, 340]
+
+
+def test_wreath_cap_checked_before_closure(monkeypatch):
+    s3 = close_generators(3, gens(3, "(1 2 3)", "(1 2)"))
+
+    def no_closure(*args, **kwargs):
+        raise AssertionError("closure started")
+
+    monkeypatch.setattr(permlat.groups, "close_generators", no_closure)
+    with pytest.raises(GroupOrderCapError):
+        wreath_regular(s3, 3, cap=100)
+
+
 def test_quotient_s4_by_v4():
     s4 = close_generators(4, gens(4, "(1 2)", "(1 2 3 4)"))
     v4 = s4.subgroup_generated_by(gens(4, "(1 2)(3 4)", "(1 3)(2 4)"))
@@ -206,6 +259,36 @@ def test_cayley_table_rejects_non_group():
         CayleyTable([[0, 1], [1, 1]])
     with pytest.raises(BadTableError):
         CayleyTable([[1, 0], [0, 1], [0, 1]])
+
+
+def test_cayley_table_matches_associativity_oracle_on_order_5_loops():
+    loops = reduced_latin_squares(5)
+    assert len(loops) == 56
+    accepted = []
+    for t in loops:
+        try:
+            CayleyTable(t)
+        except BadTableError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert accepted == [brute_is_associative(t) for t in loops]
+    assert accepted.count(True) == 6  # Z5 up to relabelling its 4 generators
+
+
+@pytest.mark.parametrize("a,b", [(1, 1), (123, 321), (399, 7)])
+def test_cayley_table_rejects_order_800_loop(a, b):
+    n, half = 800, 400
+    t = [[(x + y) % n for y in range(n)] for x in range(n)]
+    for r in (a, a + half):
+        t[r][b], t[r][b + half] = t[r][b + half], t[r][b]
+    with pytest.raises(BadTableError, match="associativity"):
+        CayleyTable(t)
+
+
+def test_cayley_table_accepts_order_648_semidirect(s3_wreath_pair):
+    _, regular = s3_wreath_pair
+    CayleyTable(regular.table())
 
 
 def test_conjugacy_classes_partition():
