@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 all consistent, 1 verification inconsistency (witness named),
-2 usage or parse error, 3 cap exceeded.
+2 usage or parse error or an unwritable output path, 3 cap exceeded.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .corpus import (
     builtin_corpus,
+    builtin_group,
     load_corpus_dir,
     load_group,
     parse_group_file,
@@ -35,14 +36,13 @@ from .errors import (
     PermlatError,
 )
 from .groups import DEFAULT_GROUP_CAP
-from .lattice import DEFAULT_LATTICE_CAP, enumerate_subgroups
-from .perms import parse_cycle_string
-from .reports import emit_lattice_dot, run_q13_scan, run_verification
-from .statements import (
+from .lattice import (
+    DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
-    STATEMENT_IDS,
-    build_example42,
+    emit_lattice_dot,
+    enumerate_subgroups,
 )
+from .perms import parse_cycle_string
 from .structure import (
     abelian_invariants,
     center,
@@ -65,9 +65,9 @@ def _resolve_group(token: str, group_cap: int):
     path = Path(token)
     if path.exists():
         return load_group(parse_group_file(path), cap=group_cap)
-    for name, group in builtin_corpus():
-        if name == token:
-            return group
+    group = builtin_group(token)
+    if group is not None:
+        return group
     raise GroupFileError(
         f"unknown group {token!r}: not a file and not a builtin corpus name",
         1,
@@ -267,16 +267,42 @@ def _print_report(report, show_flags: bool) -> int:
     return 0
 
 
-def _write_outputs(report, args):
-    if args.report:
-        Path(args.report).write_text(report.to_json())
-        print(f"wrote JSON report to {args.report}")
-    if getattr(args, "csv", None):
-        Path(args.csv).write_text(report.to_csv())
-        print(f"wrote CSV to {args.csv}")
+def _cannot_write(path, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 2
+
+
+def _write_outputs(report, args, code: int) -> int:
+    """Write the requested report files; code, or 2 if one cannot be written."""
+    for path, render, what in (
+        (args.report, report.to_json, "JSON report"),
+        (args.csv, report.to_csv, "CSV"),
+    ):
+        if not path:
+            continue
+        try:
+            Path(path).write_text(render())
+        except OSError as exc:
+            return _cannot_write(path, exc)
+        print(f"wrote {what} to {path}")
+    return code
+
+
+# The registry and the report layer are imported by the commands that use
+# them, so the other commands start without loading them.
 
 
 def _cmd_verify(args) -> int:
+    from .reports import run_verification
+    from .statements import STATEMENT_IDS
+
+    if args.statement != "all" and args.statement not in STATEMENT_IDS:
+        print(
+            f"error: unknown statement {args.statement!r} "
+            f"(known: {', '.join(STATEMENT_IDS)}, all)",
+            file=sys.stderr,
+        )
+        return 2
     corpus, description = _load_corpus(args.corpus, args.group_cap)
     ids = list(STATEMENT_IDS) if args.statement == "all" else [args.statement]
     report = run_verification(
@@ -290,11 +316,12 @@ def _cmd_verify(args) -> int:
         with_timings=args.with_timings,
     )
     code = _print_report(report, show_flags=False)
-    _write_outputs(report, args)
-    return code
+    return _write_outputs(report, args, code)
 
 
 def _cmd_scan_q13(args) -> int:
+    from .reports import run_q13_scan
+
     corpus, description = _load_corpus(args.corpus, args.group_cap)
     report = run_q13_scan(
         corpus,
@@ -306,11 +333,12 @@ def _cmd_scan_q13(args) -> int:
         with_timings=args.with_timings,
     )
     code = _print_report(report, show_flags=True)
-    _write_outputs(report, args)
-    return code
+    return _write_outputs(report, args, code)
 
 
 def _cmd_example42(args) -> int:
+    from .statements import build_example42
+
     ex = build_example42(lattice_cap=args.lattice_cap)
     for line in ex.lines():
         print(line)
@@ -320,7 +348,10 @@ def _cmd_example42(args) -> int:
 
 def _cmd_lattice(args) -> int:
     group = _resolve_group(args.group, args.group_cap)
-    lat = emit_lattice_dot(group, args.dot, lattice_cap=args.lattice_cap)
+    try:
+        lat = emit_lattice_dot(group, args.dot, lattice_cap=args.lattice_cap)
+    except OSError as exc:
+        return _cannot_write(args.dot, exc)
     print(
         f"wrote DOT ({len(lat.conjugacy_classes)} class nodes, "
         f"{len(lat)} subgroups) to {args.dot}"
@@ -387,9 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--statement",
         required=True,
-        choices=list(STATEMENT_IDS) + ["all"],
         metavar="ID",
-        help=f"one of {', '.join(STATEMENT_IDS)}, or all",
+        help="a statement id, or all (an unknown id lists the known ones)",
     )
     p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
     p.add_argument(

@@ -277,43 +277,47 @@ def example_pair() -> tuple[Group, Group]:
     return b, g
 
 
+def _product(name: str, a: Group, b: Group) -> Group:
+    prod = direct_product(a, b)
+    prod.name = name
+    return prod
+
+
+# Name -> builder of every builtin entry except the budgeted products, in
+# corpus order. Each builder returns a fresh group of that name.
+_BUILDERS: dict = {
+    **{f"C{n}": functools.partial(_cyclic, n) for n in range(2, 25)},
+    **{f"D{order}": functools.partial(_dihedral, order) for order in range(6, 25, 2)},
+    "Q8": functools.partial(_dicyclic, 2, "Q8"),
+    "Q16": functools.partial(_dicyclic, 4, "Q16"),
+    "EA8": functools.partial(_elementary_abelian, 2, 3, "EA8"),
+    "EA27": functools.partial(_elementary_abelian, 3, 3, "EA27"),
+    "S3": functools.partial(_symmetric, 3, "S3"),
+    "S4": functools.partial(_symmetric, 4, "S4"),
+    "A4": functools.partial(_alternating_named, 4, "A4"),
+    "A5": functools.partial(_alternating_named, 5, "A5"),
+    "A6": functools.partial(_alternating_named, 6, "A6"),
+    "PSL(2,7)": _psl27,
+    "D8xC3": lambda: _product("D8xC3", _dihedral(8), _cyclic(3)),
+    "Q8xC3": lambda: _product("Q8xC3", _dicyclic(2, "Q8"), _cyclic(3)),
+    "S3xS3": lambda: _product("S3xS3", _symmetric(3, "S3"), _symmetric(3, "S3")),
+    "C3:C4": functools.partial(_dicyclic, 3, "C3:C4"),
+    "B648": lambda: example_pair()[0],
+    "G324": lambda: example_pair()[1],
+}
+
 # Explicitly listed products; the budgeted scan skips these combinations.
 _EXPLICIT_PAIRS = {("C3", "D8"), ("C3", "Q8"), ("S3", "S3")}
 
 
 @functools.lru_cache(maxsize=1)
 def _builtin() -> tuple:
-    base: list = []
-    for n in range(2, 25):
-        base.append((f"C{n}", _cyclic(n)))
-    for order in range(6, 25, 2):
-        base.append((f"D{order}", _dihedral(order)))
-    base.append(("Q8", _dicyclic(2, "Q8")))
-    base.append(("Q16", _dicyclic(4, "Q16")))
-    base.append(("EA8", _elementary_abelian(2, 3, "EA8")))
-    base.append(("EA27", _elementary_abelian(3, 3, "EA27")))
-    base.append(("S3", _symmetric(3, "S3")))
-    base.append(("S4", _symmetric(4, "S4")))
-    base.append(("A4", _alternating_named(4, "A4")))
-    base.append(("A5", _alternating_named(5, "A5")))
-    base.append(("A6", _alternating_named(6, "A6")))
-    base.append(("PSL(2,7)", _psl27()))
-
-    d8 = _dihedral(8)
-    q8 = _dicyclic(2, "Q8")
-    c3 = _cyclic(3)
-    s3 = _symmetric(3, "S3")
-    d8c3 = direct_product(d8, c3)
-    d8c3.name = "D8xC3"
-    q8c3 = direct_product(q8, c3)
-    q8c3.name = "Q8xC3"
-    s3s3 = direct_product(s3, s3)
-    s3s3.name = "S3xS3"
-    base.append(("D8xC3", d8c3))
-    base.append(("Q8xC3", q8c3))
-    base.append(("S3xS3", s3s3))
-    base.append(("C3:C4", _dicyclic(3, "C3:C4")))
-    base.extend((g.name, g) for g in example_pair())
+    # B648 and G324 come from one example_pair() call.
+    pair = dict(zip(("B648", "G324"), example_pair()))
+    base = [
+        (name, pair[name] if name in pair else build())
+        for name, build in _BUILDERS.items()
+    ]
 
     candidates = []
     for i, (na, ga) in enumerate(base):
@@ -328,12 +332,23 @@ def _builtin() -> tuple:
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     out = list(base)
     for _, na, nb, ga, gb in candidates[:PRODUCT_BUDGET]:
-        prod = direct_product(ga, gb)
-        prod.name = f"{na}x{nb}"
-        out.append((prod.name, prod))
+        name = f"{na}x{nb}"
+        out.append((name, _product(name, ga, gb)))
     return tuple(out)
 
 
 def builtin_corpus() -> list:
     """(name, Group) entries; deterministic order, built once per process."""
     return list(_builtin())
+
+
+def builtin_group(name: str) -> Optional[Group]:
+    """The builtin entry called name, or None.
+
+    Every entry but the budgeted products is built alone, as a fresh
+    group; any other name is looked up in the whole corpus.
+    """
+    build = _BUILDERS.get(name)
+    if build is not None:
+        return build()
+    return dict(builtin_corpus()).get(name)

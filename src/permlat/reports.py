@@ -1,4 +1,4 @@
-"""Report assembly and emission: versioned JSON, CSV rows, DOT export.
+"""Report assembly and emission: versioned JSON and CSV rows.
 
 Reports are deterministic for fixed inputs and caps: verdicts are sorted
 by (group, statement, instance) and timings are omitted unless requested,
@@ -14,15 +14,15 @@ from typing import Optional
 
 from . import __version__
 from .errors import PermlatError
-from .groups import DEFAULT_GROUP_CAP, Group
-from .lattice import DEFAULT_LATTICE_CAP, SubgroupLattice, enumerate_subgroups
-from .statements import (
+from .groups import DEFAULT_GROUP_CAP
+from .lattice import (  # noqa: F401  (DOT export keeps its reports names)
+    DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
-    STATEMENTS,
-    GroupAnalysis,
-    Verdict,
-    scan_question13,
+    emit_lattice_dot,
+    enumerate_subgroups,
+    lattice_dot,
 )
+from .statements import STATEMENTS, GroupAnalysis, scan_question13
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "permlat"
@@ -239,56 +239,3 @@ def run_q13_scan(
     if report.timings is not None:
         report.timings["q13"] = round(time.perf_counter() - started, 3)
     return report
-
-
-# -- DOT export --------------------------------------------------------------
-
-
-def lattice_dot(lat: SubgroupLattice, title: str = "lattice") -> str:
-    """DOT digraph of the subgroup lattice up to conjugacy: one node per
-    conjugacy class labeled with the order and class size, edges for
-    covering containments between classes."""
-    classes = []
-    for members in lat.conjugacy_classes:
-        reps = [lat.subgroups[i] for i in members]
-        order = reps[0].order
-        classes.append((order, min(r.members for r in reps), reps))
-    classes.sort(key=lambda c: (c[0], c[1]))
-    n = len(classes)
-
-    def contained(i: int, j: int) -> bool:
-        if classes[i][0] >= classes[j][0]:
-            return False
-        for a in classes[i][2]:
-            for b in classes[j][2]:
-                if a.members & ~b.members == 0:
-                    return True
-        return False
-
-    le = [[contained(i, j) for j in range(n)] for i in range(n)]
-    lines = [
-        f'digraph "{title}" {{',
-        "  rankdir=BT;",
-        "  node [shape=box];",
-    ]
-    for i, (order, _, reps) in enumerate(classes):
-        lines.append(f'  c{i} [label="order {order} x{len(reps)}"];')
-    for i in range(n):
-        for j in range(n):
-            if not le[i][j]:
-                continue
-            if any(le[i][k] and le[k][j] for k in range(n)):
-                continue
-            lines.append(f"  c{i} -> c{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def emit_lattice_dot(
-    group: Group, path, lattice_cap: int = DEFAULT_LATTICE_CAP
-) -> SubgroupLattice:
-    lat = enumerate_subgroups(group, cap=lattice_cap)
-    text = lattice_dot(lat, title=group.name or f"order{group.order}")
-    with open(path, "w") as fh:
-        fh.write(text)
-    return lat

@@ -27,6 +27,7 @@ from .groups import (
 from .corpus import example_pair
 from .lattice import (
     DEFAULT_LATTICE_CAP,
+    DEFAULT_MAX_NORMAL_E,
     SubgroupLattice,
     enumerate_subgroups,
     normalizer,
@@ -59,8 +60,6 @@ from .embedding import (
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
 )
-
-DEFAULT_MAX_NORMAL_E = 20
 
 
 @dataclass(frozen=True)

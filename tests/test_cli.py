@@ -4,6 +4,7 @@
 error, 3 = cap exceeded.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import permlat
+from permlat import corpus, reports
 from permlat.cli import main
 
 S4_FILE = """\
@@ -151,6 +153,10 @@ def test_verify_single_statement(capsys):
 
 def test_verify_unknown_statement(capsys):
     assert main(["verify", "--statement", "bogus"]) == 2
+    err = capsys.readouterr().err
+    assert "bogus" in err
+    assert "thmB" in err
+    assert "all" in err
 
 
 def test_verify_writes_report_and_csv(tmp_path, capsys):
@@ -229,10 +235,9 @@ def test_no_subcommand_is_usage_error():
 
 def test_verify_inconsistency_path(tmp_path, capsys, monkeypatch):
     # Force a fake inconsistent verdict to pin the exit-1 branch.
-    import permlat.cli as cli
     from permlat.statements import Verdict
 
-    real = cli.run_verification
+    real = reports.run_verification
 
     def rigged(*a, **kw):
         rep = real(*a, **kw)
@@ -241,7 +246,7 @@ def test_verify_inconsistency_path(tmp_path, capsys, monkeypatch):
         )
         return rep
 
-    monkeypatch.setattr(cli, "run_verification", rigged)
+    monkeypatch.setattr(reports, "run_verification", rigged)
     code = main(["verify", "--statement", "L2.2", "--max-order", "24"])
     assert code == 1
     err = capsys.readouterr().err
@@ -256,3 +261,90 @@ def test_cli_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_defers_registry_and_reports():
+    env = dict(os.environ, PYTHONPATH=str(Path(permlat.__file__).parents[1]))
+    code = (
+        "import sys, permlat.cli; "
+        "print(sorted({'permlat.statements', 'permlat.reports'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# -- unwritable output paths -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--statement", "remark1", "--max-order", "8", "--report"],
+        ["verify", "--statement", "remark1", "--max-order", "8", "--csv"],
+        ["lattice", "S4", "--dot"],
+    ],
+    ids=["report", "csv", "dot"],
+)
+def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "out")
+    assert main(argv + [path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
+# -- the benchmark's cold CLI commands, byte for byte ------------------------
+
+# sha256 of each command's stdout and of the DOT file it writes; the same
+# digests the benchmark pins for its "cold_cli" workload.
+COLD_CLI = (
+    (
+        ["analyze", "S4"],
+        "983e49e17b862e9745371ce69221f503879c584ca3686907668175a7fab9b420",
+    ),
+    (
+        ["analyze", "A5", "--props", "all"],
+        "c95ce81463569a9806ae4a40ba8e2bfb6caafe8a1cee0d90750e643cdaee2ca1",
+    ),
+    (
+        ["check-subgroup", "S4", "--gens", "(1 2)(3 4)",
+         "--predicate", "weakly-s-supplemented"],
+        "e97ac24a0ecdf5033e8f9b4aabefb00ffadecde65289bfaa620c93a6a44b7bc7",
+    ),
+    (
+        ["lattice", "PSL(2,7)", "--dot", "psl27.dot"],
+        "d771a1bf80f92ee747cc0fbb5b1e3f4bd11afec76f69d15d21c6cc27efce1b76",
+    ),
+    (
+        ["reproduce-example42"],
+        "ffe0c4f4473a3e1acf46023ac332d89869fd744d7f83d3fc824d5bd9c90b4d19",
+    ),
+)
+PSL27_DOT = "bdf8d8e0a94756123b572f653ff09cf862b84467cebeeac449419441529e679f"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cold_cli_outputs_match_pins(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in COLD_CLI:
+        assert main(argv) == 0, argv
+        assert _sha(capsys.readouterr().out) == digest, argv
+    assert _sha((tmp_path / "psl27.dot").read_text()) == PSL27_DOT
+
+
+def test_builtin_name_does_not_build_the_corpus(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("builtin corpus built")
+
+    monkeypatch.setattr(corpus, "_builtin", refuse)
+    monkeypatch.chdir(tmp_path)
+    for argv, digest in (COLD_CLI[0], COLD_CLI[3]):
+        assert main(argv) == 0, argv
+        assert _sha(capsys.readouterr().out) == digest, argv
+    assert _sha((tmp_path / "psl27.dot").read_text()) == PSL27_DOT

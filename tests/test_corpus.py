@@ -2,6 +2,7 @@ import pytest
 
 from permlat.corpus import (
     builtin_corpus,
+    builtin_group,
     load_corpus_dir,
     load_group,
     parse_group_file,
@@ -136,6 +137,19 @@ def test_builtin_products_respect_limit():
     for name, g in builtin_corpus():
         if "x" in name and name not in ("D8xC3", "Q8xC3", "S3xS3"):
             assert g.order <= 200
+
+
+def test_builtin_group_matches_corpus_entry():
+    for name, g in builtin_corpus():
+        h = builtin_group(name)
+        assert h.name == name
+        assert h.degree == g.degree
+        assert h.generators == g.generators, name
+        assert h.elements == g.elements, name
+
+
+def test_builtin_group_unknown_name():
+    assert builtin_group("NoSuchGroup") is None
 
 
 def test_roundtrip_all_builtin():
