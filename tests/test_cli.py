@@ -220,6 +220,24 @@ def test_scan_q13(capsys):
     assert "counterexample candidates: none" in out
 
 
+# sha256 of scan-q13 over the builtin corpus at the default caps: its
+# stdout, and the JSON report (613 verdicts, no flags) and CSV it writes.
+Q13_STDOUT = "2f3f4790c9129df06a221ed57ebfbe2f7d80da7f20f76a8ee6709fdb50ee28a9"
+Q13_JSON = "7586254b1764fa46502fba44a3edfbb130e68162be716b846d4e5f6a1eaa2acd"
+Q13_CSV = "d95d36213bb7487585076316ca4995e869d4b2a76516b82da45050fc5f78731a"
+
+
+def test_scan_q13_outputs_match_pins(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan-q13"]) == 0
+    assert _sha(capsys.readouterr().out) == Q13_STDOUT
+    assert main(["scan-q13", "--report", "q13.json", "--csv", "q13.csv"]) == 0
+    report = (tmp_path / "q13.json").read_text()
+    assert _sha(report) == Q13_JSON
+    assert len(json.loads(report)["verdicts"]) == 613
+    assert _sha((tmp_path / "q13.csv").read_text()) == Q13_CSV
+
+
 def test_reproduce_example42(capsys):
     assert main(["reproduce-example42"]) == 0
     out = capsys.readouterr().out

@@ -193,8 +193,9 @@ def test_golden_json_shape():
 
 # sha256 of the JSON report for every statement over the builtin corpus
 # at the default caps; the same digest the benchmark pins for its
-# "registry" workload.
+# "registry" workload. The CSV digest pins the same run's CSV rows.
 REGISTRY_DIGEST = "47efc6d6f189426750d5f17f97fbbeddd604233c299a987d35df3e16692fe427"
+REGISTRY_CSV_DIGEST = "fdfa4cffdbf941f91ed69e4a6de751fd0e4cfc738cf6c5411b4760f7a1efd1ed"
 
 
 def test_full_registry_golden_digest():
@@ -203,3 +204,4 @@ def test_full_registry_golden_digest():
     assert not rep.inconsistencies()
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest == REGISTRY_DIGEST
+    assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == REGISTRY_CSV_DIGEST

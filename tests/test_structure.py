@@ -301,3 +301,25 @@ def test_fingerprint_equality_across_constructions():
 
     assert fingerprint(wreath_regular(cyc(2), 2)) == fingerprint(d8())
     assert fingerprint(direct_product(cyc(3), cyc(2))) == fingerprint(cyc(6))
+
+
+# sha256 over every builtin group of the member bitsets of the hypercenter,
+# the U-hypercenter, both chief series chains and each upper p-series: the
+# results of the quotient-tower pullback.
+TOWER_DIGEST = "c1671e07f35c524eb750acc393208bcece70694d98c97d413602d6203702a301"
+
+
+def test_quotient_tower_results_match_pin():
+    import hashlib
+
+    from permlat.corpus import builtin_corpus
+
+    h = hashlib.sha256()
+    for name, g in builtin_corpus():
+        parts = [name, hypercenter(g).members, u_hypercenter(g).members]
+        for prefer in ("low", "high"):
+            parts.append([s.members for s in chief_series(g, prefer).chain])
+        for p in sorted(g.prime_factorization):
+            parts.append((p, [s.members for s in p_length(g, p).upper_p_series]))
+        h.update(repr(parts).encode())
+    assert h.hexdigest() == TOWER_DIGEST
