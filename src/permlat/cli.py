@@ -320,10 +320,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_scan_q13(args) -> int:
-    from .reports import run_q13_scan
+    from .reports import run_verification
 
     corpus, description = _load_corpus(args.corpus, args.group_cap)
-    report = run_q13_scan(
+    report = run_verification(
+        ["q13"],
         corpus,
         description,
         max_order=args.max_order,
@@ -362,24 +363,35 @@ def _cmd_lattice(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the caps and order bounds: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     caps = argparse.ArgumentParser(add_help=False)
     caps.add_argument(
         "--group-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_GROUP_CAP,
         help=f"largest group order to close (default {DEFAULT_GROUP_CAP})",
     )
     caps.add_argument(
         "--lattice-cap",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_LATTICE_CAP,
         help="largest group order whose subgroup lattice is enumerated "
         f"(default {DEFAULT_LATTICE_CAP})",
     )
     caps.add_argument(
         "--max-normal-e",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_NORMAL_E,
         help=f"normal subgroups paired per group (default {DEFAULT_MAX_NORMAL_E})",
     )
@@ -424,8 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
     p.add_argument(
         "--max-order",
-        type=int,
-        default=None,
+        type=_positive_int,
         help="override the per-statement group order bound",
     )
     p.add_argument("--report", help="write JSON report to this path")
@@ -439,7 +450,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scan for counterexample candidates to the open question",
     )
     p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
-    p.add_argument("--max-order", type=int, default=200)
+    p.add_argument(
+        "--max-order",
+        type=_positive_int,
+        help="override the scan's group order bound (default 200)",
+    )
     p.add_argument("--report", help="write JSON report to this path")
     p.add_argument("--csv", help="write CSV verdicts to this path")
     p.add_argument("--with-timings", action="store_true")

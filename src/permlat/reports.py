@@ -13,22 +13,20 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .errors import PermlatError
 from .groups import DEFAULT_GROUP_CAP
-from .lattice import (  # noqa: F401  (DOT export keeps its reports names)
+# DOT export keeps its reports names; the benchmark's tracer self-test
+# reads reports.enumerate_subgroups.
+from .lattice import (  # noqa: F401
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
     emit_lattice_dot,
     enumerate_subgroups,
     lattice_dot,
 )
-from .statements import STATEMENTS, GroupAnalysis, scan_question13
+from .statements import GroupAnalysis, statement_spec
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "permlat"
-
-# Statements that pair each group with its normal subgroups E.
-_E_PAIRED = ("thmB", "thm12", "C4.10", "C4.12")
 
 
 @dataclass
@@ -116,9 +114,12 @@ def run_verification(
     max_normal_e: int = DEFAULT_MAX_NORMAL_E,
     with_timings: bool = False,
 ) -> VerificationReport:
-    """Run the given statement checkers over the corpus and assemble a
-    report. max_order of None keeps each statement's documented default;
-    an explicit value overrides all of them."""
+    """Run the given registry entries over the corpus and assemble a
+    report. max_order of None keeps each entry's documented default; an
+    explicit value overrides all of them. Scan entries also list their
+    verdicts with a satisfied hypothesis and a failed conclusion as flags,
+    in corpus order. Every group whose E list was cut is reported as a
+    truncation."""
     report = VerificationReport(
         corpus_description,
         caps={
@@ -130,15 +131,8 @@ def run_verification(
     )
     ga_cache: dict = {}
     for sid in statement_ids:
-        try:
-            spec = STATEMENTS[sid]
-        except KeyError:
-            known = ", ".join(STATEMENTS)
-            raise PermlatError(
-                f"unknown statement id {sid!r} (known: {known})"
-            ) from None
+        spec = statement_spec(sid)
         limit = max_order if max_order is not None else spec.default_max_order
-        cap = lattice_cap
         started = time.perf_counter()
         groups_checked = 0
         verdict_count = 0
@@ -146,25 +140,28 @@ def run_verification(
         for name, group in corpus:
             if group.order > limit:
                 continue
-            key = (name, cap)
-            ga = ga_cache.get(key)
+            ga = ga_cache.get(name)
             if ga is None:
                 ga = GroupAnalysis(
-                    group, name, lattice_cap=cap, max_normal_e=max_normal_e
+                    group, name, lattice_cap=lattice_cap, max_normal_e=max_normal_e
                 )
-                ga_cache[key] = ga
+                ga_cache[name] = ga
             verdicts = spec.checker(ga)
             groups_checked += 1
             verdict_count += len(verdicts)
             inconsistent += sum(1 for v in verdicts if not v.consistent)
             report.verdicts.extend(verdicts)
-            if sid in _E_PAIRED and verdicts:
-                _, truncated = ga.normal_e()
-                if truncated:
-                    report.truncations.append(
-                        f"{sid}: {name} E list truncated to the "
-                        f"{max_normal_e} largest normal subgroups"
-                    )
+            if spec.kind == "scan":
+                report.flags.extend(
+                    v
+                    for v in verdicts
+                    if v.hypothesis_satisfied and v.conclusion_holds is False
+                )
+            if spec.pairs_e and ga.normal_e()[1]:
+                report.truncations.append(
+                    f"{sid}: {name} E list truncated to the "
+                    f"{max_normal_e} largest normal subgroups"
+                )
         row = {
             "statement": sid,
             "max_order": limit,
@@ -178,64 +175,4 @@ def run_verification(
         if report.timings is not None:
             report.timings[sid] = round(time.perf_counter() - started, 3)
     report.truncations = sorted(set(report.truncations))
-    return report
-
-
-def run_q13_scan(
-    corpus,
-    corpus_description: str,
-    max_order: int = 200,
-    group_cap: int = DEFAULT_GROUP_CAP,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-    max_normal_e: int = DEFAULT_MAX_NORMAL_E,
-    with_timings: bool = False,
-) -> VerificationReport:
-    """Scan all (G, normal E) pairs for counterexample candidates to the
-    open question: clause satisfied without the side conditions, quotient
-    supersolvable, G not supersolvable. Candidates are reported as flags,
-    not failures."""
-    report = VerificationReport(
-        corpus_description,
-        caps={
-            "group_cap": group_cap,
-            "lattice_cap": lattice_cap,
-            "max_normal_e": max_normal_e,
-        },
-        timings={} if with_timings else None,
-    )
-    started = time.perf_counter()
-    groups_checked = 0
-    for name, group in corpus:
-        if group.order > max_order:
-            continue
-        ga = GroupAnalysis(
-            group, name, lattice_cap=lattice_cap, max_normal_e=max_normal_e
-        )
-        verdicts = scan_question13(ga)
-        groups_checked += 1
-        report.verdicts.extend(verdicts)
-        report.flags.extend(
-            v
-            for v in verdicts
-            if v.hypothesis_satisfied and v.conclusion_holds is False
-        )
-        _, truncated = ga.normal_e()
-        if truncated:
-            report.truncations.append(
-                f"q13: {name} E list truncated to the "
-                f"{max_normal_e} largest normal subgroups"
-            )
-    report.statements.append(
-        {
-            "statement": "q13",
-            "max_order": max_order,
-            "groups_checked": groups_checked,
-            "verdicts": len(report.verdicts),
-            "inconsistent": sum(1 for v in report.verdicts if not v.consistent),
-            "note": "flags are counterexample candidates, not failures",
-        }
-    )
-    report.truncations = sorted(set(report.truncations))
-    if report.timings is not None:
-        report.timings["q13"] = round(time.perf_counter() - started, 3)
     return report

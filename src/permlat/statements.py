@@ -5,13 +5,22 @@ C4.3..C4.12, remark1), the q13 scanner, and the order-324 example build.
 The statement ids are opaque labels fixed by the CLI contract. Every
 checker evaluates "hypothesis implies conclusion" instances over a group
 and reports Verdicts; a consistent=False verdict is a build-breaking
-event for any statement in the catalog.
+event for any statement in the catalog. For these implications
+``consistent`` is derived in one place, ``_verdict``: an instance is
+inconsistent exactly when its hypothesis holds and its conclusion fails.
+
+The registry ``STATEMENTS`` also holds the q13 scan, an entry of kind
+"scan" that is not in ``STATEMENT_IDS``: its verdicts with a satisfied
+hypothesis and a failed conclusion are counterexample candidates (flags),
+and it is inconsistent only where a flag also meets one of the proved
+theorem's conditions. Entries marked ``pairs_e`` pair each group with its
+largest normal subgroups E, at most ``max_normal_e`` of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .errors import NotNormalError, PermlatError
@@ -33,7 +42,6 @@ from .lattice import (
     normalizer,
 )
 from .structure import (
-    chief_series,
     derived_subgroup,
     exponent,
     fingerprint,
@@ -86,19 +94,31 @@ class Verdict:
         }
 
 
-def _implication(statement_id, group_id, instance, qualifying, failures, witnesses=()):
-    """Verdict for a universally quantified implication: ``qualifying`` says
-    whether any instance met the hypothesis, ``failures`` lists conclusion
-    breakers among them."""
-    conclusion = None if not qualifying else not failures
+def _verdict(statement_id, group_id, instance, hypothesis, conclusion, witnesses=()):
+    """Verdict for one instance of an implication: consistent unless the
+    hypothesis holds and the conclusion fails."""
     return Verdict(
         statement_id,
         group_id,
         instance,
-        hypothesis_satisfied=qualifying,
+        hypothesis_satisfied=hypothesis,
         conclusion_holds=conclusion,
-        consistent=(not qualifying) or bool(conclusion),
-        witnesses=tuple(failures[:3]) + tuple(witnesses),
+        consistent=(not hypothesis) or bool(conclusion),
+        witnesses=tuple(witnesses),
+    )
+
+
+def _implication(statement_id, group_id, instance, qualifying, failures, witnesses=()):
+    """Verdict for a universally quantified implication: ``qualifying`` says
+    whether any instance met the hypothesis, ``failures`` lists conclusion
+    breakers among them."""
+    return _verdict(
+        statement_id,
+        group_id,
+        instance,
+        qualifying,
+        None if not qualifying else not failures,
+        tuple(failures[:3]) + tuple(witnesses),
     )
 
 
@@ -376,14 +396,13 @@ def check_thmB(
     concl = pred(ga.group)
     witnesses = [f"formation {label}", f"G/E in F: {quotient_in_f}"]
     witnesses.extend(_hyp_witnesses(rep))
-    return Verdict(
+    return _verdict(
         "thmB" if mode == "supplemented" else "thm12",
         ga.name,
         f"E={ga.label(e)}",
-        hypothesis_satisfied=hyp,
-        conclusion_holds=concl,
-        consistent=(not hyp) or concl,
-        witnesses=tuple(witnesses),
+        hyp,
+        concl,
+        witnesses,
     )
 
 
@@ -725,14 +744,13 @@ def check_L2_7(ga: GroupAnalysis) -> list:
     hyp = witness is None
     concl = is_p_nilpotent(ga.group, p) if hyp else None
     return [
-        Verdict(
+        _verdict(
             "L2.7",
             ga.name,
             f"p={p}",
             hyp,
             concl,
-            (not hyp) or bool(concl),
-            witnesses=(f"failing maximal H = {witness}",) if witness else (),
+            (f"failing maximal H = {witness}",) if witness else (),
         )
     ]
 
@@ -746,9 +764,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
     verdicts = []
     for p in sorted(g.prime_factorization):
         if is_p_nilpotent(g, p):
-            verdicts.append(
-                Verdict("L2.8", ga.name, f"p={p}", False, None, True)
-            )
+            verdicts.append(_verdict("L2.8", ga.name, f"p={p}", False, None))
             continue
         minimal = True
         for sub in reversed(lat.subgroups):
@@ -758,9 +774,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
                 minimal = False
                 break
         if not minimal:
-            verdicts.append(
-                Verdict("L2.8", ga.name, f"p={p}", False, None, True)
-            )
+            verdicts.append(_verdict("L2.8", ga.name, f"p={p}", False, None))
             continue
         fails = []
         rep, conjugates = lat.sylow(p)
@@ -789,17 +803,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
                 fails.append(f"exponent {exp} != {p}")
         elif exp != 4:
             fails.append(f"exponent {exp} != 4")
-        verdicts.append(
-            Verdict(
-                "L2.8",
-                ga.name,
-                f"p={p}",
-                True,
-                not fails,
-                not fails,
-                witnesses=tuple(fails),
-            )
-        )
+        verdicts.append(_verdict("L2.8", ga.name, f"p={p}", True, not fails, fails))
     return verdicts
 
 
@@ -830,14 +834,13 @@ def check_L2_9(ga: GroupAnalysis) -> list:
     hyp = witness is None
     concl = is_p_nilpotent(ga.group, p) if hyp else None
     return [
-        Verdict(
+        _verdict(
             "L2.9",
             ga.name,
             f"p={p}",
             hyp,
             concl,
-            (not hyp) or bool(concl),
-            witnesses=(f"failing H = {witness}",) if witness else (),
+            (f"failing H = {witness}",) if witness else (),
         )
     ]
 
@@ -889,17 +892,8 @@ def check_L3_1(ga: GroupAnalysis) -> list:
                         )
                         if not concl:
                             witnesses.append(f"iota(D)={k} not a multiple of s={s}")
-            verdicts.append(
-                Verdict(
-                    "L3.1",
-                    ga.name,
-                    f"P={ga.label(p_sub)} |D|={d}",
-                    holds,
-                    concl,
-                    (not holds) or bool(concl),
-                    witnesses=tuple(witnesses),
-                )
-            )
+            instance = f"P={ga.label(p_sub)} |D|={d}"
+            verdicts.append(_verdict("L3.1", ga.name, instance, holds, concl, witnesses))
     return verdicts
 
 
@@ -921,17 +915,8 @@ def check_C3_2(ga: GroupAnalysis) -> list:
                 witnesses = (f"clause fails at H = {failing}",)
             elif not concl:
                 witnesses = ("P escapes the supersolvable hypercenter",)
-            verdicts.append(
-                Verdict(
-                    "C3.2",
-                    ga.name,
-                    f"P={ga.label(p_sub)} |D|={d}",
-                    holds,
-                    concl,
-                    (not holds) or bool(concl),
-                    witnesses=witnesses,
-                )
-            )
+            instance = f"P={ga.label(p_sub)} |D|={d}"
+            verdicts.append(_verdict("C3.2", ga.name, instance, holds, concl, witnesses))
     return verdicts
 
 
@@ -965,17 +950,8 @@ def check_L3_3(ga: GroupAnalysis) -> list:
                 witnesses = (f"clause fails at H = {failing}",)
             elif not concl:
                 witnesses = ("P escapes the supersolvable hypercenter",)
-            verdicts.append(
-                Verdict(
-                    "L3.3",
-                    ga.name,
-                    f"P={ga.label(p_sub)} |D|={d}",
-                    holds,
-                    concl,
-                    (not holds) or bool(concl),
-                    witnesses=witnesses,
-                )
-            )
+            instance = f"P={ga.label(p_sub)} |D|={d}"
+            verdicts.append(_verdict("L3.3", ga.name, instance, holds, concl, witnesses))
     return verdicts
 
 
@@ -1008,17 +984,8 @@ def check_L3_5(ga: GroupAnalysis) -> list:
                 witnesses = (
                     f"p-solvable {pl.is_p_solvable}, p-length {pl.p_length}",
                 )
-        verdicts.append(
-            Verdict(
-                "L3.5",
-                ga.name,
-                f"p={p} |D|={d}",
-                holds,
-                concl,
-                (not holds) or bool(concl),
-                witnesses=witnesses,
-            )
-        )
+        instance = f"p={p} |D|={d}"
+        verdicts.append(_verdict("L3.5", ga.name, instance, holds, concl, witnesses))
     return verdicts
 
 
@@ -1027,15 +994,7 @@ def check_L3_5(ga: GroupAnalysis) -> list:
 
 def _group_verdict(statement_id, ga, hyp, concl_pred, witnesses=()):
     concl = concl_pred() if hyp else None
-    return Verdict(
-        statement_id,
-        ga.name,
-        "group",
-        hyp,
-        concl,
-        (not hyp) or bool(concl),
-        witnesses=tuple(witnesses),
-    )
+    return _verdict(statement_id, ga.name, "group", hyp, concl, witnesses)
 
 
 def _sylow_maximal_indices(ga: GroupAnalysis):
@@ -1202,17 +1161,7 @@ def check_C4_10(ga: GroupAnalysis) -> list:
                     wit.append(f"non-permutable H = {ga.label(sub)}")
                     break
         concl = is_supersolvable(ga.group) if hyp else None
-        verdicts.append(
-            Verdict(
-                "C4.10",
-                ga.name,
-                f"E={ga.label(e)}",
-                hyp,
-                concl,
-                (not hyp) or bool(concl),
-                witnesses=tuple(wit),
-            )
-        )
+        verdicts.append(_verdict("C4.10", ga.name, f"E={ga.label(e)}", hyp, concl, wit))
     return verdicts
 
 
@@ -1262,17 +1211,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
                     wit.append(f"non-wsp H = {ga.label(sub)}")
                     break
         concl = is_supersolvable(ga.group) if hyp else None
-        verdicts.append(
-            Verdict(
-                "C4.12",
-                ga.name,
-                f"E={ga.label(e)}",
-                hyp,
-                concl,
-                (not hyp) or bool(concl),
-                witnesses=tuple(wit),
-            )
-        )
+        verdicts.append(_verdict("C4.12", ga.name, f"E={ga.label(e)}", hyp, concl, wit))
     return verdicts
 
 
@@ -1289,13 +1228,8 @@ def check_remark1(ga: GroupAnalysis) -> list:
             extremal = k == 1 or k == a - 1
             ok = math.gcd(a, k) == 1 or math.gcd(a, a - k) == 1
             verdicts.append(
-                Verdict(
-                    "remark1",
-                    ga.name,
-                    f"p={p} iota(D)={k}",
-                    extremal,
-                    ok if extremal else None,
-                    (not extremal) or ok,
+                _verdict(
+                    "remark1", ga.name, f"p={p} iota(D)={k}", extremal, ok if extremal else None
                 )
             )
     return verdicts
@@ -1393,58 +1327,76 @@ def check_thm12_all(ga: GroupAnalysis) -> list:
 
 @dataclass(frozen=True)
 class StatementSpec:
+    """A registry entry. Kind "implication" checks hypothesis implies
+    conclusion; kind "scan" also reports its verdicts with a satisfied
+    hypothesis and a failed conclusion as flags. ``pairs_e``: the checker
+    pairs the group with its largest normal subgroups E."""
+
     statement_id: str
     checker: Callable
     default_max_order: int
     note: str = ""
+    pairs_e: bool = False
+    kind: str = "implication"
 
 
-def _spec(statement_id, checker, default_max_order, note=""):
-    return StatementSpec(statement_id, checker, default_max_order, note)
-
+_E_NOTE = "E ranges over the largest normal subgroups"
 
 STATEMENTS = {
     s.statement_id: s
     for s in (
-        _spec("thmB", check_thmB_all, 200, "E ranges over the largest normal subgroups"),
-        _spec("thm12", check_thm12_all, 200, "E ranges over the largest normal subgroups"),
-        _spec("L2.1", check_L2_1, 100, "re-enumerates a lattice per normal subgroup"),
-        _spec("L2.2", check_L2_2, 200),
-        _spec("L2.3", check_L2_3, 200),
-        _spec("L2.4", check_L2_4, 200),
-        _spec("L2.5", check_L2_5, 200),
-        _spec("L2.6", check_L2_6, 720, "nonabelian simple groups only"),
-        _spec("L2.7", check_L2_7, 200),
-        _spec("L2.8", check_L2_8, 200),
-        _spec("L2.9", check_L2_9, 200),
-        _spec("L3.1", check_L3_1, 100, "per normal p-subgroup and order |D|"),
-        _spec("C3.2", check_C3_2, 100, "per normal p-subgroup and order |D|"),
-        _spec("L3.3", check_L3_3, 100, "per normal p-subgroup and order |D|"),
-        _spec("L3.5", check_L3_5, 100, "per order |D| in the minimal-prime Sylow"),
-        _spec("C4.3", check_C4_3, 200),
-        _spec("C4.4", check_C4_4, 200),
-        _spec("C4.5", check_C4_5, 200),
-        _spec("C4.6", check_C4_6, 200),
-        _spec("C4.7", check_C4_7, 200),
-        _spec("C4.8", check_C4_8, 200),
-        _spec("C4.9", check_C4_9, 200),
-        _spec("C4.10", check_C4_10, 200, "E ranges over the largest normal subgroups"),
-        _spec("C4.11", check_C4_11, 200),
-        _spec("C4.12", check_C4_12, 200, "E ranges over the largest normal subgroups"),
-        _spec("remark1", check_remark1, 200, "pure arithmetic, no lattice"),
+        StatementSpec("thmB", check_thmB_all, 200, _E_NOTE, pairs_e=True),
+        StatementSpec("thm12", check_thm12_all, 200, _E_NOTE, pairs_e=True),
+        StatementSpec("L2.1", check_L2_1, 100, "re-enumerates a lattice per normal subgroup"),
+        StatementSpec("L2.2", check_L2_2, 200),
+        StatementSpec("L2.3", check_L2_3, 200),
+        StatementSpec("L2.4", check_L2_4, 200),
+        StatementSpec("L2.5", check_L2_5, 200),
+        StatementSpec("L2.6", check_L2_6, 720, "nonabelian simple groups only"),
+        StatementSpec("L2.7", check_L2_7, 200),
+        StatementSpec("L2.8", check_L2_8, 200),
+        StatementSpec("L2.9", check_L2_9, 200),
+        StatementSpec("L3.1", check_L3_1, 100, "per normal p-subgroup and order |D|"),
+        StatementSpec("C3.2", check_C3_2, 100, "per normal p-subgroup and order |D|"),
+        StatementSpec("L3.3", check_L3_3, 100, "per normal p-subgroup and order |D|"),
+        StatementSpec("L3.5", check_L3_5, 100, "per order |D| in the minimal-prime Sylow"),
+        StatementSpec("C4.3", check_C4_3, 200),
+        StatementSpec("C4.4", check_C4_4, 200),
+        StatementSpec("C4.5", check_C4_5, 200),
+        StatementSpec("C4.6", check_C4_6, 200),
+        StatementSpec("C4.7", check_C4_7, 200),
+        StatementSpec("C4.8", check_C4_8, 200),
+        StatementSpec("C4.9", check_C4_9, 200),
+        StatementSpec("C4.10", check_C4_10, 200, _E_NOTE, pairs_e=True),
+        StatementSpec("C4.11", check_C4_11, 200),
+        StatementSpec("C4.12", check_C4_12, 200, _E_NOTE, pairs_e=True),
+        StatementSpec("remark1", check_remark1, 200, "pure arithmetic, no lattice"),
+        StatementSpec(
+            "q13",
+            scan_question13,
+            200,
+            "flags are counterexample candidates, not failures",
+            pairs_e=True,
+            kind="scan",
+        ),
     )
 }
 
-STATEMENT_IDS = tuple(STATEMENTS)
+# The implication statements, in catalog order; ``verify --statement all``.
+STATEMENT_IDS = tuple(sid for sid, s in STATEMENTS.items() if s.kind == "implication")
+
+
+def statement_spec(statement_id: str) -> StatementSpec:
+    """The registry entry for an id; unknown ids list the known ones."""
+    try:
+        return STATEMENTS[statement_id]
+    except KeyError:
+        known = ", ".join(STATEMENTS)
+        raise PermlatError(
+            f"unknown statement id {statement_id!r} (known: {known})"
+        ) from None
 
 
 def verify_statement(statement_id: str, ga: GroupAnalysis) -> list:
     """Run one statement's checker on one analyzed group."""
-    try:
-        spec = STATEMENTS[statement_id]
-    except KeyError:
-        known = ", ".join(STATEMENT_IDS)
-        raise PermlatError(
-            f"unknown statement id {statement_id!r} (known: {known})"
-        ) from None
-    return spec.checker(ga)
+    return statement_spec(statement_id).checker(ga)

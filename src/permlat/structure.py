@@ -146,26 +146,36 @@ def center(group: Group) -> Subgroup:
     return _memo(group, "center", compute)
 
 
+def _quotient_tower(group: Group, step):
+    """Walk down G -> G/N1 -> G/N2 -> ..., where ``step(Q)`` names the
+    next normal subgroup of the current quotient Q (None or the trivial
+    subgroup to stop). Yields each such subgroup with the bits of its
+    preimage in G; stops once the quotient is trivial."""
+    cur = group
+    proj = list(range(group.order))
+    while cur.order > 1:
+        n = step(cur)
+        if n is None or n.order == 1:
+            return
+        bits = 0
+        for i, j in enumerate(proj):
+            if (n.members >> j) & 1:
+                bits |= 1 << i
+        yield n, bits
+        if n.order == cur.order:
+            return
+        qr = quotient(cur, n)
+        proj = [qr.projection[j] for j in proj]
+        cur = qr.group
+
+
 def hypercenter(group: Group) -> Subgroup:
     """Fixed point of iterated center pullbacks (the ordinary Z-infinity)."""
 
     def compute():
-        cur = group
-        proj = list(range(group.order))
-        z_bits = 1
-        while cur.order > 1:
-            c = center(cur)
-            if c.order == 1:
-                break
-            z_bits = 0
-            for i in range(group.order):
-                if (c.members >> proj[i]) & 1:
-                    z_bits |= 1 << i
-            if c.order == cur.order:
-                break
-            qr = quotient(cur, c)
-            proj = [qr.projection[proj[i]] for i in range(group.order)]
-            cur = qr.group
+        z_bits = 1  # the last preimage the tower yields
+        for _, z_bits in _quotient_tower(group, center):
+            pass
         return Subgroup(group, z_bits)
 
     return _memo(group, "hypercenter", compute)
@@ -350,14 +360,14 @@ def chief_series(group: Group, prefer: str = "low") -> ChiefSeries:
     if prefer not in ("low", "high"):
         raise PermlatError(f"unknown chief series preference {prefer!r}")
 
+    def step(cur):
+        mins = minimal_normal_subgroups(cur)
+        return mins[0] if prefer == "low" else mins[-1]
+
     def compute():
         chain = [group.trivial_subgroup()]
         factors: list[ChiefFactor] = []
-        cur = group
-        proj = list(range(group.order))
-        while cur.order > 1:
-            mins = minimal_normal_subgroups(cur)
-            chosen = mins[0] if prefer == "low" else mins[-1]
+        for chosen, bits in _quotient_tower(group, step):
             factors.append(
                 ChiefFactor(
                     chosen.order,
@@ -366,14 +376,7 @@ def chief_series(group: Group, prefer: str = "low") -> ChiefSeries:
                     _prime_power_base(chosen.order),
                 )
             )
-            bits = 0
-            for i in range(group.order):
-                if (chosen.members >> proj[i]) & 1:
-                    bits |= 1 << i
             chain.append(Subgroup(group, bits))
-            qr = quotient(cur, chosen)
-            proj = [qr.projection[proj[i]] for i in range(group.order)]
-            cur = qr.group
         return ChiefSeries(chain, factors)
 
     return _memo(group, ("chief", prefer), compute)
@@ -426,38 +429,25 @@ def p_length(group: Group, p: int) -> PLengthResult:
     def compute():
         if not is_p_solvable(group, p):
             return PLengthResult(p, False, None, [])
-        series = [group.trivial_subgroup()]
-        cur = group
-        proj = list(range(group.order))
-        count = 0
+        # One flag per step, True for a p-layer. O_p' of G/O_p'(G) is
+        # trivial, so a p'-step is always followed by a p-step.
+        layers: list[bool] = []
 
-        def pull(sub):
-            bits = 0
-            for i in range(group.order):
-                if (sub.members >> proj[i]) & 1:
-                    bits |= 1 << i
-            return Subgroup(group, bits)
-
-        def descend(sub):
-            nonlocal cur, proj
-            qr = quotient(cur, sub)
-            proj = [qr.projection[proj[i]] for i in range(group.order)]
-            cur = qr.group
-
-        while cur.order > 1:
-            opp = p_prime_core(cur, p)
-            if opp.order > 1:
-                series.append(pull(opp))
-                descend(opp)
-                if cur.order == 1:
-                    break
+        def step(cur):
+            if not layers or layers[-1]:
+                opp = p_prime_core(cur, p)
+                if opp.order > 1:
+                    layers.append(False)
+                    return opp
             op = p_core(cur, p)
             if op.order == 1:
                 raise PermlatError("upper p-series stalled on a p-solvable group")
-            count += 1
-            series.append(pull(op))
-            descend(op)
-        return PLengthResult(p, True, count, series)
+            layers.append(True)
+            return op
+
+        series = [group.trivial_subgroup()]
+        series += [Subgroup(group, bits) for _, bits in _quotient_tower(group, step)]
+        return PLengthResult(p, True, sum(layers), series)
 
     return _memo(group, ("plength", p), compute)
 
@@ -475,32 +465,23 @@ def u_hypercenter(group: Group) -> Subgroup:
     which certifies maximality.
     """
 
+    def step(cur):
+        layer_subs = [m for m in minimal_normal_subgroups(cur) if _is_prime(m.order)]
+        if not layer_subs:
+            return None
+        t = cur.table()
+        layer = layer_subs[0].members
+        gens = layer_subs[0].generator_indices
+        for m in layer_subs[1:]:
+            if m.members & ~layer:
+                layer = _close_bits(t, layer, gens, m.generator_indices)
+                gens = gens + m.generator_indices
+        return Subgroup(cur, layer, gens)
+
     def compute():
-        z_bits = 1
-        cur = group
-        proj = list(range(group.order))
-        while cur.order > 1:
-            layer_subs = [
-                m for m in minimal_normal_subgroups(cur) if _is_prime(m.order)
-            ]
-            if not layer_subs:
-                break
-            t = cur.table()
-            layer = layer_subs[0].members
-            gens = layer_subs[0].generator_indices
-            for m in layer_subs[1:]:
-                if m.members & ~layer:
-                    layer = _close_bits(t, layer, gens, m.generator_indices)
-                    gens = gens + m.generator_indices
-            z_bits = 0
-            for i in range(group.order):
-                if (layer >> proj[i]) & 1:
-                    z_bits |= 1 << i
-            if layer == (1 << cur.order) - 1:
-                break
-            qr = quotient(cur, Subgroup(cur, layer, gens))
-            proj = [qr.projection[proj[i]] for i in range(group.order)]
-            cur = qr.group
+        z_bits = 1  # the last preimage the tower yields
+        for _, z_bits in _quotient_tower(group, step):
+            pass
         return Subgroup(group, z_bits)
 
     return _memo(group, "uhypercenter", compute)

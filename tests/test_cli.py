@@ -251,6 +251,77 @@ def test_no_subcommand_is_usage_error():
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--statement", "L2.1", "--group-cap"],
+        ["verify", "--statement", "L2.1", "--lattice-cap"],
+        ["verify", "--statement", "L2.1", "--max-normal-e"],
+        ["verify", "--statement", "L2.1", "--max-order"],
+        ["scan-q13", "--group-cap"],
+        ["scan-q13", "--lattice-cap"],
+        ["scan-q13", "--max-normal-e"],
+        ["scan-q13", "--max-order"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-1]}",
+)
+def test_cap_flags_below_one_are_usage_errors(argv, value, capsys):
+    assert main(argv + [value]) == 2
+    err = capsys.readouterr().err
+    assert f"{argv[-1]}: expected an integer >= 1, got '{value}'" in err
+
+
+def _rig(monkeypatch, sid, *verdicts):
+    """Replace a registry checker by one that returns ``verdicts`` on S3."""
+    import dataclasses
+
+    from permlat import statements
+
+    spec = dataclasses.replace(
+        statements.STATEMENTS[sid],
+        checker=lambda ga: list(verdicts) if ga.name == "S3" else [],
+    )
+    monkeypatch.setitem(statements.STATEMENTS, sid, spec)
+
+
+def test_scan_q13_lists_flags(tmp_path, capsys, monkeypatch):
+    from permlat.statements import Verdict
+
+    flag = Verdict("q13", "S3", "E=rigged", True, False, True, ("wit one", "wit two"))
+    held = Verdict("q13", "S3", "E=held", True, True, True)
+    unmet = Verdict("q13", "S3", "E=unmet", False, None, True)
+    _rig(monkeypatch, "q13", held, flag, unmet)
+    # A verdict of an implication statement is never a flag, even one
+    # whose hypothesis holds and whose conclusion fails.
+    _rig(monkeypatch, "L2.2", Verdict("L2.2", "S3", "rigged", True, False, False))
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan-q13", "--max-order", "6", "--report", "q13.json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    witness_lines = "  S3 E=rigged\n    | wit one\n    | wit two\n"
+    assert f"counterexample candidates: 1\n{witness_lines}" in out
+    assert out.endswith("all consistent\nwrote JSON report to q13.json\n")
+    report = json.loads((tmp_path / "q13.json").read_text())
+    assert report["flags"] == [flag.as_dict()]
+    assert report["verdicts"] == [v.as_dict() for v in (held, flag, unmet)]
+
+    argv = ["verify", "--statement", "all", "--max-order", "6", "--report", "all.json"]
+    assert main(argv) == 1
+    assert "INCONSISTENT: 1 verdicts" in capsys.readouterr().err
+    assert json.loads((tmp_path / "all.json").read_text())["flags"] == []
+
+
+def test_scan_q13_contradiction_exits_1(capsys, monkeypatch):
+    from permlat.statements import Verdict
+
+    _rig(monkeypatch, "q13", Verdict("q13", "S3", "E=rigged", True, False, False))
+    assert main(["scan-q13", "--max-order", "6"]) == 1
+    captured = capsys.readouterr()
+    assert "counterexample candidates: 1" in captured.out
+    assert "INCONSISTENT: 1 verdicts\n  q13 S3 E=rigged\n" in captured.err
+
+
 def test_verify_inconsistency_path(tmp_path, capsys, monkeypatch):
     # Force a fake inconsistent verdict to pin the exit-1 branch.
     from permlat.statements import Verdict

@@ -11,7 +11,6 @@ from permlat.reports import (
     SCHEMA_VERSION,
     emit_lattice_dot,
     lattice_dot,
-    run_q13_scan,
     run_verification,
 )
 from permlat.errors import PermlatError
@@ -147,8 +146,20 @@ def test_truncation_notes():
     assert d["truncations"] == rep.truncations
 
 
+def test_truncation_reported_when_no_e_is_paired():
+    rep = run_verification(
+        ["thmB", "q13"], slice_of("S3", "C12"), "x", max_order=20, max_normal_e=0
+    )
+    assert rep.verdicts == []
+    assert rep.truncations == [
+        f"{sid}: {name} E list truncated to the 0 largest normal subgroups"
+        for sid in ("q13", "thmB")
+        for name in ("C12", "S3")
+    ]
+
+
 def test_q13_scan_clean_on_slice():
-    rep = run_q13_scan(slice_of(*SMALL), "test slice", max_order=30)
+    rep = run_verification(["q13"], slice_of(*SMALL), "test slice", max_order=30)
     assert rep.flags == []
     assert rep.consistent
     row = rep.statements[0]

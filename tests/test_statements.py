@@ -37,7 +37,9 @@ def analysis(name):
 
 def test_registry_shape():
     assert len(STATEMENT_IDS) == 26
-    assert set(STATEMENT_IDS) == set(STATEMENTS)
+    assert set(STATEMENTS) == set(STATEMENT_IDS) | {"q13"}
+    assert STATEMENTS["q13"].kind == "scan"
+    assert all(STATEMENTS[sid].kind == "implication" for sid in STATEMENT_IDS)
     for sid in ("thmB", "thm12", "L2.1", "L3.5", "C4.12", "remark1"):
         assert sid in STATEMENTS
     for spec in STATEMENTS.values():
