@@ -340,7 +340,7 @@ def _cmd_scan_q13(args) -> int:
 def _cmd_example42(args) -> int:
     from .statements import build_example42
 
-    ex = build_example42(lattice_cap=args.lattice_cap)
+    ex = build_example42(lattice_cap=args.lattice_cap, group_cap=args.group_cap)
     for line in ex.lines():
         print(line)
     print("all example checks passed")
@@ -389,7 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest group order whose subgroup lattice is enumerated "
         f"(default {DEFAULT_LATTICE_CAP})",
     )
-    caps.add_argument(
+    # Only the commands that pair groups with normal subgroups E read it.
+    pairs_e = argparse.ArgumentParser(add_help=False)
+    pairs_e.add_argument(
         "--max-normal-e",
         type=_positive_int,
         default=DEFAULT_MAX_NORMAL_E,
@@ -425,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_subgroup)
 
     p = sub.add_parser(
-        "verify", parents=[caps], help="check statements over a corpus"
+        "verify", parents=[caps, pairs_e], help="check statements over a corpus"
     )
     p.add_argument(
         "--statement",
@@ -446,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "scan-q13",
-        parents=[caps],
+        parents=[caps, pairs_e],
         help="scan for counterexample candidates to the open question",
     )
     p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")

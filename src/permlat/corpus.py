@@ -267,10 +267,11 @@ def _elementary_abelian(p: int, rank: int, name: str) -> Group:
     return close_generators(p * rank, gens, name=name)
 
 
-def example_pair() -> tuple[Group, Group]:
+def example_pair(cap: int = DEFAULT_GROUP_CAP) -> tuple[Group, Group]:
     """The order-324 control example: B648 = S3 wr C3 on 9 points and its
-    2-residual G324 = O^2(B648). Fresh groups on every call."""
-    b = wreath_regular(_symmetric(3, "S3"), 3)
+    2-residual G324 = O^2(B648). Fresh groups on every call; a ``cap``
+    below 648 raises before anything is closed."""
+    b = wreath_regular(_symmetric(3, "S3"), 3, cap=cap)
     b.name = "B648"
     g = p_residual(b, 2).as_group()
     g.name = "G324"

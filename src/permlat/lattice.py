@@ -14,7 +14,7 @@ oracle is part of the test suite.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import LatticeCapError, PermlatError
 from .groups import (
@@ -23,18 +23,11 @@ from .groups import (
     _close_bits,
     _conjugate_bits,
     _factorize,
-    _iter_bits,
 )
 
 DEFAULT_LATTICE_CAP = 400
 # Normal subgroups E paired with each group by the E-paired statements.
 DEFAULT_MAX_NORMAL_E = 20
-
-
-class ProductSet(NamedTuple):
-    size: int
-    is_group: bool
-    bits: int
 
 
 class SubgroupLattice:
@@ -268,17 +261,6 @@ def normalizer(h: Subgroup) -> Subgroup:
     return Subgroup(g, bits)
 
 
-def centralizer(h: Subgroup) -> Subgroup:
-    g = h.parent
-    t = g.table()
-    gens = h.generator_indices
-    bits = 0
-    for x in range(g.order):
-        if all(t[x][y] == t[y][x] for y in gens):
-            bits |= 1 << x
-    return Subgroup(g, bits)
-
-
 def core(h: Subgroup) -> Subgroup:
     """Largest normal subgroup of the parent contained in h."""
     g = h.parent
@@ -332,28 +314,6 @@ def is_subnormal(h: Subgroup) -> bool:
         if nb == cur_bits:
             return cur_bits == h.members
         cur_bits, cur_gens = nb, ngens
-
-
-def product_set(h: Subgroup, k: Subgroup) -> ProductSet:
-    """The set HK with its size and whether it forms a subgroup."""
-    if h.parent is not k.parent:
-        raise PermlatError("subgroups of different parents")
-    t = h.parent.table()
-    k_members = k.element_indices()
-    bits = 0
-    for a in _iter_bits(h.members):
-        row = t[a]
-        for b in k_members:
-            bits |= 1 << row[b]
-    size = bits.bit_count()
-    gens = tuple(dict.fromkeys(h.generator_indices + k.generator_indices))
-    is_group = True
-    for x in _iter_bits(bits):
-        row = t[x]
-        if any(not (bits >> row[g]) & 1 for g in gens):
-            is_group = False
-            break
-    return ProductSet(size, is_group, bits)
 
 
 def permutes(h: Subgroup, k: Subgroup) -> bool:

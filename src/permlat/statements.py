@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import NotNormalError, PermlatError
 from .groups import (
+    DEFAULT_GROUP_CAP,
     Group,
     Perm,
     Subgroup,
@@ -166,7 +167,6 @@ class GroupAnalysis:
         self.max_normal_e = max_normal_e
         self._lat: Optional[SubgroupLattice] = None
         self._quots: dict = {}
-        self._subs: dict = {}
 
     @property
     def lat(self) -> SubgroupLattice:
@@ -198,19 +198,6 @@ class GroupAnalysis:
             )
             self._quots[key] = (qa, qr.projection)
         return self._quots[key]
-
-    def subgroup_analysis(self, k: Subgroup):
-        """(GroupAnalysis of K as a group, map from G index to K index)."""
-        key = k.members
-        if key not in self._subs:
-            idxmap = {gi: ki for ki, gi in enumerate(k.element_indices())}
-            ka = GroupAnalysis(
-                k.as_group(),
-                name=f"{self.name}|{self.label(k)}",
-                lattice_cap=self.lattice_cap,
-            )
-            self._subs[key] = (ka, idxmap)
-        return self._subs[key]
 
     @staticmethod
     def image_bits(projection, bits: int) -> int:
@@ -452,8 +439,11 @@ def scan_question13(ga: GroupAnalysis) -> list:
 def check_L2_1(ga: GroupAnalysis) -> list:
     """Three closure properties of weak s-supplementation: quotient
     equivalence over a normal subgroup, restriction to intermediate
-    subgroups, and coprime image after a normal subgroup."""
+    subgroups, and coprime image after a normal subgroup. Each quotient
+    G/N and subgroup K is a section of G's lattice, so no group or
+    lattice is rebuilt."""
     lat = ga.lat
+    top = lat.top()
     verdicts = []
 
     fails = []
@@ -461,14 +451,11 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     for h in lat.normal_subgroups():
         if h.is_full():
             continue
-        qa, proj = ga.quotient_by(h)
-        qlat = qa.lat
         for k in lat.subgroups:
             if h.members & ~k.members:
                 continue
             count += 1
-            img = qlat.entry(GroupAnalysis.image_bits(proj, k.members))
-            in_quotient = is_weakly_s_supplemented(qlat, img)[0]
+            in_quotient = is_weakly_s_supplemented(lat, k, (top, h))[0]
             in_group = is_weakly_s_supplemented(lat, k)[0]
             if in_quotient != in_group:
                 fails.append(
@@ -479,19 +466,16 @@ def check_L2_1(ga: GroupAnalysis) -> list:
 
     fails = []
     count = 0
+    bottom = lat.bottom()
     for k in lat.subgroups:
         if k.is_full() or k.order == 1:
             continue
-        ka, idxmap = ga.subgroup_analysis(k)
         for i in lat.within(k.members):
             h = lat.subgroups[i]
             if not is_weakly_s_supplemented(lat, h)[0]:
                 continue
             count += 1
-            bits = 0
-            for gi in _iter_bits(h.members):
-                bits |= 1 << idxmap[gi]
-            if not is_weakly_s_supplemented(ka.lat, ka.lat.entry(bits))[0]:
+            if not is_weakly_s_supplemented(lat, h, (k, bottom))[0]:
                 fails.append(f"H={ga.label(h)} K={ga.label(k)}")
     verdicts.append(_implication("L2.1", ga.name, "(ii)", count > 0, fails))
 
@@ -500,16 +484,13 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     for n in lat.normal_subgroups():
         if n.is_full():
             continue
-        qa, proj = ga.quotient_by(n)
         for e in lat.subgroups:
             if math.gcd(n.order, e.order) != 1:
                 continue
             if not is_weakly_s_supplemented(lat, e)[0]:
                 continue
             count += 1
-            en = lat.join(n, e)
-            img = qa.lat.entry(GroupAnalysis.image_bits(proj, en.members))
-            if not is_weakly_s_supplemented(qa.lat, img)[0]:
+            if not is_weakly_s_supplemented(lat, lat.join(n, e), (top, n))[0]:
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts
@@ -1251,7 +1232,9 @@ def _require(cond, message: str):
         raise PermlatError(f"example reproduction failed: {message}")
 
 
-def build_example42(lattice_cap: int = DEFAULT_LATTICE_CAP) -> Example42:
+def build_example42(
+    lattice_cap: int = DEFAULT_LATTICE_CAP, group_cap: int = DEFAULT_GROUP_CAP
+) -> Example42:
     """Control group of order 324 where the minimal-prime hypothesis is
     dropped and the p-length conclusion fails.
 
@@ -1263,7 +1246,7 @@ def build_example42(lattice_cap: int = DEFAULT_LATTICE_CAP) -> Example42:
     G is 2: the order-|D| clause alone does not bound p-length once p is
     not the smallest prime divisor.
     """
-    b, g = example_pair()
+    b, g = example_pair(cap=group_cap)
     _require(b.order == 648, f"wreath order {b.order} != 648")
     _require(g.order == 324, f"2-residual order {g.order} != 324")
     ga = GroupAnalysis(g, "example324", lattice_cap=lattice_cap)

@@ -65,10 +65,6 @@ def _p_of(group: Group) -> int:
     return next(iter(pf))
 
 
-def iota_group(p_group: Group) -> int:
-    return iota(p_group.order, _p_of(p_group))
-
-
 def _memo(group: Group, key, compute):
     store = group._memo
     if key not in store:

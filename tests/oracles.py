@@ -4,9 +4,18 @@ Everything here works directly on a group's multiplication table with
 plain Python sets of element indices. No bitsets, no shared closure
 code, and a different enumeration strategy, so agreement with the
 library is a meaningful check rather than the same bug twice.
+
+The exception is ``section_wss_oracle``: it decides weak
+s-supplementation in a section K/N the long way, by building K/N as a
+group of its own and enumerating its lattice, and so cross-checks the
+library's in-lattice section rules against an independent construction.
 """
 
 from __future__ import annotations
+
+from permlat.embedding import is_weakly_s_supplemented
+from permlat.groups import quotient
+from permlat.lattice import enumerate_subgroups
 
 
 def close_set(t, seed):
@@ -67,11 +76,12 @@ def brute_subgroups(group):
     return found
 
 
-def brute_is_normal(group, elems):
-    """Conjugates every member by every group element, no orbit tricks."""
+def brute_is_normal(group, elems, over=None):
+    """Conjugates every member by every group element (or every element
+    of ``over``), no orbit tricks."""
     t = group.table()
     inv = group.inverse_table()
-    for g in range(group.order):
+    for g in range(group.order) if over is None else over:
         gi = inv[g]
         for x in elems:
             if t[t[gi][x]][g] not in elems:
@@ -224,3 +234,31 @@ def reduced_latin_squares(n):
 
     fill(0)
     return out
+
+
+def section_wss_oracle(k, n):
+    """Predicate on the subgroups H with N <= H <= K of G (N normal in K):
+    whether H/N is weakly s-supplemented in K/N.
+
+    Rebuilds the section: K as a group of its own (``as_group``) unless it
+    is G, then its quotient by N (``quotient``) unless N is trivial, then
+    that group's own lattice.
+    """
+    if k.is_full():
+        ambient, pos = k.parent, list(range(k.parent.order))
+    else:
+        ambient = k.as_group()
+        pos = {gi: ki for ki, gi in enumerate(k.element_indices())}
+    proj = list(range(ambient.order))
+    if n.order > 1:
+        n_bits = sum(1 << pos[gi] for gi in n.element_indices())
+        qr = quotient(ambient, ambient.subgroup(n_bits))
+        ambient, proj = qr.group, qr.projection
+    lat = enumerate_subgroups(ambient)
+
+    def wss(h):
+        images = {proj[pos[gi]] for gi in h.element_indices()}
+        bits = sum(1 << i for i in images)
+        return is_weakly_s_supplemented(lat, lat.entry(bits))[0]
+
+    return wss

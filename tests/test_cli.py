@@ -204,6 +204,29 @@ def test_group_cap_exit_code(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_reproduce_example42_honours_group_cap(capsys):
+    # The wreath product's order is checked against the cap before closure.
+    assert main(["reproduce-example42", "--group-cap", "10"]) == 3
+    captured = capsys.readouterr()
+    assert "wreath order 648 exceeds cap 10" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "S4"],
+        ["check-subgroup", "S4", "--gens", "(1 2)", "--predicate", "normal"],
+        ["lattice", "S4", "--dot", "s4.dot"],
+        ["reproduce-example42"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_max_normal_e_only_where_read(argv, capsys):
+    assert main(argv + ["--max-normal-e", "1"]) == 2
+    assert "unrecognized arguments: --max-normal-e" in capsys.readouterr().err
+
+
 def test_lattice_dot_output(tmp_path, capsys):
     out = tmp_path / "s4.dot"
     assert main(["lattice", "S4", "--dot", str(out)]) == 0

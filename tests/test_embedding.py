@@ -12,10 +12,15 @@ from permlat.embedding import (
     is_weakly_s_supplemented,
     subnormal_in,
     supplements,
+    sylow_family,
 )
+from permlat.corpus import builtin_corpus
+from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
+
+from oracles import brute_is_normal, section_wss_oracle
 
 
 def gens(degree, *texts):
@@ -224,3 +229,110 @@ def test_l2_3_normalizer_property():
 
         resid = p_residual(g, p)
         assert resid.members & ~normalizer(s).members == 0
+
+
+# -- sections K/N read off the parent lattice --------------------------------
+
+
+def test_section_wss_matches_rebuild_oracle():
+    """Over the builtin groups of order <= 200, the in-lattice answer for
+    K/N in G/N (every normal N < G, every K >= N) and for H in K (every
+    1 < K < G, every H <= K) equals the rebuilt-group oracle."""
+    pairs = {"quotient": 0, "subgroup": 0}
+    false = {"quotient": 0, "subgroup": 0}
+    mismatches = []
+    for name, g in builtin_corpus():
+        if g.order > 200:
+            continue
+        lat = enumerate_subgroups(g)
+        top = lat.top()
+        cases = [
+            ("quotient", (top, n), [k for k in lat.subgroups if n.members & ~k.members == 0])
+            for n in lat.normal_subgroups()
+            if not n.is_full()
+        ]
+        cases += [
+            ("subgroup", (k, lat.bottom()), [lat.subgroups[i] for i in lat.within(k.members)])
+            for k in lat.subgroups
+            if 1 < k.order < g.order
+        ]
+        for kind, section, subs in cases:
+            oracle = section_wss_oracle(*section)
+            for h in subs:
+                got = is_weakly_s_supplemented(lat, h, section)[0]
+                pairs[kind] += 1
+                false[kind] += not got
+                if got != oracle(h):
+                    mismatches.append((name, kind, section[0].order, section[1].order, h.order))
+    assert mismatches == []
+    assert pairs == {"quotient": 3511, "subgroup": 5298}
+    # A predicate that always said True would fail here.
+    assert false == {"quotient": 190, "subgroup": 147}
+
+
+def test_general_section_matches_rebuild_oracle():
+    """Sections K/N with N normal in K but not necessarily in G, over the
+    builtin groups of order <= 24."""
+    checked = 0
+    false = 0
+    for name, g in builtin_corpus():
+        if g.order > 24:
+            continue
+        lat = enumerate_subgroups(g)
+        for k in lat.subgroups:
+            k_elems = k.element_indices()
+            for j in lat.within(k.members):
+                n = lat.subgroups[j]
+                if not brute_is_normal(g, set(n.element_indices()), over=k_elems):
+                    continue
+                oracle = section_wss_oracle(k, n)
+                for i in lat.within(k.members):
+                    h = lat.subgroups[i]
+                    if n.members & ~h.members:
+                        continue
+                    got = is_weakly_s_supplemented(lat, h, (k, n))[0]
+                    assert got == oracle(h), (name, k.order, n.order, h.order)
+                    checked += 1
+                    false += not got
+    assert (checked, false) == (10596, 24)
+
+
+def test_section_whole_group_is_the_default():
+    g, lat = make(4, "(1 2)", "(1 2 3 4)")
+    section = (lat.top(), lat.bottom())
+    for s in lat.subgroups:
+        assert is_weakly_s_supplemented(lat, s, section) is is_weakly_s_supplemented(lat, s)
+        assert h_sG(lat, s, section) is h_sG(lat, s)
+    assert sylow_family(lat, section) is sylow_family(lat)
+    assert not any(isinstance(key, tuple) and len(key) > 2 for key in lat._memo)
+
+
+def test_section_quotient_s4_by_v4():
+    # S4/V4 is S3: D8/V4 is a transposition's image, weakly s-supplemented
+    # through A4/V4 with intersection V4, the section's trivial subgroup.
+    g, lat = make(4, "(1 2)", "(1 2 3 4)")
+    v4 = sub(lat, "(1 2)(3 4)", "(1 3)(2 4)")
+    section = (lat.top(), v4)
+    d8 = sub(lat, "(1 2 3 4)", "(1 3)")
+    a4 = sub(lat, "(1 2 3)", "(1 2)(3 4)")
+    ok, wit = is_weakly_s_supplemented(lat, d8, section)
+    assert ok
+    assert wit.T.members == a4.members
+    assert wit.intersection.members == v4.members
+    # Sylow subgroups of S3, as preimages: the three D8 and A4.
+    family = sylow_family(lat, section)
+    assert [(p, [s.order for s in c]) for p, c in family] == [(2, [8, 8, 8]), (3, [12])]
+    assert h_sG(lat, d8, section).members == v4.members
+    assert {t.order for t in supplements(lat, d8, section)} == {12, 24}
+
+
+def test_section_rejects_bad_input():
+    g, lat = make(4, "(1 2)", "(1 2 3 4)")
+    d8 = sub(lat, "(1 2 3 4)", "(1 3)")
+    c2 = sub(lat, "(1 3)")
+    with pytest.raises(NotNormalError):
+        is_weakly_s_supplemented(lat, d8, (lat.top(), c2))
+    with pytest.raises(PermlatError):
+        is_weakly_s_supplemented(lat, lat.top(), (d8, lat.bottom()))
+    with pytest.raises(PermlatError):
+        is_weakly_s_supplemented(lat, d8, (c2, d8))

@@ -234,3 +234,30 @@ def test_example42_facts():
     assert facts["O_3 complement order"] == 12
     assert ex.group.order == 324
     assert len(ex.lines()) == len(ex.facts)
+
+
+def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
+    """L2.1 reads its quotient and subgroup cases off G's lattice: one
+    enumeration, no quotient group and no subgroup materialized."""
+    from permlat import groups, reports, statements
+    from permlat.groups import Subgroup
+
+    calls = {"enumerate": 0}
+    real = statements.enumerate_subgroups
+
+    def counting(*args, **kwargs):
+        calls["enumerate"] += 1
+        return real(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebuilt a quotient or subgroup")
+
+    monkeypatch.setattr(statements, "enumerate_subgroups", counting)
+    monkeypatch.setattr(statements, "quotient", refuse)
+    monkeypatch.setattr(groups, "quotient", refuse)
+    monkeypatch.setattr(Subgroup, "as_group", refuse)
+    corpus = [(n, g) for n, g in builtin_corpus() if n == "S4"]
+    rep = reports.run_verification(["L2.1"], corpus, "S4 only")
+    assert calls["enumerate"] == 1
+    assert [v.instance for v in rep.verdicts] == ["(i)", "(ii)", "(iii)"]
+    assert all(v.consistent and v.hypothesis_satisfied for v in rep.verdicts)
