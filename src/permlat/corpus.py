@@ -347,9 +347,13 @@ def builtin_group(name: str) -> Optional[Group]:
     """The builtin entry called name, or None.
 
     Every entry but the budgeted products is built alone, as a fresh
-    group; any other name is looked up in the whole corpus.
+    group. Only a name ``AxB`` with both factors listed can be a budgeted
+    product, and only such a name is looked up in the whole corpus.
     """
     build = _BUILDERS.get(name)
     if build is not None:
         return build()
+    factors = name.split("x")
+    if len(factors) != 2 or not all(f in _BUILDERS for f in factors):
+        return None
     return dict(builtin_corpus()).get(name)

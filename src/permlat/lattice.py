@@ -279,13 +279,6 @@ def core(h: Subgroup) -> Subgroup:
     return Subgroup(g, bits)
 
 
-def normal_closure(h: Subgroup) -> Subgroup:
-    bits, gens = _normal_closure_bits(
-        h.parent, h.parent.generator_indices(), h.members, h.generator_indices
-    )
-    return Subgroup(h.parent, bits, gens)
-
-
 def _normal_closure_bits(group: Group, ambient_gens, h_bits: int, h_gens):
     """Closure of H under conjugation by the given ambient generators."""
     t = group.table()

@@ -43,6 +43,7 @@ from .lattice import (
     normalizer,
 )
 from .structure import (
+    _is_prime,
     derived_subgroup,
     exponent,
     fingerprint,
@@ -53,7 +54,6 @@ from .structure import (
     is_p_solvable,
     is_solvable,
     is_supersolvable,
-    minimal_normal_subgroups,
     p_core,
     p_length,
     p_prime_core,
@@ -152,7 +152,14 @@ class HypothesisReport(NamedTuple):
 
 
 class GroupAnalysis:
-    """A corpus group with its lazily built lattice and quotient caches."""
+    """A corpus group with its lazily built lattice.
+
+    Questions about a quotient G/N are answered on G's own lattice: by the
+    correspondence theorem the normal subgroups of G/N are the normal
+    entries above N, and the G-chief factors above N are the chief factors
+    of G/N. The lowest normal entry strictly above N, and any normal entry
+    of prime index over N, is minimal over N.
+    """
 
     def __init__(
         self,
@@ -166,7 +173,6 @@ class GroupAnalysis:
         self.lattice_cap = lattice_cap
         self.max_normal_e = max_normal_e
         self._lat: Optional[SubgroupLattice] = None
-        self._quots: dict = {}
 
     @property
     def lat(self) -> SubgroupLattice:
@@ -186,25 +192,54 @@ class GroupAnalysis:
             return norms[: self.max_normal_e], True
         return norms, False
 
-    def quotient_by(self, n: Subgroup):
-        """(GroupAnalysis of G/N, projection from G element indices)."""
-        key = n.members
-        if key not in self._quots:
-            qr = quotient(self.group, n)
-            qa = GroupAnalysis(
-                qr.group,
-                name=f"{self.name}/{self.label(n)}",
-                lattice_cap=self.lattice_cap,
-            )
-            self._quots[key] = (qa, qr.projection)
-        return self._quots[key]
+    def _normals_above(self, bits: int) -> list:
+        """Normal entries strictly above the normal subgroup with these
+        bits, in lattice order."""
+        lat = self.lat
+        if not lat.normal_flags[lat.index_by_bits[bits]]:
+            raise NotNormalError("quotient by a subgroup that is not normal")
+        return [
+            s
+            for s in lat.normal_subgroups()
+            if s.members != bits and bits & ~s.members == 0
+        ]
 
-    @staticmethod
-    def image_bits(projection, bits: int) -> int:
-        out = 0
-        for i in _iter_bits(bits):
-            out |= 1 << projection[i]
-        return out
+    def supersolvable_mod(self, n: Subgroup) -> bool:
+        """Whether G/N is supersolvable: the lowest normal entry M strictly
+        above N has prime index over N and G/M is supersolvable."""
+        memo = self.lat._memo
+        key = ("supersolvable_mod", n.members)
+        if key not in memo:
+            above = self._normals_above(n.members)
+            memo[key] = not above or (
+                _is_prime(above[0].order // n.order)
+                and self.supersolvable_mod(above[0])
+            )
+        return memo[key]
+
+    def u_hypercenter_mod(self, n: Subgroup) -> int:
+        """Bits of the preimage of the supersolvable hypercenter of G/N:
+        from X = N, join X with every normal entry of prime index over X
+        until there is none (``structure.u_hypercenter``'s step, pulled
+        back to G)."""
+        memo = self.lat._memo
+        key = ("u_hypercenter_mod", n.members)
+        if key not in memo:
+            bits = n.members
+            while True:
+                above = self._normals_above(bits)
+                order = bits.bit_count()
+                layer = bits
+                for m in above:
+                    if _is_prime(m.order // order):
+                        layer |= m.members
+                if layer == bits:
+                    break
+                # The join of normal subgroups is the lowest normal entry
+                # containing them all.
+                bits = next(s.members for s in above if layer & ~s.members == 0)
+            memo[key] = bits
+        return memo[key]
 
 
 def sub_bits_in_parent(inner: Subgroup, outer: Subgroup) -> int:
@@ -315,13 +350,6 @@ def thmB_hypothesis(
     return HypothesisReport(ga.name, ga.label(e), mode, per_prime, hyp, hyp_cond)
 
 
-def _formation(formation):
-    if formation is None:
-        return "U", is_supersolvable
-    label, pred = formation
-    return f"{label} (user formation, soundness not guaranteed)", pred
-
-
 def _hyp_witnesses(rep: HypothesisReport) -> list:
     out = []
     for syl in rep.per_prime:
@@ -361,27 +389,21 @@ def _hyp_witnesses(rep: HypothesisReport) -> list:
     return out
 
 
-def check_thmB(
-    ga: GroupAnalysis,
-    e: Subgroup,
-    mode: str = "supplemented",
-    formation=None,
-) -> Verdict:
+def check_thmB(ga: GroupAnalysis, e: Subgroup, mode: str = "supplemented") -> Verdict:
     """hypothesis: G/E in F and the per-Sylow clause; the supplemented mode
     additionally requires one of conditions (i)-(iii) per Sylow, the
-    permutable mode does not. Conclusion: G in F."""
-    label, pred = _formation(formation)
+    permutable mode does not. Conclusion: G in F. F is the formation U of
+    supersolvable groups."""
     rep = thmB_hypothesis(ga, e, mode)
-    qa, _ = ga.quotient_by(e)
-    quotient_in_f = pred(qa.group)
+    quotient_in_f = ga.supersolvable_mod(e)
     clause = (
         rep.hypothesis_with_condition
         if mode == "supplemented"
         else rep.hypothesis
     )
     hyp = quotient_in_f and clause
-    concl = pred(ga.group)
-    witnesses = [f"formation {label}", f"G/E in F: {quotient_in_f}"]
+    concl = is_supersolvable(ga.group)
+    witnesses = ["formation U", f"G/E in F: {quotient_in_f}"]
     witnesses.extend(_hyp_witnesses(rep))
     return _verdict(
         "thmB" if mode == "supplemented" else "thm12",
@@ -393,8 +415,8 @@ def check_thmB(
     )
 
 
-def check_thm12(ga: GroupAnalysis, e: Subgroup, formation=None) -> Verdict:
-    return check_thmB(ga, e, mode="permutable", formation=formation)
+def check_thm12(ga: GroupAnalysis, e: Subgroup) -> Verdict:
+    return check_thmB(ga, e, mode="permutable")
 
 
 def scan_question13(ga: GroupAnalysis) -> list:
@@ -409,8 +431,7 @@ def scan_question13(ga: GroupAnalysis) -> list:
     normals, _trunc = ga.normal_e()
     for e in normals:
         rep = thmB_hypothesis(ga, e, "supplemented")
-        qa, _ = ga.quotient_by(e)
-        quotient_in_u = is_supersolvable(qa.group)
+        quotient_in_u = ga.supersolvable_mod(e)
         hyp = quotient_in_u and rep.hypothesis
         concl = is_supersolvable(ga.group)
         flagged = hyp and not concl
@@ -506,7 +527,8 @@ def _is_p_group_entry(sub: Subgroup):
 
 def check_L2_2(ga: GroupAnalysis) -> list:
     """Normal p-subgroup P lies in the U-hypercenter iff its image mod
-    Phi(P) lies in the U-hypercenter of the quotient."""
+    Phi(P) lies in the U-hypercenter of the quotient (read off G's normal
+    entries above Phi(P))."""
     lat = ga.lat
     zu = u_hypercenter(ga.group).members
     fails = []
@@ -518,9 +540,7 @@ def check_L2_2(ga: GroupAnalysis) -> list:
         left = p_sub.members & ~zu == 0
         phi = phi_p_group(p_sub.as_group())
         phi_sub = lat.entry(sub_bits_in_parent(phi, p_sub))
-        qa, proj = ga.quotient_by(phi_sub)
-        img = GroupAnalysis.image_bits(proj, p_sub.members)
-        right = img & ~u_hypercenter(qa.group).members == 0
+        right = p_sub.members & ~ga.u_hypercenter_mod(phi_sub) == 0
         if left != right:
             fails.append(f"P={ga.label(p_sub)}: {left} vs mod-Phi(P) {right}")
     return [_implication("L2.2", ga.name, "all normal p-subgroups", count > 0, fails)]
@@ -769,14 +789,15 @@ def check_L2_8(ga: GroupAnalysis) -> list:
         if not (p_normal and complement_ok):
             fails.append("no normal Sylow p with cyclic non-normal q-complement")
         if p_normal:
-            phi_sub = lat.entry(
-                sub_bits_in_parent(phi_p_group(rep.as_group()), rep)
-            )
-            qa, proj = ga.quotient_by(phi_sub)
-            img = GroupAnalysis.image_bits(proj, rep.members)
-            if not any(
-                m.members == img for m in minimal_normal_subgroups(qa.group)
-            ):
+            phi = sub_bits_in_parent(phi_p_group(rep.as_group()), rep)
+            # P/Phi(P) is minimal normal in G/Phi(P) iff Phi(P) < P are
+            # the only normal entries from Phi(P) up to P.
+            between = [
+                m
+                for m in lat.normal_subgroups()
+                if phi & ~m.members == 0 and m.members & ~rep.members == 0
+            ]
+            if len(between) != 2:
                 fails.append("P mod Phi(P) is not minimal normal")
         exp = exponent(rep.as_group())
         if rep.as_group().is_abelian() or p > 2:
@@ -1094,12 +1115,10 @@ def u_residual(ga: GroupAnalysis) -> Subgroup:
     for n in lat.normal_subgroups():
         if bits & ~n.members == 0:
             continue
-        qa, _ = ga.quotient_by(n)
-        if is_supersolvable(qa.group):
+        if ga.supersolvable_mod(n):
             bits &= n.members
     res = lat.entry(bits)
-    qa, _ = ga.quotient_by(res)
-    if not is_supersolvable(qa.group):
+    if not ga.supersolvable_mod(res):
         raise PermlatError("residual quotient is not supersolvable")
     return res
 
@@ -1132,8 +1151,7 @@ def check_C4_10(ga: GroupAnalysis) -> list:
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
-        qa, _ = ga.quotient_by(e)
-        hyp = is_supersolvable(qa.group) and syl2_abelian
+        hyp = ga.supersolvable_mod(e) and syl2_abelian
         wit = []
         if hyp:
             for sub in _prime_order_entries(ga, inside=e):
@@ -1179,8 +1197,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
-        qa, _ = ga.quotient_by(e)
-        hyp = is_supersolvable(qa.group) and is_solvable(e.as_group())
+        hyp = ga.supersolvable_mod(e) and is_solvable(e.as_group())
         wit = []
         if hyp:
             targets = _prime_order_entries(ga, inside=e) + _entries_of_order(
@@ -1254,8 +1271,7 @@ def build_example42(
     o3 = lat.entry(p_core(g, 3).members)
     _require(o3.order == 27, f"O_3 order {o3.order} != 27")
     _require(o3.is_elementary_abelian(), "O_3 is not elementary abelian")
-    qa, _ = ga.quotient_by(o3)
-    qname = fingerprint(qa.group).name
+    qname = fingerprint(quotient(g, o3).group).name
     _require(qname == "A4", f"G/O_3 has type {qname}, not A4")
     rep = lat.sylow(3)[0]
     _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")

@@ -5,10 +5,10 @@ plain Python sets of element indices. No bitsets, no shared closure
 code, and a different enumeration strategy, so agreement with the
 library is a meaningful check rather than the same bug twice.
 
-The exception is ``section_wss_oracle``: it decides weak
-s-supplementation in a section K/N the long way, by building K/N as a
-group of its own and enumerating its lattice, and so cross-checks the
-library's in-lattice section rules against an independent construction.
+The exceptions are ``section_wss_oracle`` and ``quotient_answers``: they
+answer questions about a section K/N or a quotient G/N the long way, by
+building it as a group of its own, and so cross-check the library's
+in-lattice answers against an independent construction.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from permlat.embedding import is_weakly_s_supplemented
 from permlat.groups import quotient
 from permlat.lattice import enumerate_subgroups
+from permlat.structure import is_supersolvable, u_hypercenter
 
 
 def close_set(t, seed):
@@ -262,3 +263,12 @@ def section_wss_oracle(k, n):
         return is_weakly_s_supplemented(lat, lat.entry(bits))[0]
 
     return wss
+
+
+def quotient_answers(g, n):
+    """(G/N supersolvable, bits of the preimage in G of the supersolvable
+    hypercenter of G/N), from G/N built as a group of its own."""
+    qr = quotient(g, n)
+    z = u_hypercenter(qr.group).members
+    bits = sum(1 << i for i, j in enumerate(qr.projection) if (z >> j) & 1)
+    return is_supersolvable(qr.group), bits

@@ -61,8 +61,19 @@ def test_analyze_group_file(tmp_path, capsys):
     assert "fingerprint: S4" in out
 
 
-def test_analyze_unknown_group():
-    assert main(["analyze", "NoSuchGroup"]) == 2
+def test_analyze_unknown_group(monkeypatch, capsys):
+    """A name that cannot be a budgeted product exits 2 without building
+    the corpus; a budgeted product still resolves through it."""
+
+    def refuse():
+        raise AssertionError("builtin corpus built")
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "_builtin", refuse)
+        for name in ("NoSuchGroup", "C2xNoSuch", "C2xC3xC5"):
+            assert main(["analyze", name]) == 2, name
+    assert main(["analyze", "C2xS3", "--props", "order"]) == 0
+    assert capsys.readouterr().out.strip().split("\n") == ["group: C2xS3", "order: 12"]
 
 
 def test_analyze_unknown_prop(capsys):

@@ -5,12 +5,14 @@ means on concrete groups; the whole-corpus sweeps live in
 test_acceptance.py.
 """
 
+import hashlib
+
 import pytest
 
 from permlat.corpus import builtin_corpus
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import close_generators, direct_product
-from permlat.perms import parse_cycle_string
+from permlat.perms import Perm, parse_cycle_string
 from permlat.statements import (
     STATEMENT_IDS,
     STATEMENTS,
@@ -22,6 +24,8 @@ from permlat.statements import (
     thmB_hypothesis,
     verify_statement,
 )
+
+from oracles import quotient_answers
 
 
 def gens(degree, *texts):
@@ -206,8 +210,9 @@ def test_group_analysis_helpers():
     assert orders == sorted(orders, reverse=True)
     assert orders[0] == 24
     assert ga.label(ga.lat.top()).endswith("(order 24)")
-    qa, proj = ga.quotient_by(normals[-1])
-    assert qa.group.order == 24 // normals[-1].order
+    v4 = next(n for n in normals if n.order == 4)
+    assert ga.supersolvable_mod(v4)
+    assert not ga.supersolvable_mod(normals[-1])
 
 
 def test_normal_e_cap():
@@ -261,3 +266,109 @@ def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
     assert calls["enumerate"] == 1
     assert [v.instance for v in rep.verdicts] == ["(i)", "(ii)", "(iii)"]
     assert all(v.consistent and v.hypothesis_satisfied for v in rep.verdicts)
+
+
+def _agl23():
+    """AGL(2,3) on the 9 points of F_3^2, (x, y) numbered 1 + x + 3y."""
+
+    def perm(f):
+        images = {}
+        for y in range(3):
+            for x in range(3):
+                u, v = f(x, y)
+                images[1 + x + 3 * y] = 1 + u % 3 + 3 * (v % 3)
+        cycles, seen = [], set()
+        for start in range(1, 10):
+            cyc = [start]
+            seen.add(start)
+            while images[cyc[-1]] not in seen:
+                cyc.append(images[cyc[-1]])
+                seen.add(cyc[-1])
+            if len(cyc) > 1:
+                cycles.append(tuple(cyc))
+        return Perm.from_cycles(9, cycles)
+
+    return close_generators(
+        9,
+        [
+            perm(lambda x, y: (x + 1, y)),
+            perm(lambda x, y: (2 * x, y)),
+            perm(lambda x, y: (2 * x + y, 2 * x)),
+        ],
+        name="AGL(2,3)",
+    )
+
+
+def _check_quotient_answers(ga):
+    """(pairs, False answers, proper U-hypercenters) over every normal N
+    of the analyzed group, each lattice answer checked against the
+    rebuilt quotient."""
+    pairs = falses = proper = 0
+    full = ga.lat.top().members
+    for n in ga.lat.normal_subgroups():
+        supersolvable, zu = quotient_answers(ga.group, n)
+        assert ga.supersolvable_mod(n) == supersolvable, (ga.name, n.members)
+        assert ga.u_hypercenter_mod(n) == zu, (ga.name, n.members)
+        pairs += 1
+        falses += not supersolvable
+        proper += zu != full
+    return pairs, falses, proper
+
+
+def test_quotient_answers_match_rebuilt_quotients():
+    """supersolvable_mod and u_hypercenter_mod agree with G/N built as a
+    group, on every normal N of every builtin group of order <= 400. The
+    False counts keep an always-True or always-G stub from passing."""
+    pairs = falses = proper = 0
+    for name, g in builtin_corpus():
+        if g.order <= 400:
+            counts = _check_quotient_answers(GroupAnalysis(g, name))
+            pairs, falses, proper = (a + b for a, b in zip((pairs, falses, proper), counts))
+    assert pairs == 687
+    assert falses >= 9
+    assert proper >= 9
+
+
+def test_quotient_answers_on_agl23_subgroups():
+    """The same oracle over one subgroup per conjugacy class of AGL(2,3),
+    which has many solvable groups that are not supersolvable."""
+    g = _agl23()
+    assert g.order == 432
+    lat = GroupAnalysis(g, lattice_cap=500).lat
+    pairs = falses = proper = 0
+    for cls in lat.conjugacy_classes:
+        h = lat.subgroups[cls[0]].as_group()
+        counts = _check_quotient_answers(GroupAnalysis(h, lattice_cap=500))
+        pairs, falses, proper = (a + b for a, b in zip((pairs, falses, proper), counts))
+    assert len(lat.conjugacy_classes) == 46
+    assert pairs == 246
+    assert falses >= 15
+    assert proper >= 15
+
+
+def test_supersolvable_mod_rejects_a_non_normal_subgroup():
+    ga = analysis("S3")
+    c2 = ga.lat.of_order(2)[0]
+    with pytest.raises(NotNormalError):
+        ga.supersolvable_mod(ga.lat.subgroups[c2])
+
+
+# sha256 of the JSON report of every statement and the q13 scan over the
+# builtin groups of order <= 24 with every normal E, as the code that
+# built each quotient group gave it.
+SMALL_REGISTRY_DIGEST = "c9c3a2440810ae24cec939d8d9ca02de086893b09e5eaebb191696d843afee05"
+
+
+def test_registry_builds_no_quotient_group(monkeypatch):
+    from permlat import reports, statements
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a quotient group")
+
+    monkeypatch.setattr(statements, "quotient", refuse)
+    corpus = [(n, g) for n, g in builtin_corpus() if g.order <= 24]
+    rep = reports.run_verification(
+        list(STATEMENT_IDS) + ["q13"], corpus, "order <= 24", max_normal_e=1000
+    )
+    assert len(rep.verdicts) == 4940
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SMALL_REGISTRY_DIGEST
