@@ -14,8 +14,6 @@ from .groups import (
     group_from_cayley,
     p_residual,
     quotient,
-    semidirect_product,
-    trivial_group,
     wreath_regular,
     DEFAULT_GROUP_CAP,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "group_from_cayley",
     "p_residual",
     "quotient",
-    "semidirect_product",
-    "trivial_group",
     "wreath_regular",
     "DEFAULT_GROUP_CAP",
     "__version__",

@@ -31,6 +31,7 @@ from .errors import (
     CapExceededError,
     DegreeMismatchError,
     GroupFileError,
+    GroupOrderCapError,
     InvalidPermutationError,
     NotAnElementError,
     PermlatError,
@@ -61,13 +62,24 @@ from .structure import (
 )
 
 
+def _within_cap(name: str, group, group_cap: int):
+    """The group, unless its order exceeds the group cap: builtin groups
+    are built without one."""
+    if group.order > group_cap:
+        raise GroupOrderCapError(
+            f"{name} has order {group.order}, over the group cap {group_cap}",
+            group_cap,
+        )
+    return group
+
+
 def _resolve_group(token: str, group_cap: int):
     path = Path(token)
     if path.exists():
         return load_group(parse_group_file(path), cap=group_cap)
     group = builtin_group(token)
     if group is not None:
-        return group
+        return _within_cap(token, group, group_cap)
     raise GroupFileError(
         f"unknown group {token!r}: not a file and not a builtin corpus name",
         1,
@@ -77,7 +89,8 @@ def _resolve_group(token: str, group_cap: int):
 
 def _load_corpus(token: str, group_cap: int):
     if token == "builtin":
-        return builtin_corpus(), "builtin corpus"
+        corpus = [(n, _within_cap(n, g, group_cap)) for n, g in builtin_corpus()]
+        return corpus, "builtin corpus"
     return load_corpus_dir(token, cap=group_cap), f"corpus dir {token}"
 
 

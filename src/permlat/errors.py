@@ -38,18 +38,6 @@ class NotNormalError(PermlatError):
     pass
 
 
-class NotPGroupError(PermlatError):
-    pass
-
-
-class NotAutomorphismError(PermlatError):
-    """A generator-image list does not extend to an automorphism."""
-
-
-class ActionRelationError(PermlatError):
-    """An action map does not respect the acting group's relations."""
-
-
 class BadTableError(PermlatError):
     """A multiplication table fails the Latin-square or associativity check."""
 

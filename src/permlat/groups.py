@@ -11,12 +11,10 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
-    ActionRelationError,
     BadTableError,
     DegreeMismatchError,
     GroupOrderCapError,
     NotAnElementError,
-    NotAutomorphismError,
     NotNormalError,
     PermlatError,
 )
@@ -581,117 +579,6 @@ def direct_product(a: Group, b: Group, cap: int = DEFAULT_GROUP_CAP) -> Group:
     ]
     name = f"{a.name} x {b.name}" if a.name and b.name else None
     return Group(da + b.degree, gens, elements, name=name, table=table)
-
-
-def _extend_automorphism(ngroup: Group, images: Sequence[Perm]) -> tuple[int, ...]:
-    """Extend a generator-image list to an automorphism, as an index map.
-
-    Walks the multiplication-by-generator graph of the group; any
-    inconsistency or failure of bijectivity raises NotAutomorphismError.
-    """
-    if len(images) != len(ngroup.generators):
-        raise NotAutomorphismError(
-            f"expected {len(ngroup.generators)} images, got {len(images)}"
-        )
-    t = ngroup.table()
-    gidx = ngroup.generator_indices()
-    try:
-        img_idx = [ngroup.index_of(p) for p in images]
-    except PermlatError as exc:
-        raise NotAutomorphismError(str(exc)) from None
-    n = ngroup.order
-    phi = [-1] * n
-    phi[0] = 0
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        fx = phi[x]
-        for gi, ii in zip(gidx, img_idx):
-            y = t[x][gi]
-            fy = t[fx][ii]
-            if phi[y] == -1:
-                phi[y] = fy
-                stack.append(y)
-            elif phi[y] != fy:
-                raise NotAutomorphismError(
-                    "generator images do not define a homomorphism"
-                )
-    if -1 in phi or len(set(phi)) != n:
-        raise NotAutomorphismError("generator images do not define a bijection")
-    return tuple(phi)
-
-
-def _extend_action(
-    top: Group, gen_auts: Sequence[tuple[int, ...]], n: int
-) -> list[tuple[int, ...]]:
-    """Automorphism for every element of ``top``; checks relations hold."""
-    t = top.table()
-    gidx = top.generator_indices()
-    auts: list = [None] * top.order
-    auts[0] = tuple(range(n))
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        ax = auts[x]
-        for gi, ag in zip(gidx, gen_auts):
-            y = t[x][gi]
-            ay = tuple(ax[k] for k in ag)
-            if auts[y] is None:
-                auts[y] = ay
-                stack.append(y)
-            elif auts[y] != ay:
-                raise ActionRelationError(
-                    "action does not respect the top group's relations"
-                )
-    return auts
-
-
-def semidirect_product(
-    normal: Group,
-    top: Group,
-    action: Sequence[Sequence[Perm]],
-    cap: int = DEFAULT_GROUP_CAP,
-    name: Optional[str] = None,
-) -> Group:
-    """Semidirect product N x| H, returned via the regular representation.
-
-    ``action[i]`` lists the images of N's generators under the automorphism
-    assigned to H's i-th generator. Pairs multiply by
-    (n1, h1)(n2, h2) = (n1 * phi_h1(n2), h1 h2).
-    """
-    order = normal.order * top.order
-    if order > cap:
-        raise GroupOrderCapError(f"product order {order} exceeds cap {cap}", cap)
-    if len(action) != len(top.generators):
-        raise ActionRelationError(
-            f"need one image list per top generator "
-            f"({len(top.generators)}), got {len(action)}"
-        )
-    gen_auts = [_extend_automorphism(normal, imgs) for imgs in action]
-    auts = _extend_action(top, gen_auts, normal.order)
-    tn, tt = normal.table(), top.table()
-    nt = top.order
-    table = [[0] * order for _ in range(order)]
-    for n1 in range(normal.order):
-        row_n = tn[n1]
-        for h1 in range(nt):
-            aut = auts[h1]
-            row_t = tt[h1]
-            row = table[n1 * nt + h1]
-            for n2 in range(normal.order):
-                v = row_n[aut[n2]] * nt
-                base = n2 * nt
-                for h2 in range(nt):
-                    row[base + h2] = v + row_t[h2]
-    cay = CayleyTable(table)
-    pair_gens = [gi * nt for gi in normal.generator_indices()]
-    pair_gens += list(top.generator_indices())
-    pair_gens = [g for g in pair_gens if g != 0]
-    return group_from_cayley(cay, name=name, generator_indices=pair_gens)
-
-
-def trivial_group(degree: int = 1) -> Group:
-    return close_generators(degree, [])
 
 
 def wreath_regular(bottom: Group, k: int, cap: int = DEFAULT_GROUP_CAP) -> Group:

@@ -261,24 +261,6 @@ def normalizer(h: Subgroup) -> Subgroup:
     return Subgroup(g, bits)
 
 
-def core(h: Subgroup) -> Subgroup:
-    """Largest normal subgroup of the parent contained in h."""
-    g = h.parent
-    t = g.table()
-    inv = g.inverse_table()
-    gidx = g.generator_indices()
-    bits = h.members
-    changed = True
-    while changed:
-        changed = False
-        for gi in gidx:
-            nb = bits & _conjugate_bits(t, inv, bits, gi)
-            if nb != bits:
-                bits = nb
-                changed = True
-    return Subgroup(g, bits)
-
-
 def _normal_closure_bits(group: Group, ambient_gens, h_bits: int, h_gens):
     """Closure of H under conjugation by the given ambient generators."""
     t = group.table()

@@ -27,14 +27,12 @@ from .errors import NotNormalError, PermlatError
 from .groups import (
     DEFAULT_GROUP_CAP,
     Group,
-    Perm,
     Subgroup,
-    _iter_bits,
-    close_generators,
+    _factorize,
     p_residual,
     quotient,
 )
-from .corpus import example_pair
+from .corpus import _alternating_named, example_pair
 from .lattice import (
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
@@ -43,8 +41,8 @@ from .lattice import (
     normalizer,
 )
 from .structure import (
+    _derived_bits,
     _is_prime,
-    derived_subgroup,
     exponent,
     fingerprint,
     fitting_subgroup,
@@ -57,7 +55,6 @@ from .structure import (
     p_core,
     p_length,
     p_prime_core,
-    phi_p_group,
     u_hypercenter,
 )
 from .embedding import (
@@ -242,13 +239,12 @@ class GroupAnalysis:
         return memo[key]
 
 
-def sub_bits_in_parent(inner: Subgroup, outer: Subgroup) -> int:
-    """Bits (in the outer subgroup's parent) of a subgroup computed inside
-    outer.as_group()."""
-    elems = outer.element_indices()
-    bits = 0
-    for j in _iter_bits(inner.members):
-        bits |= 1 << elems[j]
+def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:
+    """Bits of Phi(P) for a p-subgroup entry P: by Burnside's basis theorem
+    the meet of P's index-p subgroups, read off G's lattice."""
+    bits = p_sub.members
+    for i in lat.within(p_sub.members, order=p_sub.order // p):
+        bits &= lat.subgroups[i].members
     return bits
 
 
@@ -277,8 +273,7 @@ def _order_clause(ga: GroupAnalysis, p_sub: Subgroup, order: int, mode: str):
 
 def sylow_of(ga: GroupAnalysis, e: Subgroup, p: int) -> Subgroup:
     """Lowest-index Sylow p-subgroup of the subgroup e."""
-    pf = e.as_group().prime_factorization
-    target = p ** pf.get(p, 0)
+    target = p ** _factorize(e.order).get(p, 0)
     idxs = ga.lat.within(e.members, order=target)
     if not idxs:
         raise PermlatError(f"no order-{target} subgroup inside {e.describe()}")
@@ -308,25 +303,24 @@ def thmB_hypothesis(
     per_prime = []
     hyp = True
     hyp_cond = True
-    e_pf = e.as_group().prime_factorization
-    for p in sorted(e_pf):
+    for p in sorted(_factorize(e.order)):
         rep = sylow_of(ga, e, p)
         if rep.is_cyclic():
             per_prime.append(
                 SylowReport(p, rep.order, True, [], True, True)
             )
             continue
-        p_group = rep.as_group()
         i_p = iota(rep.order, p)
-        derived_order = derived_subgroup(p_group).order
+        derived_bits = _derived_bits(ga.group, rep.generator_indices)[0]
+        derived_order = derived_bits.bit_count()
         i_pprime = iota(derived_order, p)
-        cond_i = phi_p_group(p_group).members != derived_subgroup(p_group).members
+        cond_i = _frattini_bits(lat, rep, p) != derived_bits
         entries = []
         any_clause = False
         any_with_cond = False
         for k in range(1, i_p):
             d = p**k
-            two_d = p == 2 and not p_group.is_abelian() and rep.order // d > 2
+            two_d = p == 2 and derived_order > 1 and rep.order // d > 2
             holds, failing = _order_clause(ga, rep, d, mode)
             if holds and two_d:
                 holds, failing = _order_clause(ga, rep, 2 * d, mode)
@@ -519,7 +513,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
 
 def _is_p_group_entry(sub: Subgroup):
     """(p, exponent) when the subgroup is a nontrivial p-group, else None."""
-    pf = sub.as_group().prime_factorization
+    pf = _factorize(sub.order)
     if len(pf) != 1:
         return None
     return next(iter(pf.items()))
@@ -534,12 +528,12 @@ def check_L2_2(ga: GroupAnalysis) -> list:
     fails = []
     count = 0
     for p_sub in lat.normal_subgroups():
-        if p_sub.order == 1 or _is_p_group_entry(p_sub) is None:
+        pe = _is_p_group_entry(p_sub)
+        if pe is None:
             continue
         count += 1
         left = p_sub.members & ~zu == 0
-        phi = phi_p_group(p_sub.as_group())
-        phi_sub = lat.entry(sub_bits_in_parent(phi, p_sub))
+        phi_sub = lat.entry(_frattini_bits(lat, p_sub, pe[0]))
         right = p_sub.members & ~ga.u_hypercenter_mod(phi_sub) == 0
         if left != right:
             fails.append(f"P={ga.label(p_sub)}: {left} vs mod-Phi(P) {right}")
@@ -644,16 +638,6 @@ def check_L2_5(ga: GroupAnalysis) -> list:
     return [_implication("L2.5", ga.name, "nilpotent normal, Phi-avoiding", count > 0, fails)]
 
 
-def _alternating(n: int) -> Group:
-    if n <= 2:
-        return close_generators(max(n, 1), [], name=f"A{n}")
-    if n == 3:
-        return close_generators(3, [Perm.from_cycles(3, [(1, 2, 3)])], name="A3")
-    cycle = tuple(range(1, n + 1)) if n % 2 else tuple(range(2, n + 1))
-    gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [cycle])]
-    return close_generators(n, gens, name=f"A{n}")
-
-
 def _psl_orders(max_order: int):
     """(order, n, q, index) for PSL_n(q) with the projective-space index."""
     out = []
@@ -692,7 +676,8 @@ def check_L2_6(ga: GroupAnalysis) -> list:
         count += 1
         matched = None
         if math.factorial(index) // 2 == g.order:
-            if fingerprint(sub.as_group()) == fingerprint(_alternating(index - 1)):
+            alt = _alternating_named(index - 1, f"A{index - 1}")
+            if fingerprint(sub.as_group()) == fingerprint(alt):
                 matched = f"alternating point stabilizer, n={index}"
         if matched is None:
             for size, n, q, proj_index in psl:
@@ -732,17 +717,7 @@ def check_L2_7(ga: GroupAnalysis) -> list:
     if ps is None:
         return []
     p, rep = ps
-    lat = ga.lat
-    witness = None
-    for i in lat.within(rep.members, order=rep.order // p):
-        h = lat.subgroups[i]
-        if has_supersolvable_supplement(lat, h)[0]:
-            continue
-        if is_weakly_s_supplemented(lat, h)[0]:
-            continue
-        witness = h.describe()
-        break
-    hyp = witness is None
+    hyp, witness = _order_clause(ga, rep, rep.order // p, "supplemented")
     concl = is_p_nilpotent(ga.group, p) if hyp else None
     return [
         _verdict(
@@ -789,7 +764,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
         if not (p_normal and complement_ok):
             fails.append("no normal Sylow p with cyclic non-normal q-complement")
         if p_normal:
-            phi = sub_bits_in_parent(phi_p_group(rep.as_group()), rep)
+            phi = _frattini_bits(lat, rep, p)
             # P/Phi(P) is minimal normal in G/Phi(P) iff Phi(P) < P are
             # the only normal entries from Phi(P) up to P.
             between = [
@@ -817,23 +792,13 @@ def check_L2_9(ga: GroupAnalysis) -> list:
     if ps is None:
         return []
     p, rep = ps
-    lat = ga.lat
     orders = [p]
-    if p == 2 and rep.order >= 4 and not rep.as_group().is_abelian():
+    if p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1:
         orders.append(4)
-    witness = None
     for order in orders:
-        for i in lat.within(rep.members, order=order):
-            h = lat.subgroups[i]
-            if has_supersolvable_supplement(lat, h)[0]:
-                continue
-            if is_weakly_s_supplemented(lat, h)[0]:
-                continue
-            witness = h.describe()
+        hyp, witness = _order_clause(ga, rep, order, "supplemented")
+        if not hyp:
             break
-        if witness:
-            break
-    hyp = witness is None
     concl = is_p_nilpotent(ga.group, p) if hyp else None
     return [
         _verdict(
@@ -931,14 +896,13 @@ def check_L3_3(ga: GroupAnalysis) -> list:
     zu = u_hypercenter(ga.group).members
     verdicts = []
     for p_sub, p, ip in _normal_p_subgroup_instances(ga, require_phi_avoiding=False):
-        p_group = p_sub.as_group()
-        derived_bits = sub_bits_in_parent(derived_subgroup(p_group), p_sub)
+        derived_bits = _derived_bits(ga.group, p_sub.generator_indices)[0]
         derived_order = derived_bits.bit_count()
         meet_phi = p_sub.members & phi
         derived_in_phi = (
             derived_bits & ~meet_phi == 0 and derived_bits != meet_phi
         )
-        two_d = p == 2 and not p_group.is_abelian()
+        two_d = p == 2 and derived_order > 1
         for k in range(1, ip):
             d = p**k
             if not (derived_in_phi or d <= derived_order):
@@ -964,11 +928,10 @@ def check_L3_5(ga: GroupAnalysis) -> list:
     if ps is None:
         return []
     p, rep = ps
-    pf = rep.as_group().prime_factorization
-    ip = pf.get(p, 0)
+    ip = iota(rep.order, p)
     if ip < 2:
         return []
-    two_d = p == 2 and not rep.as_group().is_abelian()
+    two_d = p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1
     verdicts = []
     for k in range(1, ip):
         d = p**k
@@ -1175,7 +1138,7 @@ def check_C4_11(ga: GroupAnalysis) -> list:
         wit.append("group is not solvable")
     else:
         fit = fitting_subgroup(ga.group)
-        for p in sorted(fit.as_group().prime_factorization):
+        for p in sorted(_factorize(fit.order)):
             op = p_core(ga.group, p)
             for i in lat.within(op.members, order=op.order // p):
                 if not lat.normal_flags[i]:
@@ -1394,8 +1357,3 @@ def statement_spec(statement_id: str) -> StatementSpec:
         raise PermlatError(
             f"unknown statement id {statement_id!r} (known: {known})"
         ) from None
-
-
-def verify_statement(statement_id: str, ga: GroupAnalysis) -> list:
-    """Run one statement's checker on one analyzed group."""
-    return statement_spec(statement_id).checker(ga)

@@ -1,5 +1,5 @@
 """Structural series and predicates: solvability, nilpotency,
-supersolvability, chief series, cores, hypercenters, p-group operators,
+supersolvability, chief series, cores, hypercenters, the exponent,
 Sylow towers, and invariant fingerprints.
 
 Everything works on Group objects and element-index bitsets, without a
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import NotPGroupError, PermlatError
+from .errors import PermlatError
 from .groups import Group, Subgroup, _close_bits, quotient
 from .lattice import _normal_closure_bits
 
@@ -58,13 +58,6 @@ def iota(m: int, p: int) -> int:
     return a
 
 
-def _p_of(group: Group) -> int:
-    pf = group.prime_factorization
-    if len(pf) != 1:
-        raise NotPGroupError(f"group of order {group.order} is not a p-group")
-    return next(iter(pf))
-
-
 def _memo(group: Group, key, compute):
     store = group._memo
     if key not in store:
@@ -97,14 +90,6 @@ def _derived_bits(group: Group, gens) -> tuple[int, tuple[int, ...]]:
             bits = _close_bits(t, bits, tuple(cgens), (c,))
             cgens.append(c)
     return _normal_closure_bits(group, gens, bits, tuple(cgens))
-
-
-def derived_subgroup(group: Group) -> Subgroup:
-    def compute():
-        bits, gens = _derived_bits(group, group.generator_indices())
-        return Subgroup(group, bits, gens)
-
-    return _memo(group, "derived", compute)
 
 
 def derived_series(group: Group) -> list[Subgroup]:
@@ -483,65 +468,11 @@ def u_hypercenter(group: Group) -> Subgroup:
     return _memo(group, "uhypercenter", compute)
 
 
-# -- p-group operators ------------------------------------------------------
+# -- exponent ---------------------------------------------------------------
 
 
 def exponent(group: Group) -> int:
     return _memo(group, "exponent", lambda: math.lcm(*group.element_orders()))
-
-
-def omega1(p_group: Group) -> Subgroup:
-    """Omega_1(P) = <x : x^p = 1>."""
-    p = _p_of(p_group)
-
-    def compute():
-        t = p_group.table()
-        orders = p_group.element_orders()
-        bits = 1
-        gens: list[int] = []
-        for i in range(1, p_group.order):
-            if orders[i] == p and not (bits >> i) & 1:
-                bits = _close_bits(t, bits, tuple(gens), (i,))
-                gens.append(i)
-        return Subgroup(p_group, bits, tuple(gens))
-
-    return _memo(p_group, "omega1", compute)
-
-
-def agemo1(p_group: Group) -> Subgroup:
-    """Mho_1(P) = <x^p : x in P>."""
-    p = _p_of(p_group)
-
-    def compute():
-        t = p_group.table()
-        bits = 1
-        gens: list[int] = []
-        for i in range(1, p_group.order):
-            y = 0
-            for _ in range(p):
-                y = t[y][i]
-            if y and not (bits >> y) & 1:
-                bits = _close_bits(t, bits, tuple(gens), (y,))
-                gens.append(y)
-        return Subgroup(p_group, bits, tuple(gens))
-
-    return _memo(p_group, "agemo1", compute)
-
-
-def phi_p_group(p_group: Group) -> Subgroup:
-    """Frattini subgroup of a p-group via Phi(P) = P' * Mho_1(P)."""
-    _p_of(p_group)
-
-    def compute():
-        d = derived_subgroup(p_group)
-        a = agemo1(p_group)
-        t = p_group.table()
-        bits = _close_bits(
-            t, d.members, d.generator_indices, a.generator_indices
-        )
-        return Subgroup(p_group, bits)
-
-    return _memo(p_group, "phi", compute)
 
 
 # -- fingerprints ------------------------------------------------------------

@@ -8,13 +8,17 @@ library is a meaningful check rather than the same bug twice.
 The exceptions are ``section_wss_oracle`` and ``quotient_answers``: they
 answer questions about a section K/N or a quotient G/N the long way, by
 building it as a group of its own, and so cross-check the library's
-in-lattice answers against an independent construction.
+in-lattice answers against an independent construction. In the same way
+``wreath_by_semidirect`` builds a wreath product from its multiplication
+rule rather than from permutations of blocks.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from permlat.embedding import is_weakly_s_supplemented
-from permlat.groups import quotient
+from permlat.groups import CayleyTable, group_from_cayley, quotient
 from permlat.lattice import enumerate_subgroups
 from permlat.structure import is_supersolvable, u_hypercenter
 
@@ -272,3 +276,26 @@ def quotient_answers(g, n):
     z = u_hypercenter(qr.group).members
     bits = sum(1 << i for i, j in enumerate(qr.projection) if (z >> j) & 1)
     return is_supersolvable(qr.group), bits
+
+
+def wreath_by_semidirect(bottom, k):
+    """bottom^k x| C_k through its regular representation.
+
+    Pairs (f, c) of a k-tuple f of bottom's elements and c in Z_k multiply
+    by (f1, c1)(f2, c2) = (f1 * shift_c1(f2), c1 + c2), where shift_c
+    moves coordinate i to i + c mod k. Pair (f, c) has index f * k + c,
+    with f numbered in ``itertools.product`` order.
+    """
+    t = bottom.table()
+    fs = list(itertools.product(range(bottom.order), repeat=k))
+    index = {f: i for i, f in enumerate(fs)}
+    shift = [
+        [index[tuple(f[(i - c) % k] for i in range(k))] for f in fs] for c in range(k)
+    ]
+    mul = [[index[tuple(t[a][b] for a, b in zip(f, g))] for g in fs] for f in fs]
+    table = [
+        [mul[f1][shift[c1][f2]] * k + (c1 + c2) % k for f2 in range(len(fs)) for c2 in range(k)]
+        for f1 in range(len(fs))
+        for c1 in range(k)
+    ]
+    return group_from_cayley(CayleyTable(table))

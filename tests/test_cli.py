@@ -215,6 +215,19 @@ def test_group_cap_exit_code(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_group_cap_applies_to_builtin_names(capsys):
+    assert main(["analyze", "A6", "--group-cap", "10", "--props", "order"]) == 3
+    captured = capsys.readouterr()
+    assert "A6 has order 360, over the group cap 10" in captured.err
+    assert captured.out == ""
+
+
+def test_group_cap_applies_to_builtin_corpus(capsys):
+    argv = ["verify", "--statement", "L2.3", "--group-cap", "10", "--max-order", "30"]
+    assert main(argv) == 3
+    assert "over the group cap 10" in capsys.readouterr().err
+
+
 def test_reproduce_example42_honours_group_cap(capsys):
     # The wreath product's order is checked against the cap before closure.
     assert main(["reproduce-example42", "--group-cap", "10"]) == 3

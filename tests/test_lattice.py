@@ -4,11 +4,11 @@ plus the lattice-level predicate examples pinned to hand-derived values."""
 import pytest
 
 from permlat.corpus import builtin_corpus
+from permlat.embedding import core_of
 from permlat.errors import LatticeCapError, PermlatError
 from permlat.groups import Group, close_generators, direct_product
 from permlat.lattice import (
     _normal_closure_bits,
-    core,
     enumerate_subgroups,
     is_subnormal,
     normalizer,
@@ -155,16 +155,16 @@ def test_complements():
 
 def test_normalizer_core_closure():
     g = s4()
-    enumerate_subgroups(g)
+    lat = enumerate_subgroups(g)
     h = g.subgroup_generated_by(gens(4, "(1 2)"))
     assert normalizer(h).order == 4
-    assert core(h).order == 1
+    assert core_of(lat, h).order == 1
     assert normal_closure_bits(h).bit_count() == 24
     d8 = g.subgroup_generated_by(gens(4, "(1 2 3 4)", "(1 3)"))
     assert normalizer(d8).members == d8.members
     v4 = g.subgroup_generated_by(gens(4, "(1 2)(3 4)", "(1 3)(2 4)"))
     assert normalizer(v4).order == 24
-    assert core(v4).members == v4.members
+    assert core_of(lat, v4).members == v4.members
     assert normal_closure_bits(v4) == v4.members
 
 

@@ -6,26 +6,30 @@ test_acceptance.py.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 from permlat.corpus import builtin_corpus
 from permlat.errors import NotNormalError, PermlatError
-from permlat.groups import close_generators, direct_product
+from permlat.groups import Subgroup, _factorize, close_generators, direct_product
+from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
 from permlat.statements import (
     STATEMENT_IDS,
     STATEMENTS,
     GroupAnalysis,
+    _frattini_bits,
     build_example42,
     check_thmB,
     check_thm12,
     scan_question13,
+    statement_spec,
     thmB_hypothesis,
-    verify_statement,
 )
+from permlat.structure import _derived_bits
 
-from oracles import quotient_answers
+from oracles import commutator_closure, quotient_answers
 
 
 def gens(degree, *texts):
@@ -53,7 +57,7 @@ def test_registry_shape():
 def test_verify_statement_unknown_id():
     ga = analysis("S3")
     with pytest.raises(PermlatError) as err:
-        verify_statement("L9.9", ga)
+        statement_spec("L9.9").checker(ga)
     assert "known" in str(err.value)
 
 
@@ -159,31 +163,31 @@ def test_all_checkers_consistent_on_spot_groups():
         for sid in STATEMENT_IDS:
             if ga.group.order > STATEMENTS[sid].default_max_order:
                 continue
-            for v in verify_statement(sid, ga):
+            for v in statement_spec(sid).checker(ga):
                 assert v.consistent, (name, sid, v.instance, v.witnesses)
 
 
 def test_l2_6_simple_group_witnesses():
     ga = analysis("A5")
-    verdicts = verify_statement("L2.6", ga)
+    verdicts = statement_spec("L2.6").checker(ga)
     assert len(verdicts) == 1
     v = verdicts[0]
     assert v.hypothesis_satisfied and v.conclusion_holds
     assert any("index 5" in w for w in v.witnesses)
     ga7 = analysis("PSL(2,7)")
-    (v7,) = verify_statement("L2.6", ga7)
+    (v7,) = statement_spec("L2.6").checker(ga7)
     assert v7.consistent
     assert any("index 7" in w for w in v7.witnesses)
     assert any("index 8" in w for w in v7.witnesses)
     # non-simple groups produce no verdicts
-    assert verify_statement("L2.6", analysis("S4")) == []
+    assert statement_spec("L2.6").checker(analysis("S4")) == []
 
 
 def test_l2_8_minimal_non_p_nilpotent_sites():
     hits = []
     for name in ("S3", "A4", "D10", "S4", "Q8", "C12"):
         ga = analysis(name)
-        for v in verify_statement("L2.8", ga):
+        for v in statement_spec("L2.8").checker(ga):
             if v.hypothesis_satisfied:
                 hits.append((name, v.instance))
                 assert v.conclusion_holds, (name, v.witnesses)
@@ -195,11 +199,11 @@ def test_l2_8_minimal_non_p_nilpotent_sites():
 
 def test_remark1_instances():
     ga = analysis("Q8")
-    verdicts = verify_statement("remark1", ga)
+    verdicts = statement_spec("remark1").checker(ga)
     assert verdicts and all(v.consistent for v in verdicts)
     assert all(v.statement_id == "remark1" for v in verdicts)
     # C6 has no Sylow with iota >= 2, so nothing to check
-    assert verify_statement("remark1", analysis("C6")) == []
+    assert statement_spec("remark1").checker(analysis("C6")) == []
 
 
 def test_group_analysis_helpers():
@@ -372,3 +376,53 @@ def test_registry_builds_no_quotient_group(monkeypatch):
     )
     assert len(rep.verdicts) == 4940
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SMALL_REGISTRY_DIGEST
+
+
+def test_lattice_phi_and_derived_match_subgroup_lattices():
+    """Phi(P) as the meet of P's index-p entries of G's lattice, and P' on
+    G's table, against P built as a group of its own: its lattice's
+    Frattini subgroup and the commutator oracle. Over every p-subgroup
+    entry of the builtin groups of order at most 200."""
+    entries = phi_not_derived = nonabelian = 0
+    for name, g in builtin_corpus():
+        if g.order > 200:
+            continue
+        lat = enumerate_subgroups(g)
+        for sub in lat.subgroups:
+            pf = _factorize(sub.order)
+            if len(pf) != 1:
+                continue
+            (p,) = pf
+            entries += 1
+            idxs = sub.element_indices()
+            own = sub.as_group()
+            own_phi = enumerate_subgroups(own).frattini().element_indices()
+            phi = _frattini_bits(lat, sub, p)
+            assert phi == sum(1 << idxs[j] for j in own_phi), (name, sub)
+            derived = _derived_bits(g, sub.generator_indices)[0]
+            assert derived == sum(1 << idxs[j] for j in commutator_closure(own)), (name, sub)
+            phi_not_derived += phi != derived
+            nonabelian += derived != 1
+    assert entries == 898
+    assert phi_not_derived and nonabelian
+
+
+def test_p_subgroup_checkers_build_no_subgroup_group(monkeypatch):
+    """thmB, thm12, L2.2, L2.3 and L3.3 read subgroup orders, Phi(P) and P'
+    off G's lattice and table: statements never calls ``as_group``."""
+    real = Subgroup.as_group
+    callers = []
+
+    def counting(self):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return real(self)
+
+    monkeypatch.setattr(Subgroup, "as_group", counting)
+    for name, g in builtin_corpus():
+        if g.order > 24:
+            continue
+        ga = GroupAnalysis(g, name)
+        for sid in ("thmB", "thm12", "L2.2", "L2.3", "L3.3"):
+            statement_spec(sid).checker(ga)
+    assert callers, "other layers still build subgroup groups"
+    assert callers.count("permlat.statements") == 0
