@@ -2,8 +2,11 @@ import pytest
 
 import permlat.groups
 from permlat.errors import BadTableError, GroupOrderCapError
+from permlat.corpus import builtin_group
 from permlat.groups import (
     CayleyTable,
+    _close_bits,
+    _iter_bits,
     close_generators,
     direct_product,
     p_residual,
@@ -276,6 +279,48 @@ def test_naive_closure_agrees_with_library_closure():
     assert len(close_set(t, [a, b])) == 24
     sub = s4.subgroup_generated_by(gens(4, "(1 2)", "(1 3 4)"))
     assert sub.order == 24
+
+
+def _oracle_join_bits(t, h, c):
+    return sum(1 << i for i in close_set(t, list(_iter_bits(h.members | c.members))))
+
+
+def test_close_bits_matches_oracle_on_a6_joins():
+    """Each class representative of A6 joined with a cyclic subgroup of
+    order 3 and one of order 5: joins the oracle closes past |G|/2 are
+    the full mask, and smaller ones are the oracle's closure."""
+    g = builtin_group("A6")
+    lat = enumerate_subgroups(g)
+    t = g.table()
+    full = (1 << g.order) - 1
+    cyclics = [
+        next(s for s in lat.subgroups if s.order == n and s.is_cyclic()) for n in (3, 5)
+    ]
+    seen_full = seen_proper = 0
+    for cls in lat.conjugacy_classes:
+        h = lat.subgroups[cls[0]]
+        for c in cyclics:
+            got = _close_bits(t, h.members, h.generator_indices, c.generator_indices)
+            want = _oracle_join_bits(t, h, c)
+            assert got == want
+            if want.bit_count() * 2 > g.order:
+                assert got == full
+                seen_full += 1
+            else:
+                seen_proper += 1
+    assert seen_full and seen_proper
+
+
+def test_close_bits_stops_short_of_index_two():
+    """A join of exactly |G|/2 elements is not mistaken for G: two
+    3-cycles of S5 generate A5."""
+    g = close_generators(5, gens(5, "(1 2)", "(1 2 3 4 5)"))
+    t = g.table()
+    h = g.subgroup_generated_by(gens(5, "(1 2 3)"))
+    c = g.subgroup_generated_by(gens(5, "(3 4 5)"))
+    got = _close_bits(t, h.members, h.generator_indices, c.generator_indices)
+    assert got.bit_count() == 60
+    assert got == _oracle_join_bits(t, h, c)
 
 
 def test_product_set_sizes():

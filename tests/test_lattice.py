@@ -1,6 +1,8 @@
 """Lattice enumeration cross-checked against the brute-force oracle,
 plus the lattice-level predicate examples pinned to hand-derived values."""
 
+import hashlib
+
 import pytest
 
 from permlat.corpus import builtin_corpus
@@ -262,6 +264,24 @@ def test_classes_match_conjugation_partition(name):
     assert lat.conjugacy_classes == conjugation_partition(g, sets)
     for cid, cls in enumerate(lat.conjugacy_classes):
         assert all(lat.class_of[i] == cid for i in cls)
+
+
+# sha256 over (name, entry bitsets, conjugacy classes) of every lattice
+# below: the builtin groups of order <= 400 in corpus order, then S5 and S6
+# at cap 720. Any change to the enumeration's output changes it.
+LATTICE_DIGEST = "982b1b54a54d1f90ea6cfa1cff3a1cad03c84bdd25b1b6578e84fac1d89e3912"
+
+
+def test_lattice_digest_pin():
+    cases = [(name, g, 400) for name, g in builtin_corpus() if g.order <= 400]
+    cases += [("S5", symmetric(5), 720), ("S6", symmetric(6), 720)]
+    assert len(cases) == 90
+    digest = hashlib.sha256()
+    for name, g, cap in cases:
+        lat = enumerate_subgroups(g, cap=cap)
+        entries = [s.members for s in lat.subgroups]
+        digest.update(repr((name, entries, lat.conjugacy_classes)).encode())
+    assert digest.hexdigest() == LATTICE_DIGEST
 
 
 def fresh_copy(g):
