@@ -36,19 +36,29 @@ def _close_bits(table, base_bits: int, base_gens, new_gens) -> int:
 
     ``base_bits`` must be the bitset of an actual subgroup with generator
     indices ``base_gens``. Grows by whole right cosets of the base, so the
-    cost is linear in the size of the result.
+    cost is linear in the size of the result. The cosets are counted: once
+    they hold more than half of the group the closure is a subgroup of
+    index below 2, which by Lagrange is the group itself, so the full mask
+    is returned without filling in the rest.
     """
     bits = base_bits
     gens = tuple(dict.fromkeys((*base_gens, *new_gens)))
     if not gens:
         return bits
     base_members = list(_iter_bits(base_bits))
+    n = len(table)
+    # More cosets than this hold more than n/2 elements.
+    coset_limit = n // (2 * len(base_members))
+    cosets = 1
     stack = [0]
     while stack:
         row = table[stack.pop()]
         for g in gens:
             w = row[g]
             if not (bits >> w) & 1:
+                cosets += 1
+                if cosets > coset_limit:
+                    return (1 << n) - 1
                 for b in base_members:
                     bits |= 1 << table[b][w]
                 stack.append(w)
@@ -374,12 +384,6 @@ class Subgroup:
 
     def elements(self) -> list[Perm]:
         return [self.parent.elements[i] for i in _iter_bits(self.members)]
-
-    def contains(self, other: "Subgroup") -> bool:
-        return other.members & ~self.members == 0
-
-    def contains_index(self, i: int) -> bool:
-        return bool((self.members >> i) & 1)
 
     def is_trivial(self) -> bool:
         return self.order == 1

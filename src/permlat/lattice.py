@@ -2,14 +2,22 @@
 
 Subgroups are enumerated one conjugacy class at a time by cyclic extension
 (Neubüser's method): starting from the trivial subgroup, each class
-representative H is joined with every prime-power cyclic subgroup C, and a
+representative H is joined with the prime-power cyclic subgroups C, and a
 join not seen before contributes its whole conjugation orbit at once while
 only the join itself goes on the work list. Every subgroup is generated by
 its prime-power cyclic subgroups, so it ends a chain of such joins, and
 working up to conjugacy loses nothing: if K = <H^g, C> then
 K^(g^-1) = <H, C^(g^-1)>, a join made from the representative H. The orbits
-are the conjugacy classes of subgroups. Equivalence with a brute-force
-oracle is part of the test suite.
+are the conjugacy classes of subgroups.
+
+H is joined with one cyclic subgroup per orbit of H acting by conjugation:
+for h in H, <H, C^h> = <H, C>^h, so the other members of C's orbit only
+give conjugates of <H, C>, which its recorded orbit already holds. If C
+lies in H, so does its whole orbit, and nothing is joined. The orbits are
+traced by table lookups, through a map from every generator of each
+cyclic subgroup to that subgroup. Joins stop as soon as they pass half
+the group (see ``groups._close_bits``), since such a join is the group.
+Equivalence with a brute-force oracle is part of the test suite.
 """
 
 from __future__ import annotations
@@ -66,7 +74,12 @@ class SubgroupLattice:
         n = len(self.subgroups)
         top = n - 1
         maximal = [False] * n
-        for i in range(n - 1):
+        # Maximality is invariant under conjugation: decide it for the
+        # lowest entry of each class and copy the flag to the rest.
+        for cls in self.conjugacy_classes:
+            i = cls[0]
+            if i == top:
+                continue
             mi = self.subgroups[i].members
             oi = self.subgroups[i].order
             is_max = True
@@ -75,7 +88,8 @@ class SubgroupLattice:
                 if sj.order > oi and mi & ~sj.members == 0:
                     is_max = False
                     break
-            maximal[i] = is_max
+            for k in cls:
+                maximal[k] = is_max
         self.maximal_flags = maximal
         minimal_normal = [False] * n
         for i in range(1, n):
@@ -203,15 +217,32 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
     gidx = group.generator_indices()
     orders = group.element_orders()
 
-    pp_cyclics: dict[int, int] = {}  # bits -> generating element
+    # The prime-power cyclic subgroups, numbered in the order of their
+    # lowest generating element: cyc_gen[c] is that element, cyc_bits[c]
+    # the subgroup, and cyc_of[x] the number of the cyclic subgroup that x
+    # generates (-1 if x has no prime-power order).
+    cyc_gen: list[int] = []
+    cyc_bits: list[int] = []
+    cyc_of = [-1] * group.order
     for i in range(1, group.order):
-        if len(_factorize(orders[i])) == 1:
-            bits = 1
-            x = i
-            while x != 0:
-                bits |= 1 << x
-                x = t[x][i]
-            pp_cyclics.setdefault(bits, i)
+        if cyc_of[i] != -1:
+            continue
+        fac = _factorize(orders[i])
+        if len(fac) != 1:
+            continue
+        (p,) = fac
+        c = len(cyc_gen)
+        bits = 1
+        x = i
+        k = 1
+        while x != 0:
+            bits |= 1 << x
+            if k % p:
+                cyc_of[x] = c
+            x = t[x][i]
+            k += 1
+        cyc_gen.append(i)
+        cyc_bits.append(bits)
 
     orbits = [[1]]
     seen = {1}
@@ -219,9 +250,25 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
     while work:
         hb, hgens = work.pop()
         hsize = hb.bit_count()
-        for cb, cg in pp_cyclics.items():
+        conj = [(t[inv[h]], h) for h in hgens]
+        marked = bytearray(len(cyc_gen))
+        for c in range(len(cyc_gen)):
+            if marked[c]:
+                continue
+            # Mark c's orbit under conjugation by H; only c is joined.
+            marked[c] = 1
+            stack = [c]
+            while stack:
+                x = cyc_gen[stack.pop()]
+                for row, h in conj:
+                    d = cyc_of[t[row[x]][h]]
+                    if not marked[d]:
+                        marked[d] = 1
+                        stack.append(d)
+            cg = cyc_gen[c]
             if (hb >> cg) & 1:
                 continue
+            cb = cyc_bits[c]
             if hsize >= cb.bit_count():
                 jb = _close_bits(t, hb, hgens, (cg,))
             else:

@@ -47,7 +47,6 @@ from .structure import (
     fingerprint,
     fitting_subgroup,
     iota,
-    is_nilpotent,
     is_p_nilpotent,
     is_p_solvable,
     is_solvable,
@@ -456,9 +455,13 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     equivalence over a normal subgroup, restriction to intermediate
     subgroups, and coprime image after a normal subgroup. Each quotient
     G/N and subgroup K is a section of G's lattice, so no group or
-    lattice is rebuilt."""
+    lattice is rebuilt. Every predicate here is invariant under
+    conjugation in G, so K in (i) and (ii) and E in (iii) run over the
+    lowest entry of each conjugacy class only, and a failure is listed
+    for that entry."""
     lat = ga.lat
     top = lat.top()
+    class_reps = [lat.subgroups[cls[0]] for cls in lat.conjugacy_classes]
     verdicts = []
 
     fails = []
@@ -466,7 +469,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     for h in lat.normal_subgroups():
         if h.is_full():
             continue
-        for k in lat.subgroups:
+        for k in class_reps:
             if h.members & ~k.members:
                 continue
             count += 1
@@ -482,7 +485,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     fails = []
     count = 0
     bottom = lat.bottom()
-    for k in lat.subgroups:
+    for k in class_reps:
         if k.is_full() or k.order == 1:
             continue
         for i in lat.within(k.members):
@@ -499,7 +502,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     for n in lat.normal_subgroups():
         if n.is_full():
             continue
-        for e in lat.subgroups:
+        for e in class_reps:
             if math.gcd(n.order, e.order) != 1:
                 continue
             if not is_weakly_s_supplemented(lat, e)[0]:
@@ -614,6 +617,28 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     return chosen
 
 
+def _is_nilpotent_entry(lat: SubgroupLattice, sub: Subgroup) -> bool:
+    """Whether a subgroup entry is nilpotent: every Sylow subgroup of it is
+    normal in it, i.e. for each p exactly one entry of G's lattice inside
+    it has the p-part of its order."""
+    return all(
+        len(lat.within(sub.members, order=p**e)) == 1
+        for p, e in _factorize(sub.order).items()
+    )
+
+
+def _is_solvable_entry(group: Group, sub: Subgroup) -> bool:
+    """Whether a subgroup is solvable: its derived series, taken on G's
+    own table, reaches the trivial subgroup."""
+    bits, gens = sub.members, sub.generator_indices
+    while bits != 1:
+        derived, gens = _derived_bits(group, gens)
+        if derived == bits:
+            return False
+        bits = derived
+    return True
+
+
 def check_L2_5(ga: GroupAnalysis) -> list:
     """Nilpotent normal N avoiding the Frattini subgroup is a direct
     product of minimal normal subgroups (so N lies in the socle)."""
@@ -627,7 +652,7 @@ def check_L2_5(ga: GroupAnalysis) -> list:
             continue
         if (n.members & phi) != 1:
             continue
-        if not is_nilpotent(n.as_group()):
+        if not _is_nilpotent_entry(lat, n):
             continue
         count += 1
         if n.members & ~socle:
@@ -1160,7 +1185,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
-        hyp = ga.supersolvable_mod(e) and is_solvable(e.as_group())
+        hyp = ga.supersolvable_mod(e) and _is_solvable_entry(ga.group, e)
         wit = []
         if hyp:
             targets = _prime_order_entries(ga, inside=e) + _entries_of_order(

@@ -10,16 +10,20 @@ answer questions about a section K/N or a quotient G/N the long way, by
 building it as a group of its own, and so cross-check the library's
 in-lattice answers against an independent construction. In the same way
 ``wreath_by_semidirect`` builds a wreath product from its multiplication
-rule rather than from permutations of blocks.
+rule rather than from permutations of blocks, and ``l2_1_all_entries``
+runs Lemma 2.1's loops over every lattice entry with the library's own
+predicates, to cross-check the checker's one-entry-per-class loops.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from permlat.embedding import is_weakly_s_supplemented
 from permlat.groups import CayleyTable, group_from_cayley, quotient
 from permlat.lattice import enumerate_subgroups
+from permlat.statements import _implication
 from permlat.structure import is_supersolvable, u_hypercenter
 
 
@@ -299,3 +303,56 @@ def wreath_by_semidirect(bottom, k):
         for c1 in range(k)
     ]
     return group_from_cayley(CayleyTable(table))
+
+
+def l2_1_all_entries(ga):
+    """Lemma 2.1's three verdicts with K, and E, running over every entry
+    of G's lattice rather than one per conjugacy class."""
+    lat = ga.lat
+    top = lat.top()
+    bottom = lat.bottom()
+    wss = is_weakly_s_supplemented
+    verdicts = []
+
+    fails = []
+    count = 0
+    for h in lat.normal_subgroups():
+        if h.is_full():
+            continue
+        for k in lat.subgroups:
+            if h.members & ~k.members:
+                continue
+            count += 1
+            in_quotient = wss(lat, k, (top, h))[0]
+            in_group = wss(lat, k)[0]
+            if in_quotient != in_group:
+                fails.append(f"H={ga.label(h)} K={ga.label(k)}")
+    verdicts.append(_implication("L2.1", ga.name, "(i)", count > 0, fails))
+
+    fails = []
+    count = 0
+    for k in lat.subgroups:
+        if k.is_full() or k.order == 1:
+            continue
+        for i in lat.within(k.members):
+            h = lat.subgroups[i]
+            if not wss(lat, h)[0]:
+                continue
+            count += 1
+            if not wss(lat, h, (k, bottom))[0]:
+                fails.append(f"H={ga.label(h)} K={ga.label(k)}")
+    verdicts.append(_implication("L2.1", ga.name, "(ii)", count > 0, fails))
+
+    fails = []
+    count = 0
+    for n in lat.normal_subgroups():
+        if n.is_full():
+            continue
+        for e in lat.subgroups:
+            if math.gcd(n.order, e.order) != 1 or not wss(lat, e)[0]:
+                continue
+            count += 1
+            if not wss(lat, lat.join(n, e), (top, n))[0]:
+                fails.append(f"N={ga.label(n)} E={ga.label(e)}")
+    verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
+    return verdicts

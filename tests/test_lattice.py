@@ -214,6 +214,23 @@ def test_maximal_and_minimal_normal():
     assert orders == [6, 6, 6, 6, 8, 8, 8, 12]
 
 
+@pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)", "A6"])
+def test_maximal_flags_match_pairwise_definition(name):
+    lat = enumerate_subgroups(s4() if name == "S4" else builtin(name))
+    subs = lat.subgroups
+    top = len(subs) - 1
+    want = [
+        i != top
+        and not any(
+            j != i and j != top and s.members & ~subs[j].members == 0
+            for j in range(len(subs))
+        )
+        for i, s in enumerate(subs)
+    ]
+    assert lat.maximal_flags == want
+    assert any(want)
+
+
 def test_lattice_cap():
     g = direct_product(s3(), s3())
     with pytest.raises(LatticeCapError):

@@ -20,6 +20,8 @@ from permlat.statements import (
     STATEMENTS,
     GroupAnalysis,
     _frattini_bits,
+    _is_nilpotent_entry,
+    _is_solvable_entry,
     build_example42,
     check_thmB,
     check_thm12,
@@ -27,9 +29,9 @@ from permlat.statements import (
     statement_spec,
     thmB_hypothesis,
 )
-from permlat.structure import _derived_bits
+from permlat.structure import _derived_bits, is_nilpotent, is_solvable
 
-from oracles import commutator_closure, quotient_answers
+from oracles import commutator_closure, l2_1_all_entries, quotient_answers
 
 
 def gens(degree, *texts):
@@ -270,6 +272,71 @@ def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
     assert calls["enumerate"] == 1
     assert [v.instance for v in rep.verdicts] == ["(i)", "(ii)", "(iii)"]
     assert all(v.consistent and v.hypothesis_satisfied for v in rep.verdicts)
+
+
+def _verdict_key(v):
+    return (v.instance, v.hypothesis_satisfied, v.conclusion_holds, v.consistent)
+
+
+def test_l2_1_class_representatives_match_all_entries():
+    """L2.1 over one K (and E) per conjugacy class gives the verdicts of
+    the loops over every entry, on every builtin group of order <= 100."""
+    groups = 0
+    for name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        groups += 1
+        ga = GroupAnalysis(g, name)
+        got = statement_spec("L2.1").checker(ga)
+        want = l2_1_all_entries(ga)
+        assert [_verdict_key(v) for v in got] == [_verdict_key(v) for v in want], name
+    assert groups == 85
+
+
+def test_nilpotent_and_solvable_entries_match_subgroup_groups():
+    """Nilpotency from Sylow entry counts and solvability from the derived
+    series on G's table, against each normal subgroup built as a group of
+    its own, over the builtin groups of order <= 200."""
+    normals = not_nilpotent = not_solvable = 0
+    for name, g in builtin_corpus():
+        if g.order > 200:
+            continue
+        lat = enumerate_subgroups(g)
+        for n in lat.normal_subgroups():
+            own = n.as_group()
+            nilpotent = _is_nilpotent_entry(lat, n)
+            solvable = _is_solvable_entry(g, n)
+            assert nilpotent == is_nilpotent(own), (name, n)
+            assert solvable == is_solvable(own), (name, n)
+            normals += 1
+            not_nilpotent += not nilpotent
+            not_solvable += not solvable
+    assert normals > 500
+    assert not_nilpotent and not_solvable
+
+
+def test_l2_5_and_c4_12_build_no_subgroup_group(monkeypatch):
+    """L2.5 and C4.12 decide nilpotency and solvability of normal entries
+    on G's lattice and table. L2.4 still builds subgroup groups, which
+    shows that the counter sees the calls."""
+    real = Subgroup.as_group
+    callers = {}
+
+    def counting(self):
+        caller = sys._getframe(1).f_globals["__name__"]
+        callers[sid, caller] = callers.get((sid, caller), 0) + 1
+        return real(self)
+
+    monkeypatch.setattr(Subgroup, "as_group", counting)
+    for name, g in builtin_corpus():
+        if g.order > 60:
+            continue
+        ga = GroupAnalysis(g, name, max_normal_e=1000)
+        for sid in ("L2.5", "C4.12", "L2.4"):
+            statement_spec(sid).checker(ga)
+    assert callers.get(("L2.4", "permlat.statements"), 0) > 0
+    assert callers.get(("L2.5", "permlat.statements"), 0) == 0
+    assert callers.get(("C4.12", "permlat.statements"), 0) == 0
 
 
 def _agl23():
