@@ -7,13 +7,11 @@ from .perms import Perm, parse_cycle_string
 from .groups import (
     CayleyTable,
     Group,
-    QuotientResult,
     Subgroup,
     close_generators,
     direct_product,
     group_from_cayley,
     p_residual,
-    quotient,
     wreath_regular,
     DEFAULT_GROUP_CAP,
 )
@@ -23,13 +21,11 @@ __all__ = [
     "parse_cycle_string",
     "CayleyTable",
     "Group",
-    "QuotientResult",
     "Subgroup",
     "close_generators",
     "direct_product",
     "group_from_cayley",
     "p_residual",
-    "quotient",
     "wreath_regular",
     "DEFAULT_GROUP_CAP",
     "__version__",

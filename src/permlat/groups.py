@@ -8,14 +8,13 @@ indices and bitsets over them; permutations are the construction layer.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadTableError,
     DegreeMismatchError,
     GroupOrderCapError,
     NotAnElementError,
-    NotNormalError,
     PermlatError,
 )
 from .perms import Perm
@@ -464,11 +463,6 @@ class Subgroup:
         return f"Subgroup{self.describe()}"
 
 
-class QuotientResult(NamedTuple):
-    group: Group
-    projection: tuple[int, ...]
-
-
 def _factorize(n: int) -> dict[int, int]:
     out: dict[int, int] = {}
     d = 2
@@ -612,54 +606,6 @@ def wreath_regular(bottom: Group, k: int, cap: int = DEFAULT_GROUP_CAP) -> Group
     if k > 1:
         gens.append(Perm._unchecked(points[d:] + points[:d]))
     return close_generators(k * d, gens, cap=cap)
-
-
-def quotient(group: Group, normal: Subgroup) -> QuotientResult:
-    """Quotient acting on right cosets, with the index-level projection map.
-
-    The quotient group has degree |G : N|; projection[i] is the quotient
-    element index of the i-th element of G.
-    """
-    if normal.parent is not group:
-        raise PermlatError("subgroup does not belong to this group")
-    if not normal.is_normal():
-        raise NotNormalError("cannot quotient by a non-normal subgroup")
-    t = group.table()
-    n = group.order
-    nmembers = normal.element_indices()
-    m = n // normal.order
-    coset_of = [-1] * n
-    reps: list[int] = []
-    for x in range(n):
-        if coset_of[x] == -1:
-            cid = len(reps)
-            reps.append(x)
-            for b in nmembers:
-                coset_of[t[b][x]] = cid
-    perms = [
-        Perm._unchecked(tuple(coset_of[t[reps[i]][reps[j]]] + 1 for i in range(m)))
-        for j in range(m)
-    ]
-    order_idx = sorted(range(m), key=lambda j: perms[j].images)
-    pos = [0] * m
-    for new, old in enumerate(order_idx):
-        pos[old] = new
-    elements = tuple(perms[old] for old in order_idx)
-    table = [
-        [pos[coset_of[t[reps[order_idx[a]]][reps[order_idx[b]]]]] for b in range(m)]
-        for a in range(m)
-    ]
-    projection = tuple(pos[coset_of[x]] for x in range(n))
-    gens = []
-    seen_gens = set()
-    for gi in group.generator_indices():
-        q = projection[gi]
-        if q != 0 and q not in seen_gens:
-            seen_gens.add(q)
-            gens.append(elements[q])
-    qname = f"{group.name}/{normal.order}" if group.name else None
-    qgroup = Group(m, tuple(gens), elements, name=qname, table=table)
-    return QuotientResult(qgroup, projection)
 
 
 def p_residual(group: Group, p: int) -> Subgroup:

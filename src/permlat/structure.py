@@ -2,9 +2,12 @@
 supersolvability, chief series, cores, hypercenters, the exponent,
 Sylow towers, and invariant fingerprints.
 
-Everything works on Group objects and element-index bitsets, without a
-subgroup lattice, so these functions stay usable on quotients produced
-mid-computation. Results are memoized on the group object.
+Everything works on a Group's own table and element-index bitsets,
+without a subgroup lattice. The series that pass through quotients G/N
+(hypercenters, chief series, the upper p-series) build no quotient group:
+by the correspondence theorem the normal subgroups of G/N are the normal
+subgroups of G above N, so each step is taken on G's table and yields the
+preimage in G. Results are memoized on the group object.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PermlatError
-from .groups import Group, Subgroup, _close_bits, quotient
+from .groups import Group, Subgroup, _close_bits
 from .lattice import _normal_closure_bits
 
 
@@ -127,37 +130,84 @@ def center(group: Group) -> Subgroup:
     return _memo(group, "center", compute)
 
 
-def _quotient_tower(group: Group, step):
-    """Walk down G -> G/N1 -> G/N2 -> ..., where ``step(Q)`` names the
-    next normal subgroup of the current quotient Q (None or the trivial
-    subgroup to stop). Yields each such subgroup with the bits of its
-    preimage in G; stops once the quotient is trivial."""
-    cur = group
-    proj = list(range(group.order))
-    while cur.order > 1:
-        n = step(cur)
-        if n is None or n.order == 1:
-            return
-        bits = 0
-        for i, j in enumerate(proj):
-            if (n.members >> j) & 1:
-                bits |= 1 << i
-        yield n, bits
-        if n.order == cur.order:
-            return
-        qr = quotient(cur, n)
-        proj = [qr.projection[j] for j in proj]
-        cur = qr.group
+def _order_mod(t, x: int, n_bits: int) -> int:
+    """Order of xN in G/N: the least k >= 1 with x^k in N."""
+    k, y = 1, x
+    while not (n_bits >> y) & 1:
+        y = t[y][x]
+        k += 1
+    return k
+
+
+def _closure_over(group: Group, n_bits: int, n_gens: tuple, x: int):
+    """Bits and generators of the normal closure of N and x, for N normal;
+    the generators start with N's."""
+    bits = _close_bits(group.table(), n_bits, n_gens, (x,))
+    return _normal_closure_bits(group, group.generator_indices(), bits, n_gens + (x,))
+
+
+def _minimal_over(group: Group, n_bits: int, n_gens: tuple) -> list[Subgroup]:
+    """The normal subgroups of G minimal over the normal subgroup N, by
+    (order, bitset). Each is the normal closure of N and any of its
+    elements outside N, so the minimal ones among the closures for one x
+    per conjugacy class outside N are all of them."""
+    classes, _ = group.conjugacy_classes()
+    cand: dict[int, tuple[int, ...]] = {}
+    for cls in classes:
+        x = cls[0]
+        if not (n_bits >> x) & 1:
+            bits, gens = _closure_over(group, n_bits, n_gens, x)
+            cand.setdefault(bits, gens)
+    minimal = [
+        Subgroup(group, bits, gens)
+        for bits, gens in cand.items()
+        if not any(o != bits and o & ~bits == 0 for o in cand)
+    ]
+    minimal.sort(key=lambda s: (s.order, s.members))
+    return minimal
+
+
+def _core_over(group: Group, n_bits: int, n_gens: tuple, keep):
+    """Bits and generators of the preimage of O_pi(G/N), where ``keep``
+    tests an integer for being a pi-number: the join of N with every
+    normal closure of N and x whose index over N passes, for one x per
+    conjugacy class outside the join so far. An x whose order mod N fails
+    the test is skipped, since that order divides the closure's index."""
+    t = group.table()
+    classes, _ = group.conjugacy_classes()
+    n_order = n_bits.bit_count()
+    bits, gens = n_bits, n_gens
+    for cls in classes:
+        x = cls[0]
+        if (bits >> x) & 1 or not keep(_order_mod(t, x, n_bits)):
+            continue
+        cb, cgens = _closure_over(group, n_bits, n_gens, x)
+        if keep(cb.bit_count() // n_order):
+            new = cgens[len(n_gens):]
+            bits = _close_bits(t, bits, gens, new)
+            gens = gens + new
+    return bits, gens
 
 
 def hypercenter(group: Group) -> Subgroup:
-    """Fixed point of iterated center pullbacks (the ordinary Z-infinity)."""
+    """The ordinary Z-infinity: Z_{i+1} holds the x with [x, g] in Z_i for
+    every generator g, until the series stops growing."""
 
     def compute():
-        z_bits = 1  # the last preimage the tower yields
-        for _, z_bits in _quotient_tower(group, center):
-            pass
-        return Subgroup(group, z_bits)
+        t = group.table()
+        inv = group.inverse_table()
+        gens = group.generator_indices()
+        bits = 1
+        while True:
+            grown = bits
+            for x in range(group.order):
+                if not (bits >> x) & 1 and all(
+                    (bits >> t[inv[t[g][x]]][t[x][g]]) & 1 for g in gens
+                ):
+                    grown |= 1 << x
+            if grown == bits:
+                return Subgroup(group, bits)
+            bits = grown
 
     return _memo(group, "hypercenter", compute)
 
@@ -193,18 +243,19 @@ def sylow_normal(group: Group, p: int) -> bool:
 
 
 def has_sylow_tower(group: Group) -> bool:
-    """Sylow tower of supersolvable type: peel normal Sylow subgroups off
-    largest prime first, descending through quotients."""
+    """Sylow tower of supersolvable type: for each k a normal Hall
+    subgroup for the k largest primes. Given one for the k - 1 largest,
+    the next exists iff the elements whose order divides its order h
+    number exactly h (the p-element count test of ``sylow_normal``, read
+    in the quotient by the previous one)."""
 
     def compute():
-        cur = group
-        while cur.order > 1:
-            q = max(cur.prime_factorization)
-            qpart = q ** cur.prime_factorization[q]
-            bits = _p_element_bits(cur, q)
-            if bits.bit_count() != qpart:
+        orders = group.element_orders()
+        hall = 1
+        for q in sorted(group.prime_factorization, reverse=True):
+            hall *= q ** group.prime_factorization[q]
+            if sum(1 for o in orders if hall % o == 0) != hall:
                 return False
-            cur = quotient(cur, Subgroup(cur, bits)).group
         return True
 
     return _memo(group, "sylow_tower", compute)
@@ -214,35 +265,8 @@ def has_sylow_tower(group: Group) -> bool:
 
 
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
-    """All minimal normal subgroups, found as the minimal elements among
-    normal closures of single elements (one per conjugacy class)."""
-
-    def compute():
-        if group.order == 1:
-            return []
-        t = group.table()
-        gidx = group.generator_indices()
-        classes, _ = group.conjugacy_classes()
-        cand: dict[int, tuple[int, ...]] = {}
-        for cls in classes:
-            rep = cls[0]
-            if rep == 0:
-                continue
-            cb = 1
-            x = rep
-            while x != 0:
-                cb |= 1 << x
-                x = t[x][rep]
-            bits, gens = _normal_closure_bits(group, gidx, cb, (rep,))
-            cand.setdefault(bits, gens)
-        minimal = []
-        for bits, gens in cand.items():
-            if not any(o != bits and o & ~bits == 0 for o in cand):
-                minimal.append(Subgroup(group, bits, gens))
-        minimal.sort(key=lambda s: (s.order, s.members))
-        return minimal
-
-    return _memo(group, "minnorm", compute)
+    """All minimal normal subgroups, by (order, bitset)."""
+    return _memo(group, "minnorm", lambda: _minimal_over(group, 1, ()))
 
 
 def is_simple(group: Group) -> bool:
@@ -250,38 +274,11 @@ def is_simple(group: Group) -> bool:
     return len(mins) == 1 and mins[0].order == group.order
 
 
-def _core_by(group: Group, keep) -> Subgroup:
-    """Join of all normal closures of single elements that satisfy ``keep``
-    (a predicate on the closure's bitset). Used for O_p and O_{p'}."""
-    t = group.table()
-    gidx = group.generator_indices()
-    orders = group.element_orders()
-    classes, _ = group.conjugacy_classes()
-    bits = 1
-    gens: tuple[int, ...] = ()
-    for cls in classes:
-        rep = cls[0]
-        if rep == 0 or (bits >> rep) & 1:
-            continue
-        if not keep(orders[rep]):
-            continue
-        cb = 1
-        x = rep
-        while x != 0:
-            cb |= 1 << x
-            x = t[x][rep]
-        nb, ngens = _normal_closure_bits(group, gidx, cb, (rep,))
-        if keep(nb.bit_count()):
-            bits = _close_bits(t, bits, gens, ngens)
-            gens = gens + ngens
-    return Subgroup(group, bits, gens)
-
-
 def p_core(group: Group, p: int) -> Subgroup:
     """O_p(G), the largest normal p-subgroup."""
 
     def compute():
-        sub = _core_by(group, lambda n: _is_p_power(n, p))
+        sub = Subgroup(group, *_core_over(group, 1, (), lambda n: _is_p_power(n, p)))
         if not _is_p_power(sub.order, p):
             raise PermlatError("join of normal p-subgroups is not a p-group")
         return sub
@@ -293,7 +290,7 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
     """O_{p'}(G), the largest normal subgroup of order coprime to p."""
 
     def compute():
-        sub = _core_by(group, lambda n: n % p != 0)
+        sub = Subgroup(group, *_core_over(group, 1, (), lambda n: n % p != 0))
         if sub.order % p == 0:
             raise PermlatError("join of normal p'-subgroups is not a p'-group")
         return sub
@@ -322,8 +319,6 @@ def fitting_subgroup(group: Group) -> Subgroup:
 class ChiefFactor(NamedTuple):
     order: int
     is_prime_order: bool
-    is_abelian: bool
-    prime: Optional[int]
 
 
 class ChiefSeries(NamedTuple):
@@ -331,36 +326,23 @@ class ChiefSeries(NamedTuple):
     factors: list[ChiefFactor]
 
 
-def chief_series(group: Group, prefer: str = "low") -> ChiefSeries:
-    """A chief series 1 = N0 < N1 < ... < Nk = G as subgroups of G.
-
-    At each step the minimal normal subgroup of the current quotient with
-    lowest (order, bitset) is chosen; prefer="high" takes the highest
-    instead (used to cross-check Jordan-Holder factor multisets).
-    """
-    if prefer not in ("low", "high"):
-        raise PermlatError(f"unknown chief series preference {prefer!r}")
-
-    def step(cur):
-        mins = minimal_normal_subgroups(cur)
-        return mins[0] if prefer == "low" else mins[-1]
+def chief_series(group: Group) -> ChiefSeries:
+    """A chief series 1 = N0 < N1 < ... < Nk = G as subgroups of G, where
+    N_{i+1} is the normal subgroup minimal over N_i with lowest (order,
+    bitset)."""
 
     def compute():
         chain = [group.trivial_subgroup()]
         factors: list[ChiefFactor] = []
-        for chosen, bits in _quotient_tower(group, step):
-            factors.append(
-                ChiefFactor(
-                    chosen.order,
-                    _is_prime(chosen.order),
-                    chosen.as_group().is_abelian(),
-                    _prime_power_base(chosen.order),
-                )
-            )
-            chain.append(Subgroup(group, bits))
+        while chain[-1].order < group.order:
+            n = chain[-1]
+            m = _minimal_over(group, n.members, n.generator_indices)[0]
+            index = m.order // n.order
+            factors.append(ChiefFactor(index, _is_prime(index)))
+            chain.append(m)
         return ChiefSeries(chain, factors)
 
-    return _memo(group, ("chief", prefer), compute)
+    return _memo(group, "chief", compute)
 
 
 def is_supersolvable(group: Group) -> bool:
@@ -413,21 +395,20 @@ def p_length(group: Group, p: int) -> PLengthResult:
         # One flag per step, True for a p-layer. O_p' of G/O_p'(G) is
         # trivial, so a p'-step is always followed by a p-step.
         layers: list[bool] = []
-
-        def step(cur):
-            if not layers or layers[-1]:
-                opp = p_prime_core(cur, p)
-                if opp.order > 1:
-                    layers.append(False)
-                    return opp
-            op = p_core(cur, p)
-            if op.order == 1:
-                raise PermlatError("upper p-series stalled on a p-solvable group")
-            layers.append(True)
-            return op
-
         series = [group.trivial_subgroup()]
-        series += [Subgroup(group, bits) for _, bits in _quotient_tower(group, step)]
+        bits, gens = 1, ()
+        while bits.bit_count() < group.order:
+            grown = bits
+            if not layers or layers[-1]:
+                grown, gens = _core_over(group, bits, gens, lambda n: n % p != 0)
+            p_layer = grown == bits
+            if p_layer:
+                grown, gens = _core_over(group, bits, gens, lambda n: _is_p_power(n, p))
+                if grown == bits:
+                    raise PermlatError("upper p-series stalled on a p-solvable group")
+            layers.append(p_layer)
+            bits = grown
+            series.append(Subgroup(group, bits))
         return PLengthResult(p, True, sum(layers), series)
 
     return _memo(group, ("plength", p), compute)
@@ -440,30 +421,19 @@ def u_hypercenter(group: Group) -> Subgroup:
     """Largest normal subgroup all of whose chief factors (as G-chief
     factors) have prime order.
 
-    Iterates: pull back the product of all prime-order minimal normal
-    subgroups of the current quotient, until none remain. On exit the
-    quotient by the result has no prime-order minimal normal subgroup,
-    which certifies maximality.
+    From Z = 1, joins Z with every normal subgroup of prime index over Z
+    (the preimage of the product of the prime-order minimal normal
+    subgroups of G/Z) until there is none. G/Z then has no prime-order
+    minimal normal subgroup, which certifies maximality.
     """
 
-    def step(cur):
-        layer_subs = [m for m in minimal_normal_subgroups(cur) if _is_prime(m.order)]
-        if not layer_subs:
-            return None
-        t = cur.table()
-        layer = layer_subs[0].members
-        gens = layer_subs[0].generator_indices
-        for m in layer_subs[1:]:
-            if m.members & ~layer:
-                layer = _close_bits(t, layer, gens, m.generator_indices)
-                gens = gens + m.generator_indices
-        return Subgroup(cur, layer, gens)
-
     def compute():
-        z_bits = 1  # the last preimage the tower yields
-        for _, z_bits in _quotient_tower(group, step):
-            pass
-        return Subgroup(group, z_bits)
+        bits, gens = 1, ()
+        while True:
+            grown, gens = _core_over(group, bits, gens, _is_prime)
+            if grown == bits:
+                return Subgroup(group, bits)
+            bits = grown
 
     return _memo(group, "uhypercenter", compute)
 

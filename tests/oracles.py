@@ -5,10 +5,12 @@ plain Python sets of element indices. No bitsets, no shared closure
 code, and a different enumeration strategy, so agreement with the
 library is a meaningful check rather than the same bug twice.
 
-The exceptions are ``section_wss_oracle`` and ``quotient_answers``: they
-answer questions about a section K/N or a quotient G/N the long way, by
-building it as a group of its own, and so cross-check the library's
-in-lattice answers against an independent construction. In the same way
+The exceptions are ``section_wss_oracle``, ``quotient_answers`` and
+``tower_answers``: they answer questions about a section K/N or a
+quotient G/N the long way, by building it as a group of its own with
+``quotient`` (the library builds none), and so cross-check the library's
+in-table and in-lattice answers against an independent construction. In
+the same way
 ``wreath_by_semidirect`` builds a wreath product from its multiplication
 rule rather than from permutations of blocks, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
@@ -20,9 +22,13 @@ from __future__ import annotations
 import itertools
 import math
 
+from typing import NamedTuple
+
 from permlat.embedding import is_weakly_s_supplemented
-from permlat.groups import CayleyTable, group_from_cayley, quotient
+from permlat.errors import NotNormalError, PermlatError
+from permlat.groups import CayleyTable, Group, close_generators, group_from_cayley
 from permlat.lattice import enumerate_subgroups
+from permlat.perms import Perm
 from permlat.statements import _implication
 from permlat.structure import is_supersolvable, u_hypercenter
 
@@ -356,3 +362,278 @@ def l2_1_all_entries(ga):
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts
+
+
+class QuotientResult(NamedTuple):
+    group: Group
+    projection: tuple[int, ...]
+
+
+def quotient(group, normal):
+    """Quotient acting on right cosets, with the index-level projection map.
+
+    The quotient group has degree |G : N|; projection[i] is the quotient
+    element index of the i-th element of G.
+    """
+    if normal.parent is not group:
+        raise PermlatError("subgroup does not belong to this group")
+    if not normal.is_normal():
+        raise NotNormalError("cannot quotient by a non-normal subgroup")
+    t = group.table()
+    n = group.order
+    nmembers = normal.element_indices()
+    m = n // normal.order
+    coset_of = [-1] * n
+    reps = []
+    for x in range(n):
+        if coset_of[x] == -1:
+            cid = len(reps)
+            reps.append(x)
+            for b in nmembers:
+                coset_of[t[b][x]] = cid
+    perms = [
+        Perm._unchecked(tuple(coset_of[t[reps[i]][reps[j]]] + 1 for i in range(m)))
+        for j in range(m)
+    ]
+    order_idx = sorted(range(m), key=lambda j: perms[j].images)
+    pos = [0] * m
+    for new, old in enumerate(order_idx):
+        pos[old] = new
+    elements = tuple(perms[old] for old in order_idx)
+    table = [
+        [pos[coset_of[t[reps[order_idx[a]]][reps[order_idx[b]]]]] for b in range(m)]
+        for a in range(m)
+    ]
+    projection = tuple(pos[coset_of[x]] for x in range(n))
+    gens = []
+    seen_gens = set()
+    for gi in group.generator_indices():
+        q = projection[gi]
+        if q != 0 and q not in seen_gens:
+            seen_gens.add(q)
+            gens.append(elements[q])
+    qname = f"{group.name}/{normal.order}" if group.name else None
+    qgroup = Group(m, tuple(gens), elements, name=qname, table=table)
+    return QuotientResult(qgroup, projection)
+
+
+def _bits(elems):
+    return sum(1 << i for i in elems)
+
+
+def element_closures(group):
+    """(conjugacy class, normal closure of its elements) per class, as
+    frozensets: each class found by conjugating one element by the whole
+    group, its closure grown breadth-first by products with the class.
+    Kept in the group's memo under a key of its own."""
+    memo = group._memo
+    if "oracle_closures" not in memo:
+        memo["oracle_closures"] = _element_closures(group)
+    return memo["oracle_closures"]
+
+
+def _element_closures(group):
+    t = group.table()
+    inv = group.inverse_table()
+    seen = set()
+    out = []
+    for x in range(group.order):
+        if x in seen:
+            continue
+        cls = frozenset(t[t[inv[g]][x]][g] for g in range(group.order))
+        seen |= cls
+        ncl = {0}
+        frontier = [0]
+        while frontier:
+            y = frontier.pop()
+            for c in cls:
+                z = t[y][c]
+                if z not in ncl:
+                    ncl.add(z)
+                    frontier.append(z)
+        out.append((cls, frozenset(ncl)))
+    return out
+
+
+def _p_part(n, p):
+    q = 1
+    while n % p == 0:
+        n //= p
+        q *= p
+    return q
+
+
+def _is_p_power(n, p):
+    return _p_part(n, p) == n
+
+
+def is_nilpotent_set(group, elems):
+    """Every Sylow subgroup of the subgroup normal: for each p its
+    p-elements number exactly its p-part."""
+    orders = group.element_orders()
+    n = len(elems)
+    for p in range(2, n + 1):
+        if n % p == 0 and _is_prime(p):
+            count = sum(1 for x in elems if _is_p_power(orders[x], p))
+            if count != _p_part(n, p):
+                return False
+    return True
+
+
+def brute_core(group, keep):
+    """Bits of the largest normal subgroup in a class ``keep`` that is
+    closed under normal subgroups and products of normal subgroups
+    (pi-groups, nilpotent groups): x lies in it iff the normal closure
+    of x passes ``keep``."""
+    return _bits(x for cls, ncl in element_closures(group) if keep(ncl) for x in cls)
+
+
+def brute_minimal_normals(group):
+    """Bits of the minimal normal subgroups, by (order, bitset): the
+    minimal ones among the normal closures of single elements."""
+    cands = {ncl for _, ncl in element_closures(group) if len(ncl) > 1}
+    mins = [c for c in cands if not any(o < c for o in cands)]
+    return sorted((_bits(c) for c in mins), key=lambda b: (b.bit_count(), b))
+
+
+def quotient_tower(group, step):
+    """Walk down G -> G/N1 -> G/N2 -> ..., where ``step(Q)`` gives the bits
+    of the next normal subgroup of the current quotient Q (None or 1 to
+    stop). Yields the bits of each one's preimage in G; stops once the
+    quotient is trivial."""
+    cur = group
+    proj = list(range(group.order))
+    while cur.order > 1:
+        n = step(cur)
+        if n is None or n == 1:
+            return
+        yield _bits(i for i, j in enumerate(proj) if (n >> j) & 1)
+        if n.bit_count() == cur.order:
+            return
+        qr = quotient(cur, cur.subgroup(n))
+        proj = [qr.projection[j] for j in proj]
+        cur = qr.group
+
+
+def tower_chief_chain(group, prefer="low"):
+    """Bits of a chief series, 1 first, choosing at each quotient its
+    minimal normal subgroup of lowest (prefer="low") or highest (order,
+    bitset)."""
+    pick = 0 if prefer == "low" else -1
+    return [1] + list(quotient_tower(group, lambda q: brute_minimal_normals(q)[pick]))
+
+
+def chain_factors(chain):
+    """The indices |N_{i+1} : N_i| along a chain of bitsets."""
+    return [high.bit_count() // low.bit_count() for low, high in zip(chain, chain[1:])]
+
+
+def tower_upper_p_series(group, p):
+    """Bits of the upper p-series 1 <= O_p' <= O_p'p <= ..., 1 first, and
+    the count of its p-layers."""
+    layers = []
+
+    def step(q):
+        if not layers or layers[-1]:
+            opp = brute_core(q, lambda s: len(s) % p != 0)
+            if opp != 1:
+                layers.append(False)
+                return opp
+        op = brute_core(q, lambda s: _is_p_power(len(s), p))
+        assert op != 1, "upper p-series stalled"
+        layers.append(True)
+        return op
+
+    series = [1] + list(quotient_tower(group, step))
+    return series, sum(layers)
+
+
+def tower_sylow_tower(group):
+    """Peel normal Sylow subgroups off, largest prime first, through
+    quotient groups."""
+    cur = group
+    while cur.order > 1:
+        q = max(cur.prime_factorization)
+        orders = cur.element_orders()
+        sylow = [i for i in range(cur.order) if _is_p_power(orders[i], q)]
+        if len(sylow) != _p_part(cur.order, q):
+            return False
+        cur = quotient(cur, cur.subgroup(_bits(sylow))).group
+    return True
+
+
+def tower_answers(group):
+    """The structure answers of G, each quotient built as a group of its
+    own: the hypercenter and U-hypercenter as bits, O_p, O_p' and the
+    Fitting subgroup as bits, the upper p-series and p-length per prime
+    (None when G is not p-solvable), supersolvability, p-solvability, a
+    Sylow tower, and the sorted chief-factor orders."""
+
+    def last(step):
+        bits = 1
+        for bits in quotient_tower(group, step):
+            pass
+        return bits
+
+    def center(q):
+        t = q.table()
+        everything = range(q.order)
+        return _bits(x for x in everything if all(t[x][g] == t[g][x] for g in everything))
+
+    def u_layer(q):
+        layer = [m for m in brute_minimal_normals(q) if _is_prime(m.bit_count())]
+        if not layer:
+            return None
+        union = [i for i in range(q.order) if any((m >> i) & 1 for m in layer)]
+        return _bits(close_set(q.table(), union))
+
+    factors = sorted(chain_factors(tower_chief_chain(group)))
+    primes = sorted(group.prime_factorization)
+    p_solvable = {p: all(_p_part(f, p) in (1, f) for f in factors) for p in primes}
+    series = {
+        p: tower_upper_p_series(group, p) if p_solvable[p] else ([], None) for p in primes
+    }
+    return {
+        "hypercenter": last(center),
+        "u_hypercenter": last(u_layer),
+        "O_p": {p: brute_core(group, lambda s, p=p: _is_p_power(len(s), p)) for p in primes},
+        "O_p'": {p: brute_core(group, lambda s, p=p: len(s) % p) for p in primes},
+        "fitting": brute_core(group, lambda s: is_nilpotent_set(group, s)),
+        "upper_p_series": {p: series[p][0] for p in primes},
+        "p_length": {p: series[p][1] for p in primes},
+        "supersolvable": all(_is_prime(f) for f in factors),
+        "p_solvable": p_solvable,
+        "sylow_tower": tower_sylow_tower(group),
+        "chief_factors": factors,
+    }
+
+
+def agl23():
+    """AGL(2,3) on the 9 points of F_3^2, (x, y) numbered 1 + x + 3y."""
+
+    def perm(f):
+        images = {}
+        for y in range(3):
+            for x in range(3):
+                u, v = f(x, y)
+                images[1 + x + 3 * y] = 1 + u % 3 + 3 * (v % 3)
+        cycles, seen = [], set()
+        for start in range(1, 10):
+            cyc = [start]
+            seen.add(start)
+            while images[cyc[-1]] not in seen:
+                cyc.append(images[cyc[-1]])
+                seen.add(cyc[-1])
+            if len(cyc) > 1:
+                cycles.append(tuple(cyc))
+        return Perm.from_cycles(9, cycles)
+
+    return close_generators(
+        9,
+        [
+            perm(lambda x, y: (x + 1, y)),
+            perm(lambda x, y: (2 * x, y)),
+            perm(lambda x, y: (2 * x + y, 2 * x)),
+        ],
+        name="AGL(2,3)",
+    )

@@ -10,7 +10,6 @@ from permlat.groups import (
     close_generators,
     direct_product,
     p_residual,
-    quotient,
     wreath_regular,
 )
 from permlat.lattice import enumerate_subgroups
@@ -22,6 +21,7 @@ from oracles import (
     close_set,
     commutator_closure,
     naive_product_set,
+    quotient,
     reduced_latin_squares,
     wreath_by_semidirect,
 )

@@ -14,7 +14,7 @@ from permlat.corpus import builtin_corpus
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import Subgroup, _factorize, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
-from permlat.perms import Perm, parse_cycle_string
+from permlat.perms import parse_cycle_string
 from permlat.statements import (
     STATEMENT_IDS,
     STATEMENTS,
@@ -31,7 +31,7 @@ from permlat.statements import (
 )
 from permlat.structure import _derived_bits, is_nilpotent, is_solvable
 
-from oracles import commutator_closure, l2_1_all_entries, quotient_answers
+from oracles import agl23, commutator_closure, l2_1_all_entries, quotient_answers
 
 
 def gens(degree, *texts):
@@ -250,7 +250,7 @@ def test_example42_facts():
 def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
     """L2.1 reads its quotient and subgroup cases off G's lattice: one
     enumeration, no quotient group and no subgroup materialized."""
-    from permlat import groups, reports, statements
+    from permlat import reports, statements
     from permlat.groups import Subgroup
 
     calls = {"enumerate": 0}
@@ -264,8 +264,6 @@ def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
         raise AssertionError("rebuilt a quotient or subgroup")
 
     monkeypatch.setattr(statements, "enumerate_subgroups", counting)
-    monkeypatch.setattr(statements, "quotient", refuse)
-    monkeypatch.setattr(groups, "quotient", refuse)
     monkeypatch.setattr(Subgroup, "as_group", refuse)
     corpus = [(n, g) for n, g in builtin_corpus() if n == "S4"]
     rep = reports.run_verification(["L2.1"], corpus, "S4 only")
@@ -339,37 +337,6 @@ def test_l2_5_and_c4_12_build_no_subgroup_group(monkeypatch):
     assert callers.get(("C4.12", "permlat.statements"), 0) == 0
 
 
-def _agl23():
-    """AGL(2,3) on the 9 points of F_3^2, (x, y) numbered 1 + x + 3y."""
-
-    def perm(f):
-        images = {}
-        for y in range(3):
-            for x in range(3):
-                u, v = f(x, y)
-                images[1 + x + 3 * y] = 1 + u % 3 + 3 * (v % 3)
-        cycles, seen = [], set()
-        for start in range(1, 10):
-            cyc = [start]
-            seen.add(start)
-            while images[cyc[-1]] not in seen:
-                cyc.append(images[cyc[-1]])
-                seen.add(cyc[-1])
-            if len(cyc) > 1:
-                cycles.append(tuple(cyc))
-        return Perm.from_cycles(9, cycles)
-
-    return close_generators(
-        9,
-        [
-            perm(lambda x, y: (x + 1, y)),
-            perm(lambda x, y: (2 * x, y)),
-            perm(lambda x, y: (2 * x + y, 2 * x)),
-        ],
-        name="AGL(2,3)",
-    )
-
-
 def _check_quotient_answers(ga):
     """(pairs, False answers, proper U-hypercenters) over every normal N
     of the analyzed group, each lattice answer checked against the
@@ -403,7 +370,7 @@ def test_quotient_answers_match_rebuilt_quotients():
 def test_quotient_answers_on_agl23_subgroups():
     """The same oracle over one subgroup per conjugacy class of AGL(2,3),
     which has many solvable groups that are not supersolvable."""
-    g = _agl23()
+    g = agl23()
     assert g.order == 432
     lat = GroupAnalysis(g, lattice_cap=500).lat
     pairs = falses = proper = 0
@@ -430,13 +397,12 @@ def test_supersolvable_mod_rejects_a_non_normal_subgroup():
 SMALL_REGISTRY_DIGEST = "c9c3a2440810ae24cec939d8d9ca02de086893b09e5eaebb191696d843afee05"
 
 
-def test_registry_builds_no_quotient_group(monkeypatch):
-    from permlat import reports, statements
+def test_registry_builds_no_quotient_group():
+    import permlat
+    from permlat import groups, reports, statements, structure
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("built a quotient group")
-
-    monkeypatch.setattr(statements, "quotient", refuse)
+    for module in (permlat, groups, statements, structure):
+        assert not hasattr(module, "quotient"), module.__name__
     corpus = [(n, g) for n, g in builtin_corpus() if g.order <= 24]
     rep = reports.run_verification(
         list(STATEMENT_IDS) + ["q13"], corpus, "order <= 24", max_normal_e=1000

@@ -1,7 +1,12 @@
 """Structural invariants pinned to hand-derived values, plus the
-independent supersolvability and hypercenter oracles on small groups."""
+independent supersolvability and hypercenter oracles on small groups, and
+the walks above a normal subgroup against the quotient-tower oracle."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from permlat.groups import close_generators, direct_product
+from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
 from permlat.structure import (
     _derived_bits,
@@ -28,7 +33,14 @@ from permlat.structure import (
     u_hypercenter,
 )
 
-from oracles import brute_supersolvable, chain_hypercenter
+from oracles import (
+    agl23,
+    brute_supersolvable,
+    chain_factors,
+    chain_hypercenter,
+    tower_answers,
+    tower_chief_chain,
+)
 
 
 def gens(degree, *texts):
@@ -116,10 +128,11 @@ def test_chief_series_values():
 
 
 def test_chief_series_seed_independence():
+    """Jordan-Holder: the package's chain and the quotient-tower chain that
+    takes the highest minimal normal subgroup have the same factors."""
     for g in (s4(), direct_product(s3(), s3()), direct_product(cyc(6), cyc(2))):
-        low = sorted(f.order for f in chief_series(g, prefer="low").factors)
-        high = sorted(f.order for f in chief_series(g, prefer="high").factors)
-        assert low == high
+        low = sorted(f.order for f in chief_series(g).factors)
+        assert low == sorted(chain_factors(tower_chief_chain(g, prefer="high")))
 
 
 def test_p_nilpotency():
@@ -143,8 +156,9 @@ def test_p_solvable_and_length():
 
 def test_p_length_one_iff_quotient_p_closed():
     # for p-solvable G: length <= 1 iff G/O_p' has a normal Sylow p
-    from permlat.groups import quotient
     from permlat.structure import sylow_normal
+
+    from oracles import quotient
 
     for g in (s3(), s4(), a4(), cyc(12), direct_product(s3(), cyc(4))):
         for p in g.prime_factorization:
@@ -285,8 +299,9 @@ def test_fingerprint_equality_across_constructions():
 
 
 # sha256 over every builtin group of the member bitsets of the hypercenter,
-# the U-hypercenter, both chief series chains and each upper p-series: the
-# results of the quotient-tower pullback.
+# the U-hypercenter, the lowest chief series chain, the quotient-tower
+# chain that takes the highest minimal normal subgroup, and each upper
+# p-series: the results of the quotient-tower pullback.
 TOWER_DIGEST = "c1671e07f35c524eb750acc393208bcece70694d98c97d413602d6203702a301"
 
 
@@ -298,9 +313,69 @@ def test_quotient_tower_results_match_pin():
     h = hashlib.sha256()
     for name, g in builtin_corpus():
         parts = [name, hypercenter(g).members, u_hypercenter(g).members]
-        for prefer in ("low", "high"):
-            parts.append([s.members for s in chief_series(g, prefer).chain])
+        parts.append([s.members for s in chief_series(g).chain])
+        parts.append(tower_chief_chain(g, prefer="high"))
         for p in sorted(g.prime_factorization):
             parts.append((p, [s.members for s in p_length(g, p).upper_p_series]))
         h.update(repr(parts).encode())
     assert h.hexdigest() == TOWER_DIGEST
+
+
+def _structure_answers(g):
+    """The package's answers, in the shape of ``oracles.tower_answers``."""
+    primes = sorted(g.prime_factorization)
+    series = {p: p_length(g, p) for p in primes}
+    return {
+        "hypercenter": hypercenter(g).members,
+        "u_hypercenter": u_hypercenter(g).members,
+        "O_p": {p: p_core(g, p).members for p in primes},
+        "O_p'": {p: p_prime_core(g, p).members for p in primes},
+        "fitting": fitting_subgroup(g).members,
+        "upper_p_series": {
+            p: [s.members for s in series[p].upper_p_series] for p in primes
+        },
+        "p_length": {p: series[p].p_length for p in primes},
+        "supersolvable": is_supersolvable(g),
+        "p_solvable": {p: is_p_solvable(g, p) for p in primes},
+        "sylow_tower": has_sylow_tower(g),
+        "chief_factors": sorted(f.order for f in chief_series(g).factors),
+    }
+
+
+def test_walks_match_quotient_tower_on_agl23_classes():
+    """One subgroup per conjugacy class of AGL(2,3), which has many
+    solvable groups that are not supersolvable: the walks on the group's
+    own table give the quotient-tower oracle's answers, and the chief
+    series is a chain of normal subgroups with nothing normal strictly
+    between consecutive terms. The chains themselves are not compared:
+    a tie between minimal normal subgroups may be broken otherwise."""
+    lat = enumerate_subgroups(agl23(), cap=500)
+    assert len(lat.conjugacy_classes) == 46
+    not_supersolvable = no_tower = 0
+    for cls in lat.conjugacy_classes:
+        h = lat.subgroups[cls[0]].as_group()
+        got = _structure_answers(h)
+        assert got == tower_answers(h), h.order
+        not_supersolvable += not got["supersolvable"]
+        no_tower += not got["sylow_tower"]
+        normal = {s.members for s in enumerate_subgroups(h, cap=500).normal_subgroups()}
+        chain = [s.members for s in chief_series(h).chain]
+        assert set(chain) <= normal
+        for low, high in zip(chain, chain[1:]):
+            assert not any(
+                n not in (low, high) and low & ~n == 0 and n & ~high == 0 for n in normal
+            ), h.order
+    assert not_supersolvable >= 9
+    assert no_tower >= 4
+
+
+_S6_PERMS = st.permutations(range(1, 7)).map(Perm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.lists(_S6_PERMS, min_size=1, max_size=3))
+def test_walks_match_quotient_tower_on_s6_subgroups(perms):
+    """Subgroups of S6 generated by one to three permutations."""
+    g = close_generators(6, perms)
+    assert _structure_answers(g) == tower_answers(g)
+    assert all(s.is_normal() for s in chief_series(g).chain)
