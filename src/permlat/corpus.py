@@ -273,9 +273,8 @@ def example_pair(cap: int = DEFAULT_GROUP_CAP) -> tuple[Group, Group]:
     below 648 raises before anything is closed."""
     b = wreath_regular(_symmetric(3, "S3"), 3, cap=cap)
     b.name = "B648"
-    g = p_residual(b, 2).as_group()
-    g.name = "G324"
-    return b, g
+    residual = p_residual(b, 2)
+    return b, close_generators(b.degree, residual.generators, cap=cap, name="G324")
 
 
 def _product(name: str, a: Group, b: Group) -> Group:

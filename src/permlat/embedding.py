@@ -32,7 +32,11 @@ from typing import NamedTuple, Optional
 from .errors import NotNormalError, PermlatError
 from .groups import Subgroup, _close_bits, _conjugate_bits, _factorize
 from .lattice import SubgroupLattice, is_subnormal, permutes
-from .structure import is_supersolvable
+from .structure import _is_prime
+
+# Not called here, as supplements are decided on the lattice;
+# perfbench/test_perfbench.py checks that its tracer rebinds this name.
+from .structure import is_supersolvable  # noqa: F401
 
 
 class SupplementWitness(NamedTuple):
@@ -284,6 +288,26 @@ def is_c_normal(lat: SubgroupLattice, h: Subgroup) -> bool:
     return _memo(lat, ("cnorm", h.members), compute)
 
 
+def is_supersolvable_section(
+    lat: SubgroupLattice, section: Optional[tuple] = None
+) -> bool:
+    """Whether the group, or the section K/N, is supersolvable: by Huppert
+    (1954) iff every maximal subgroup has prime index, so iff every proper
+    entry of the section lies in an entry of prime index in K."""
+    key = _section_key(lat, section)
+
+    def compute():
+        k, _n, entries = _section(lat, key)
+        prime = [e.members for e in entries if _is_prime(k.order // e.order)]
+        return all(
+            any(e.members & ~m == 0 for m in prime)
+            for e in reversed(entries)
+            if e.order < k.order
+        )
+
+    return _memo(lat, ("ssolv",) + key, compute)
+
+
 def has_supersolvable_supplement(
     lat: SubgroupLattice, h: Subgroup
 ) -> tuple[bool, Optional[Subgroup]]:
@@ -291,7 +315,7 @@ def has_supersolvable_supplement(
 
     def compute():
         for t in supplements(lat, h):
-            if is_supersolvable(t.as_group()):
+            if is_supersolvable_section(lat, (t, lat.bottom())):
                 return True, t
         return False, None
 

@@ -29,6 +29,7 @@ from .groups import (
     Group,
     Subgroup,
     _factorize,
+    close_generators,
     p_residual,
 )
 from .corpus import _alternating_named, example_pair
@@ -41,7 +42,9 @@ from .lattice import (
 )
 from .structure import (
     _derived_bits,
-    _is_prime,
+    _is_nilpotent_bits,
+    _u_hypercenter_bits,
+    derived_series,
     exponent,
     fingerprint,
     fitting_subgroup,
@@ -61,6 +64,7 @@ from .embedding import (
     is_complemented,
     is_permutable,
     is_s_permutable,
+    is_supersolvable_section,
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
 )
@@ -149,11 +153,9 @@ class HypothesisReport(NamedTuple):
 class GroupAnalysis:
     """A corpus group with its lazily built lattice.
 
-    Questions about a quotient G/N are answered on G's own lattice: by the
-    correspondence theorem the normal subgroups of G/N are the normal
-    entries above N, and the G-chief factors above N are the chief factors
-    of G/N. The lowest normal entry strictly above N, and any normal entry
-    of prime index over N, is minimal over N.
+    Questions about a quotient G/N are answered on G's own lattice and
+    table: by the correspondence theorem the subgroups of G/N are the
+    entries above N.
     """
 
     def __init__(
@@ -187,54 +189,16 @@ class GroupAnalysis:
             return norms[: self.max_normal_e], True
         return norms, False
 
-    def _normals_above(self, bits: int) -> list:
-        """Normal entries strictly above the normal subgroup with these
-        bits, in lattice order."""
-        lat = self.lat
-        if not lat.normal_flags[lat.index_by_bits[bits]]:
-            raise NotNormalError("quotient by a subgroup that is not normal")
-        return [
-            s
-            for s in lat.normal_subgroups()
-            if s.members != bits and bits & ~s.members == 0
-        ]
-
     def supersolvable_mod(self, n: Subgroup) -> bool:
-        """Whether G/N is supersolvable: the lowest normal entry M strictly
-        above N has prime index over N and G/M is supersolvable."""
-        memo = self.lat._memo
-        key = ("supersolvable_mod", n.members)
-        if key not in memo:
-            above = self._normals_above(n.members)
-            memo[key] = not above or (
-                _is_prime(above[0].order // n.order)
-                and self.supersolvable_mod(above[0])
-            )
-        return memo[key]
+        """Whether G/N is supersolvable, by Huppert's rule on the section."""
+        return is_supersolvable_section(self.lat, (self.lat.top(), n))
 
     def u_hypercenter_mod(self, n: Subgroup) -> int:
-        """Bits of the preimage of the supersolvable hypercenter of G/N:
-        from X = N, join X with every normal entry of prime index over X
-        until there is none (``structure.u_hypercenter``'s step, pulled
-        back to G)."""
-        memo = self.lat._memo
-        key = ("u_hypercenter_mod", n.members)
-        if key not in memo:
-            bits = n.members
-            while True:
-                above = self._normals_above(bits)
-                order = bits.bit_count()
-                layer = bits
-                for m in above:
-                    if _is_prime(m.order // order):
-                        layer |= m.members
-                if layer == bits:
-                    break
-                # The join of normal subgroups is the lowest normal entry
-                # containing them all.
-                bits = next(s.members for s in above if layer & ~s.members == 0)
-            memo[key] = bits
-        return memo[key]
+        """Bits of the preimage of the supersolvable hypercenter of G/N
+        (``structure.u_hypercenter``'s walk started at N)."""
+        if not self.lat.normal_flags[self.lat.index_of(n)]:
+            raise NotNormalError("quotient by a subgroup that is not normal")
+        return _u_hypercenter_bits(self.group, n.members, n.generator_indices)
 
 
 def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:
@@ -244,6 +208,25 @@ def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:
     for i in lat.within(p_sub.members, order=p_sub.order // p):
         bits &= lat.subgroups[i].members
     return bits
+
+
+def _hall_meet_bits(lat: SubgroupLattice, h: Subgroup, p: int) -> int:
+    """Bits of O_p'(H) for a p-solvable entry H: the meet of H's entries
+    of order |H|_p'. These are its Hall p'-subgroups, all conjugate in H
+    (Hall), so their meet is the largest normal p'-subgroup of H."""
+    bits = h.members
+    order = h.order // p ** _factorize(h.order).get(p, 0)
+    for i in lat.within(h.members, order=order):
+        bits &= lat.subgroups[i].members
+    return bits
+
+
+def _is_p_nilpotent_entry(lat: SubgroupLattice, t: Subgroup, p: int) -> bool:
+    """Whether the entry T has a normal p-complement: a normal Hall
+    subgroup is the only subgroup of its order, and a subgroup alone of
+    its order is normal, so iff one entry of order |T|_p' lies in T."""
+    order = t.order // p ** _factorize(t.order).get(p, 0)
+    return len(lat.within(t.members, order=order)) == 1
 
 
 # -- thmB / thm12 hypothesis machinery ----------------------------------------
@@ -579,7 +562,7 @@ def check_L2_4(ga: GroupAnalysis) -> list:
             for sub in lat.subgroups:
                 if op & ~sub.members:
                     continue
-                if p_prime_core(sub.as_group(), p).order != 1:
+                if _hall_meet_bits(lat, sub, p) != 1:
                     fails.append(f"H={ga.label(sub)}")
         verdicts.append(_implication("L2.4", ga.name, f"p={p}", hyp, fails))
     return verdicts
@@ -616,28 +599,6 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     return chosen
 
 
-def _is_nilpotent_entry(lat: SubgroupLattice, sub: Subgroup) -> bool:
-    """Whether a subgroup entry is nilpotent: every Sylow subgroup of it is
-    normal in it, i.e. for each p exactly one entry of G's lattice inside
-    it has the p-part of its order."""
-    return all(
-        len(lat.within(sub.members, order=p**e)) == 1
-        for p, e in _factorize(sub.order).items()
-    )
-
-
-def _is_solvable_entry(group: Group, sub: Subgroup) -> bool:
-    """Whether a subgroup is solvable: its derived series, taken on G's
-    own table, reaches the trivial subgroup."""
-    bits, gens = sub.members, sub.generator_indices
-    while bits != 1:
-        derived, gens = _derived_bits(group, gens)
-        if derived == bits:
-            return False
-        bits = derived
-    return True
-
-
 def check_L2_5(ga: GroupAnalysis) -> list:
     """Nilpotent normal N avoiding the Frattini subgroup is a direct
     product of minimal normal subgroups (so N lies in the socle)."""
@@ -651,7 +612,7 @@ def check_L2_5(ga: GroupAnalysis) -> list:
             continue
         if (n.members & phi) != 1:
             continue
-        if not _is_nilpotent_entry(lat, n):
+        if not _is_nilpotent_bits(ga.group, n.members):
             continue
         count += 1
         if n.members & ~socle:
@@ -701,7 +662,8 @@ def check_L2_6(ga: GroupAnalysis) -> list:
         matched = None
         if math.factorial(index) // 2 == g.order:
             alt = _alternating_named(index - 1, f"A{index - 1}")
-            if fingerprint(sub.as_group()) == fingerprint(alt):
+            own = close_generators(g.degree, sub.generators)
+            if fingerprint(own) == fingerprint(alt):
                 matched = f"alternating point stabilizer, n={index}"
         if matched is None:
             for size, n, q, proj_index in psl:
@@ -770,7 +732,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
         for sub in reversed(lat.subgroups):
             if sub.is_full():
                 continue
-            if not is_p_nilpotent(sub.as_group(), p):
+            if not _is_p_nilpotent_entry(lat, sub, p):
                 minimal = False
                 break
         if not minimal:
@@ -798,8 +760,8 @@ def check_L2_8(ga: GroupAnalysis) -> list:
             ]
             if len(between) != 2:
                 fails.append("P mod Phi(P) is not minimal normal")
-        exp = exponent(rep.as_group())
-        if rep.as_group().is_abelian() or p > 2:
+        exp = exponent(g, rep)
+        if _derived_bits(g, rep.generator_indices)[0] == 1 or p > 2:
             if exp != p:
                 fails.append(f"exponent {exp} != {p}")
         elif exp != 4:
@@ -1134,7 +1096,7 @@ def check_C4_10(ga: GroupAnalysis) -> list:
     supersolvable."""
     lat = ga.lat
     syl2 = lat.sylow(2)[0] if ga.group.order % 2 == 0 else None
-    syl2_abelian = syl2 is None or syl2.as_group().is_abelian()
+    syl2_abelian = syl2 is None or _derived_bits(ga.group, syl2.generator_indices)[0] == 1
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
@@ -1184,7 +1146,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
-        hyp = ga.supersolvable_mod(e) and _is_solvable_entry(ga.group, e)
+        hyp = ga.supersolvable_mod(e) and derived_series(ga.group, e)[-1].order == 1
         wit = []
         if hyp:
             targets = _prime_order_entries(ga, inside=e) + _entries_of_order(
@@ -1280,7 +1242,7 @@ def build_example42(
         comps[0].order == 12, f"O_3 complement order {comps[0].order} != 12"
     )
     # A complement of O_3 maps isomorphically onto G/O_3.
-    qname = fingerprint(comps[0].as_group()).name
+    qname = fingerprint(close_generators(g.degree, comps[0].generators)).name
     _require(qname == "A4", f"G/O_3 has type {qname}, not A4")
     facts = (
         ("wreath product order", b.order),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PermlatError
-from .groups import Group, Subgroup, _close_bits
+from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits
 from .lattice import _normal_closure_bits
 
 
@@ -95,13 +95,14 @@ def _derived_bits(group: Group, gens) -> tuple[int, tuple[int, ...]]:
     return _normal_closure_bits(group, gens, bits, tuple(cgens))
 
 
-def derived_series(group: Group) -> list[Subgroup]:
-    """G >= G' >= G'' >= ... down to the stable term."""
+def derived_series(group: Group, top: Optional[Subgroup] = None) -> list[Subgroup]:
+    """H >= H' >= H'' >= ... down to the stable term, where H is the
+    subgroup ``top`` of G (G itself by default), on G's own table."""
+    top = top or group.full_subgroup()
 
     def compute():
-        series = [group.full_subgroup()]
-        gens = group.generator_indices()
-        bits = (1 << group.order) - 1
+        series = [top]
+        bits, gens = top.members, top.generator_indices
         while True:
             nbits, ngens = _derived_bits(group, gens)
             if nbits == bits:
@@ -110,7 +111,7 @@ def derived_series(group: Group) -> list[Subgroup]:
             bits, gens = nbits, ngens
         return series
 
-    return _memo(group, "derived_series", compute)
+    return _memo(group, ("derived_series", top.members), compute)
 
 
 def is_solvable(group: Group) -> bool:
@@ -215,31 +216,31 @@ def hypercenter(group: Group) -> Subgroup:
 # -- nilpotency, Sylow towers --------------------------------------------
 
 
-def _p_element_bits(group: Group, p: int) -> int:
+def _p_element_count(group: Group, p: int, bits: int) -> int:
+    """Number of p-elements, the identity included, among these bits."""
     orders = group.element_orders()
-    bits = 0
-    for i in range(group.order):
-        if _is_p_power(orders[i], p):
-            bits |= 1 << i
-    return bits
+    return sum(1 for i in _iter_bits(bits) if _is_p_power(orders[i], p))
+
+
+def _is_nilpotent_bits(group: Group, bits: int) -> bool:
+    """Whether the subgroup with these bits has every Sylow subgroup
+    normal, tested by p-element counts: its p-elements number exactly the
+    p-part of its order iff its Sylow p-subgroup is unique."""
+    return all(
+        _p_element_count(group, p, bits) == p**e
+        for p, e in _factorize(bits.bit_count()).items()
+    )
 
 
 def is_nilpotent(group: Group) -> bool:
-    """Every Sylow subgroup normal, tested by p-element counts: the set of
-    p-elements has exactly p-part size iff the Sylow p-subgroup is unique."""
-
-    def compute():
-        for p, e in group.prime_factorization.items():
-            if _p_element_bits(group, p).bit_count() != p**e:
-                return False
-        return True
-
-    return _memo(group, "nilpotent", compute)
+    return _memo(
+        group, "nilpotent", lambda: _is_nilpotent_bits(group, (1 << group.order) - 1)
+    )
 
 
 def sylow_normal(group: Group, p: int) -> bool:
     e = group.prime_factorization.get(p, 0)
-    return _p_element_bits(group, p).bit_count() == p**e
+    return _p_element_count(group, p, (1 << group.order) - 1) == p**e
 
 
 def has_sylow_tower(group: Group) -> bool:
@@ -308,10 +309,9 @@ def fitting_subgroup(group: Group) -> Subgroup:
             if sub.order > 1:
                 bits = _close_bits(t, bits, gens, sub.generator_indices)
                 gens = gens + sub.generator_indices
-        sub = Subgroup(group, bits, gens)
-        if not is_nilpotent(sub.as_group()):
+        if not _is_nilpotent_bits(group, bits):
             raise PermlatError("Fitting subgroup failed its nilpotency check")
-        return sub
+        return Subgroup(group, bits, gens)
 
     return _memo(group, "fitting", compute)
 
@@ -426,23 +426,34 @@ def u_hypercenter(group: Group) -> Subgroup:
     subgroups of G/Z) until there is none. G/Z then has no prime-order
     minimal normal subgroup, which certifies maximality.
     """
+    return _memo(
+        group, "uhypercenter", lambda: Subgroup(group, _u_hypercenter_bits(group, 1, ()))
+    )
+
+
+def _u_hypercenter_bits(group: Group, n_bits: int, n_gens: tuple) -> int:
+    """Bits of the preimage of the U-hypercenter of G/N, for N normal with
+    these bits and generators: ``u_hypercenter``'s walk started at N."""
 
     def compute():
-        bits, gens = 1, ()
+        bits, gens = n_bits, n_gens
         while True:
             grown, gens = _core_over(group, bits, gens, _is_prime)
             if grown == bits:
-                return Subgroup(group, bits)
+                return bits
             bits = grown
 
-    return _memo(group, "uhypercenter", compute)
+    return _memo(group, ("uhypercenter", n_bits), compute)
 
 
 # -- exponent ---------------------------------------------------------------
 
 
-def exponent(group: Group) -> int:
-    return _memo(group, "exponent", lambda: math.lcm(*group.element_orders()))
+def exponent(group: Group, sub: Optional[Subgroup] = None) -> int:
+    """The lcm of the element orders of G, or of its subgroup ``sub``."""
+    bits = (1 << group.order) - 1 if sub is None else sub.members
+    orders = group.element_orders()
+    return math.lcm(*(orders[i] for i in _iter_bits(bits)))
 
 
 # -- fingerprints ------------------------------------------------------------

@@ -19,9 +19,11 @@ from permlat.embedding import (
     has_supersolvable_supplement,
     is_c_normal,
     is_complemented,
+    is_permutable,
     is_s_permutable,
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
+    subnormal_in,
 )
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import parse_cycle_string
@@ -200,14 +202,20 @@ def test_criterion_6_embedding_hierarchy(says):
         for i, sub in enumerate(lat.subgroups):
             subgroups += 1
             normal = lat.normal_flags[i]
+            perm = is_permutable(lat, sub)
             sp = is_s_permutable(lat, sub)
             wsp, _ = is_weakly_s_permutable(lat, sub)
             wss, _ = is_weakly_s_supplemented(lat, sub)
             cn = is_c_normal(lat, sub)
             comp = is_complemented(lat, sub)
             for label, a, b in (
+                ("normal=>permutable", normal, perm),
+                ("permutable=>s-permutable", perm, sp),
                 ("normal=>s-permutable", normal, sp),
+                # Kegel (Math. Z. 78, 1962).
+                ("s-permutable=>subnormal", sp, subnormal_in(lat, sub)),
                 ("s-permutable=>wsp", sp, wsp),
+                ("normal=>c-normal", normal, cn),
                 ("wsp=>wss", wsp, wss),
                 ("c-normal=>wss", cn, wss),
                 ("complemented=>wss", comp, wss),

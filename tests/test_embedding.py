@@ -8,6 +8,7 @@ from permlat.embedding import (
     is_complemented,
     is_permutable,
     is_s_permutable,
+    is_supersolvable_section,
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
     subnormal_in,
@@ -19,8 +20,9 @@ from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
+from permlat.structure import is_supersolvable
 
-from oracles import brute_is_normal, section_wss_oracle
+from oracles import agl23, brute_is_normal, section_wss_oracle
 
 
 def gens(degree, *texts):
@@ -165,6 +167,26 @@ def test_supersolvable_supplement_examples():
     d12, latd = make(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")
     for s in latd.subgroups:
         assert has_supersolvable_supplement(latd, s)[0]
+
+
+def test_supersolvable_section_matches_subgroup_groups():
+    """Huppert's rule on the section (T, 1) against T built as a group of
+    its own, for one entry per conjugacy class of every builtin group of
+    order <= 400 and of AGL(2,3)."""
+    lattices = [
+        enumerate_subgroups(g) for _name, g in builtin_corpus() if g.order <= 400
+    ]
+    lattices.append(enumerate_subgroups(agl23(), cap=500))
+    answers = falses = 0
+    for lat in lattices:
+        for cls in lat.conjugacy_classes:
+            t = lat.subgroups[cls[0]]
+            got = is_supersolvable_section(lat, (t, lat.bottom()))
+            assert got == is_supersolvable(t.as_group()), (lat.group.name, t)
+            answers += 1
+            falses += not got
+    assert answers == 911
+    assert falses >= 20
 
 
 def test_complemented():

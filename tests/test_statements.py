@@ -6,11 +6,10 @@ test_acceptance.py.
 """
 
 import hashlib
-import sys
 
 import pytest
 
-from permlat.corpus import builtin_corpus
+from permlat.corpus import builtin_corpus, example_pair
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import Subgroup, _factorize, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
@@ -20,8 +19,8 @@ from permlat.statements import (
     STATEMENTS,
     GroupAnalysis,
     _frattini_bits,
-    _is_nilpotent_entry,
-    _is_solvable_entry,
+    _hall_meet_bits,
+    _is_p_nilpotent_entry,
     build_example42,
     check_thmB,
     check_thm12,
@@ -29,7 +28,17 @@ from permlat.statements import (
     statement_spec,
     thmB_hypothesis,
 )
-from permlat.structure import _derived_bits, is_nilpotent, is_solvable
+from permlat.structure import (
+    _derived_bits,
+    _is_nilpotent_bits,
+    derived_series,
+    exponent,
+    is_nilpotent,
+    is_p_nilpotent,
+    is_p_solvable,
+    is_solvable,
+    p_prime_core,
+)
 
 from oracles import agl23, commutator_closure, l2_1_all_entries, quotient_answers
 
@@ -302,8 +311,8 @@ def test_nilpotent_and_solvable_entries_match_subgroup_groups():
         lat = enumerate_subgroups(g)
         for n in lat.normal_subgroups():
             own = n.as_group()
-            nilpotent = _is_nilpotent_entry(lat, n)
-            solvable = _is_solvable_entry(g, n)
+            nilpotent = _is_nilpotent_bits(g, n.members)
+            solvable = derived_series(g, n)[-1].order == 1
             assert nilpotent == is_nilpotent(own), (name, n)
             assert solvable == is_solvable(own), (name, n)
             normals += 1
@@ -313,28 +322,50 @@ def test_nilpotent_and_solvable_entries_match_subgroup_groups():
     assert not_nilpotent and not_solvable
 
 
-def test_l2_5_and_c4_12_build_no_subgroup_group(monkeypatch):
-    """L2.5 and C4.12 decide nilpotency and solvability of normal entries
-    on G's lattice and table. L2.4 still builds subgroup groups, which
-    shows that the counter sees the calls."""
-    real = Subgroup.as_group
-    callers = {}
-
-    def counting(self):
-        caller = sys._getframe(1).f_globals["__name__"]
-        callers[sid, caller] = callers.get((sid, caller), 0) + 1
-        return real(self)
-
-    monkeypatch.setattr(Subgroup, "as_group", counting)
+def test_l2_4_hall_meet_matches_subgroup_groups():
+    """L2.4's O_p'(H), the meet of H's entries of order |H|_p', against
+    H built as a group of its own, for every entry H and prime p of the
+    p-solvable builtin groups of order <= 200."""
+    entries = nontrivial = 0
     for name, g in builtin_corpus():
-        if g.order > 60:
+        if g.order > 200:
             continue
-        ga = GroupAnalysis(g, name, max_normal_e=1000)
-        for sid in ("L2.5", "C4.12", "L2.4"):
-            statement_spec(sid).checker(ga)
-    assert callers.get(("L2.4", "permlat.statements"), 0) > 0
-    assert callers.get(("L2.5", "permlat.statements"), 0) == 0
-    assert callers.get(("C4.12", "permlat.statements"), 0) == 0
+        lat = enumerate_subgroups(g)
+        for p in sorted(g.prime_factorization):
+            if not is_p_solvable(g, p):
+                continue
+            for h in lat.subgroups:
+                idxs = h.element_indices()
+                core = p_prime_core(h.as_group(), p)
+                want = sum(1 << idxs[j] for j in core.element_indices())
+                got = _hall_meet_bits(lat, h, p)
+                assert got == want, (name, p, h)
+                entries += 1
+                nontrivial += got != 1
+    assert entries == 1811
+    assert nontrivial == 859
+
+
+def test_l2_8_entry_answers_match_subgroup_groups():
+    """L2.8's p-nilpotency (one entry of order |T|_p' inside T) and
+    exponent (lcm of G's element orders over T) against T built as a
+    group of its own, for every entry T and prime p of the builtin groups
+    of order <= 200."""
+    entries = not_p_nilpotent = 0
+    for name, g in builtin_corpus():
+        if g.order > 200:
+            continue
+        lat = enumerate_subgroups(g)
+        for t in lat.subgroups:
+            own = t.as_group()
+            assert exponent(g, t) == exponent(own), (name, t)
+            for p in sorted(g.prime_factorization):
+                got = _is_p_nilpotent_entry(lat, t, p)
+                assert got == is_p_nilpotent(own, p), (name, p, t)
+                entries += 1
+                not_p_nilpotent += not got
+    assert entries == 2525
+    assert not_p_nilpotent == 202
 
 
 def _check_quotient_answers(ga):
@@ -397,18 +428,27 @@ def test_supersolvable_mod_rejects_a_non_normal_subgroup():
 SMALL_REGISTRY_DIGEST = "c9c3a2440810ae24cec939d8d9ca02de086893b09e5eaebb191696d843afee05"
 
 
-def test_registry_builds_no_quotient_group():
+def test_registry_builds_no_quotient_group(monkeypatch):
+    """Every statement, the q13 scan, the order-324 example and its corpus
+    pair run without building a quotient or a subgroup as a group."""
     import permlat
     from permlat import groups, reports, statements, structure
 
     for module in (permlat, groups, statements, structure):
         assert not hasattr(module, "quotient"), module.__name__
+
+    def refuse(self):
+        raise AssertionError(f"built {self.describe()} as a group")
+
+    monkeypatch.setattr(Subgroup, "as_group", refuse)
     corpus = [(n, g) for n, g in builtin_corpus() if g.order <= 24]
     rep = reports.run_verification(
         list(STATEMENT_IDS) + ["q13"], corpus, "order <= 24", max_normal_e=1000
     )
     assert len(rep.verdicts) == 4940
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == SMALL_REGISTRY_DIGEST
+    assert build_example42().group.order == 324
+    assert [g.order for g in example_pair()] == [648, 324]
 
 
 def test_lattice_phi_and_derived_match_subgroup_lattices():
@@ -438,24 +478,3 @@ def test_lattice_phi_and_derived_match_subgroup_lattices():
             nonabelian += derived != 1
     assert entries == 898
     assert phi_not_derived and nonabelian
-
-
-def test_p_subgroup_checkers_build_no_subgroup_group(monkeypatch):
-    """thmB, thm12, L2.2, L2.3 and L3.3 read subgroup orders, Phi(P) and P'
-    off G's lattice and table: statements never calls ``as_group``."""
-    real = Subgroup.as_group
-    callers = []
-
-    def counting(self):
-        callers.append(sys._getframe(1).f_globals["__name__"])
-        return real(self)
-
-    monkeypatch.setattr(Subgroup, "as_group", counting)
-    for name, g in builtin_corpus():
-        if g.order > 24:
-            continue
-        ga = GroupAnalysis(g, name)
-        for sid in ("thmB", "thm12", "L2.2", "L2.3", "L3.3"):
-            statement_spec(sid).checker(ga)
-    assert callers, "other layers still build subgroup groups"
-    assert callers.count("permlat.statements") == 0
