@@ -21,13 +21,18 @@ N <= X <= K, and every answer is read off the group's own lattice.
   in G is normal in K, so the normality shortcut holds in every section.
 * The join H_sG starts from N, and results are the preimages in G.
 
+The weak supplement scan walks the section's entries once and stops at
+the first admissible supplement. An intersection equal to N lies in
+H_sG, so H_sG is computed only when a supplement meets H in more than N,
+and a witness's bound is computed when it is read.
+
 A section is passed as ``section=(K, N)``; the default is the whole group
 (G, 1), whose memo keys and witnesses are those of the plain predicates.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import NotNormalError, PermlatError
 from .groups import Subgroup, _close_bits, _conjugate_bits, _factorize
@@ -39,24 +44,39 @@ from .structure import _is_prime
 from .structure import is_supersolvable  # noqa: F401
 
 
-class SupplementWitness(NamedTuple):
-    """Certificate that a supplement T satisfies an embedding predicate.
+class SupplementWitness:
+    """Certificate that a supplement T satisfies a weak supplement property.
 
-    ``bound`` is the subgroup the intersection was compared against
-    (H_sG for the weak supplement properties, the core for c-normality,
-    the trivial subgroup for plain complements).
+    ``bound`` is the subgroup the intersection was compared against,
+    H_sG. It is computed (and memoized on the lattice) when first read:
+    a statement that needs only the yes/no answer never pays for it.
     """
 
-    property: str
-    T: Subgroup
-    intersection: Subgroup
-    bound: Subgroup
+    __slots__ = ("property", "T", "intersection", "_lat", "_h", "_section")
+
+    def __init__(self, prop, t, intersection, lat, h, section):
+        self.property = prop
+        self.T = t
+        self.intersection = intersection
+        self._lat = lat
+        self._h = h
+        self._section = section
+
+    @property
+    def bound(self) -> Subgroup:
+        return h_sG(self._lat, self._h, self._section)
 
     def describe(self) -> str:
         return (
             f"{self.property} via T = {self.T.describe()}, "
             f"intersection order {self.intersection.order}, "
             f"bound order {self.bound.order}"
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"SupplementWitness(property={self.property!r}, T={self.T!r}, "
+            f"intersection={self.intersection!r}, bound={self.bound!r})"
         )
 
 
@@ -212,19 +232,27 @@ def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
 
 
 def _supplement_scan(lat, h, prop, require_subnormal, section=None):
-    # In a section K/N the intersection contains N, and so does H_sG: an
-    # intersection equal to N, the section's trivial one, always passes.
+    """The first entry T of the section, in canonical order, with
+    |H||T| = |K||H meet T|, subnormal if required, and H meet T equal to
+    N or inside H_sG. H_sG contains N, and is computed at most once,
+    when a supplement first meets H in more than N."""
+    k, n, entries = _section(lat, _section_key(lat, section))
+    k_order, h_order, h_bits, n_bits = k.order, h.order, h.members, n.members
     hsg = None
-    for t in supplements(lat, h, section):
+    for t in entries:
+        if t.order * h_order < k_order:
+            continue
+        inter = t.members & h_bits
+        if t.order * h_order != k_order * inter.bit_count():
+            continue
         if require_subnormal and not subnormal_in(lat, t):
             continue
-        inter = h.members & t.members
-        if inter != 1 and hsg is None:
-            hsg = h_sG(lat, h, section)
-        if inter == 1 or inter & ~hsg.members == 0:
+        if inter != n_bits:
             if hsg is None:
-                hsg = h_sG(lat, h, section)
-            return True, SupplementWitness(prop, t, lat.entry(inter), hsg)
+                hsg = h_sG(lat, h, section).members
+            if inter & ~hsg:
+                continue
+        return True, SupplementWitness(prop, t, lat.entry(inter), lat, h, section)
     return False, None
 
 

@@ -297,17 +297,6 @@ def _conjugation_orbit(table, inv, gens, bits: int) -> list[int]:
 # -- subgroup operations that do not need the full lattice -------------------
 
 
-def normalizer(h: Subgroup) -> Subgroup:
-    g = h.parent
-    t = g.table()
-    inv = g.inverse_table()
-    bits = 0
-    for x in range(g.order):
-        if _conjugate_bits(t, inv, h.members, x) == h.members:
-            bits |= 1 << x
-    return Subgroup(g, bits)
-
-
 def _normal_closure_bits(group: Group, ambient_gens, h_bits: int, h_gens):
     """Closure of H under conjugation by the given ambient generators."""
     t = group.table()

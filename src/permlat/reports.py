@@ -70,7 +70,18 @@ class VerificationReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
+        With an indent json.dumps runs its pure-Python encoder, so the
+        verdict and flag rows, nearly all of the text, are written here
+        and json.dumps keeps only the small header fields."""
+        fields = []
+        for key, value in self.to_dict().items():
+            if key in ("verdicts", "flags"):
+                text = _rows_json(value)
+            else:
+                text = _nested_json(value, "  ")
+            fields.append(f"  {_encode_str(key)}: {text}")
+        return "{\n" + ",\n".join(fields) + "\n}\n"
 
     def to_csv(self) -> str:
         cols = (
@@ -96,6 +107,47 @@ class VerificationReport:
             )
             lines.append(",".join(_csv_quote(c) for c in row))
         return "\n".join(lines) + "\n"
+
+
+# The string encoder json.dumps itself uses (ensure_ascii, in C).
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _nested_json(value, pad: str) -> str:
+    """``value`` as json.dumps(indent=2) writes it inside a line indented
+    by ``pad``. Encoded strings hold no raw newline, so every newline is
+    a line break of the layout."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _rows_json(rows: list) -> str:
+    """A top-level field's list of flat dicts, the verdict rows, as
+    json.dumps(indent=2) writes it. Strings, booleans, None and lists of
+    strings are written directly; any other value goes to json.dumps."""
+    if not rows:
+        return "[]"
+    items = []
+    for row in rows:
+        fields = []
+        for key, value in row.items():
+            if type(value) is str:
+                text = _encode_str(value)
+            elif value is True:
+                text = "true"
+            elif value is False:
+                text = "false"
+            elif value is None:
+                text = "null"
+            elif value == []:
+                text = "[]"
+            elif type(value) is list and all(type(x) is str for x in value):
+                lines = ",\n        ".join(map(_encode_str, value))
+                text = f"[\n        {lines}\n      ]"
+            else:
+                text = _nested_json(value, "      ")
+            fields.append(f"      {_encode_str(key)}: {text}")
+        items.append("    {\n" + ",\n".join(fields) + "\n    }")
+    return "[\n" + ",\n".join(items) + "\n  ]"
 
 
 def _csv_quote(cell: str) -> str:

@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     Group,
     Subgroup,
+    _conjugate_bits,
     _factorize,
     close_generators,
     p_residual,
@@ -38,7 +39,6 @@ from .lattice import (
     DEFAULT_MAX_NORMAL_E,
     SubgroupLattice,
     enumerate_subgroups,
-    normalizer,
 )
 from .structure import (
     _derived_bits,
@@ -526,8 +526,11 @@ def check_L2_2(ga: GroupAnalysis) -> list:
 
 
 def check_L2_3(ga: GroupAnalysis) -> list:
-    """s-permutable p-subgroups are normalized by the p-residual."""
+    """s-permutable p-subgroups are normalized by the p-residual: each
+    generator of O^p(G) conjugates H to itself."""
     lat = ga.lat
+    t = ga.group.table()
+    inv = ga.group.inverse_table()
     residuals = {}
     fails = []
     count = 0
@@ -540,8 +543,9 @@ def check_L2_3(ga: GroupAnalysis) -> list:
         count += 1
         p = pe[0]
         if p not in residuals:
-            residuals[p] = p_residual(ga.group, p).members
-        if residuals[p] & ~normalizer(sub).members:
+            residuals[p] = p_residual(ga.group, p).generator_indices
+        h = sub.members
+        if any(_conjugate_bits(t, inv, h, g) != h for g in residuals[p]):
             fails.append(f"H={ga.label(sub)} p={p}")
     return [_implication("L2.3", ga.name, "s-permutable p-subgroups", count > 0, fails)]
 

@@ -15,6 +15,9 @@ the same way
 rule rather than from permutations of blocks, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
 predicates, to cross-check the checker's one-entry-per-class loops.
+``supplement_scan_oracle`` likewise builds the full supplement list and
+H_sG before it looks for a witness, to cross-check the library's
+early-exit scan.
 """
 
 from __future__ import annotations
@@ -24,9 +27,20 @@ import math
 
 from typing import NamedTuple
 
-from permlat.embedding import is_weakly_s_supplemented
+from permlat.embedding import (
+    h_sG,
+    is_weakly_s_supplemented,
+    subnormal_in,
+    supplements,
+)
 from permlat.errors import NotNormalError, PermlatError
-from permlat.groups import CayleyTable, Group, close_generators, group_from_cayley
+from permlat.groups import (
+    CayleyTable,
+    Group,
+    Subgroup,
+    close_generators,
+    group_from_cayley,
+)
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm
 from permlat.statements import _implication
@@ -279,6 +293,21 @@ def section_wss_oracle(k, n):
     return wss
 
 
+def supplement_scan_oracle(lat, h, require_subnormal=False, section=None):
+    """Weak s-supplementation of H (weak s-permutability when
+    ``require_subnormal``) from the full list of H's supplements and
+    H_sG, both computed up front: (True, (T, H meet T, H_sG)) for the
+    first admissible T in canonical order, else (False, None)."""
+    hsg = h_sG(lat, h, section)
+    for t in supplements(lat, h, section):
+        if require_subnormal and not subnormal_in(lat, t):
+            continue
+        inter = h.members & t.members
+        if inter & ~hsg.members == 0:
+            return True, (t, lat.entry(inter), hsg)
+    return False, None
+
+
 def quotient_answers(g, n):
     """(G/N supersolvable, bits of the preimage in G of the supersolvable
     hypercenter of G/N), from G/N built as a group of its own."""
@@ -419,6 +448,18 @@ def quotient(group, normal):
 
 def _bits(elems):
     return sum(1 << i for i in elems)
+
+
+def normalizer(h):
+    """N_G(H): the elements x of G with x^-1 H x = H, as a Subgroup."""
+    g = h.parent
+    t = g.table()
+    inv = g.inverse_table()
+    elems = set(h.element_indices())
+    keep = [
+        x for x in range(g.order) if {t[t[inv[x]][y]][x] for y in elems} == elems
+    ]
+    return Subgroup(g, _bits(keep))
 
 
 def element_closures(group):

@@ -17,12 +17,24 @@ from permlat.embedding import (
 )
 from permlat.corpus import builtin_corpus
 from permlat.errors import NotNormalError, PermlatError
-from permlat.groups import close_generators, direct_product
+from permlat.groups import (
+    _conjugate_bits,
+    close_generators,
+    direct_product,
+    p_residual,
+)
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
+from permlat.statements import GroupAnalysis, check_L2_1
 from permlat.structure import is_supersolvable
 
-from oracles import agl23, brute_is_normal, section_wss_oracle
+from oracles import (
+    agl23,
+    brute_is_normal,
+    normalizer,
+    section_wss_oracle,
+    supplement_scan_oracle,
+)
 
 
 def gens(degree, *texts):
@@ -237,8 +249,6 @@ def test_nilpotent_group_everything_s_permutable():
 
 def test_l2_3_normalizer_property():
     # s-permutable p-subgroups are normalized by every p'-element
-    from permlat.groups import p_residual
-
     g, lat = make(4, "(1 2)", "(1 2 3 4)")
     for s in lat.subgroups:
         facs = s.as_group().prime_factorization
@@ -247,10 +257,34 @@ def test_l2_3_normalizer_property():
         (p,) = facs
         if not is_s_permutable(lat, s):
             continue
-        from permlat.lattice import normalizer
-
         resid = p_residual(g, p)
         assert resid.members & ~normalizer(s).members == 0
+
+
+def test_residual_generators_decide_normalizing():
+    """L2.3's test, that every generator of O^p(G) conjugates H to
+    itself, against O^p(G) <= N_G(H) from the oracle's normalizer, for
+    every p-subgroup of the builtin groups of order <= 48."""
+    checked = failing = 0
+    for _name, g in builtin_corpus():
+        if g.order > 48:
+            continue
+        t, inv = g.table(), g.inverse_table()
+        lat = enumerate_subgroups(g)
+        for s in lat.subgroups[1:]:
+            facs = s.as_group().prime_factorization
+            if len(facs) != 1:
+                continue
+            (p,) = facs
+            resid = p_residual(g, p)
+            by_gens = all(
+                _conjugate_bits(t, inv, s.members, x) == s.members
+                for x in resid.generator_indices
+            )
+            assert by_gens == (resid.members & ~normalizer(s).members == 0)
+            checked += 1
+            failing += not by_gens
+    assert (checked, failing) == (749, 293)
 
 
 # -- sections K/N read off the parent lattice --------------------------------
@@ -358,3 +392,85 @@ def test_section_rejects_bad_input():
         is_weakly_s_supplemented(lat, lat.top(), (d8, lat.bottom()))
     with pytest.raises(PermlatError):
         is_weakly_s_supplemented(lat, d8, (c2, d8))
+
+
+# -- the early-exit supplement scan against the full-list oracle ---------------
+
+
+def _scan_cases(lat):
+    """(section, subgroups of the section) for the whole group, every
+    G/N with N > 1 normal, and K/1 for the lowest entry K of each class."""
+    top, bottom = lat.top(), lat.bottom()
+    cases = [(None, lat.subgroups)]
+    cases += [
+        ((top, n), [e for e in lat.subgroups if n.members & ~e.members == 0])
+        for n in lat.normal_subgroups()
+        if n.order > 1
+    ]
+    cases += [
+        ((k, bottom), [lat.subgroups[i] for i in lat.within(k.members)])
+        for k in (lat.subgroups[cls[0]] for cls in lat.conjugacy_classes)
+        if not k.is_full()
+    ]
+    return cases
+
+
+def _same_answer(got, want):
+    ok, wit = got
+    if ok != want[0]:
+        return False
+    if not ok:
+        return wit is None and want[1] is None
+    t, inter, bound = want[1]
+    return (wit.T.members, wit.intersection.members, wit.bound.members) == (
+        t.members, inter.members, bound.members
+    )
+
+
+def test_scan_matches_full_list_oracle():
+    """Weak s-supplementation in every section of ``_scan_cases``, and
+    weak s-permutability in G, for every entry of the builtin groups of
+    order <= 100: the same answer, T, intersection and bound as the scan
+    that lists every supplement and computes H_sG first."""
+    answers = {"wss": 0, "wsp": 0}
+    false = {"wss": 0, "wsp": 0}
+    wss_not_wsp = 0
+    for name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        lat = enumerate_subgroups(g)
+        for section, subs in _scan_cases(lat):
+            for h in subs:
+                got = is_weakly_s_supplemented(lat, h, section)
+                want = supplement_scan_oracle(lat, h, section=section)
+                assert _same_answer(got, want), (name, section, h)
+                answers["wss"] += 1
+                false["wss"] += not got[0]
+        for h in lat.subgroups:
+            got = is_weakly_s_permutable(lat, h)
+            want = supplement_scan_oracle(lat, h, require_subnormal=True)
+            assert _same_answer(got, want), (name, h)
+            answers["wsp"] += 1
+            false["wsp"] += not got[0]
+            wss_not_wsp += is_weakly_s_supplemented(lat, h)[0] and not got[0]
+    assert answers == {"wss": 6345, "wsp": 1118}
+    # A scan that always said True would fail here.
+    assert false == {"wss": 73, "wsp": 84}
+    assert wss_not_wsp == 23
+
+
+def test_l2_1_computes_few_h_sG():
+    """L2.1 reads only the yes/no answer, so H_sG is computed for a small
+    share of its weak s-supplementation scans: fewer than a quarter, on
+    the builtin groups of order <= 60."""
+    scans = joins = 0
+    for name, g in builtin_corpus():
+        if g.order > 60:
+            continue
+        ga = GroupAnalysis(g, name)
+        check_L2_1(ga)
+        kinds = [key[0] for key in ga.lat._memo if isinstance(key, tuple)]
+        scans += kinds.count("wss")
+        joins += kinds.count("hsg")
+    assert scans > 1000
+    assert 4 * joins < scans

@@ -13,12 +13,16 @@ from permlat.lattice import (
     _normal_closure_bits,
     enumerate_subgroups,
     is_subnormal,
-    normalizer,
     permutes,
 )
 from permlat.perms import Perm, parse_cycle_string
 
-from oracles import brute_is_normal, brute_subgroups, conjugation_partition
+from oracles import (
+    brute_is_normal,
+    brute_subgroups,
+    conjugation_partition,
+    normalizer,
+)
 
 
 def gens(degree, *texts):

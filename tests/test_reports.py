@@ -1,5 +1,6 @@
 """Report assembly: determinism, schema shape, CSV, DOT, golden file."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,13 +10,14 @@ import pytest
 from permlat.corpus import builtin_corpus
 from permlat.reports import (
     SCHEMA_VERSION,
+    VerificationReport,
     emit_lattice_dot,
     lattice_dot,
     run_verification,
 )
 from permlat.errors import PermlatError
 from permlat.lattice import enumerate_subgroups
-from permlat.statements import STATEMENT_IDS
+from permlat.statements import STATEMENT_IDS, STATEMENTS, Verdict
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -209,10 +211,62 @@ REGISTRY_DIGEST = "47efc6d6f189426750d5f17f97fbbeddd604233c299a987d35df3e16692fe
 REGISTRY_CSV_DIGEST = "fdfa4cffdbf941f91ed69e4a6de751fd0e4cfc738cf6c5411b4760f7a1efd1ed"
 
 
-def test_full_registry_golden_digest():
-    rep = run_verification(list(STATEMENT_IDS), builtin_corpus(), "builtin corpus")
+@pytest.fixture(scope="module")
+def registry_report():
+    return run_verification(list(STATEMENT_IDS), builtin_corpus(), "builtin corpus")
+
+
+def test_full_registry_golden_digest(registry_report):
+    rep = registry_report
     assert len(rep.verdicts) == 4686
     assert not rep.inconsistencies()
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest == REGISTRY_DIGEST
     assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == REGISTRY_CSV_DIGEST
+
+
+def _json_reference(rep):
+    return json.dumps(rep.to_dict(), indent=2) + "\n"
+
+
+def test_to_json_matches_json_dumps(registry_report, monkeypatch):
+    """The row writer against json.dumps on the full registry, a q13 scan
+    with flags, timings, zero verdicts and awkward witness strings."""
+    reports = {"registry": registry_report}
+    rigged = (
+        Verdict("q13", "S3", "E=held", True, True, True),
+        Verdict("q13", "S3", "E=rigged", True, False, True, ("wit one", "wit two")),
+        Verdict("q13", "S3", "E=unmet", False, None, True),
+    )
+    spec = dataclasses.replace(
+        STATEMENTS["q13"], checker=lambda ga: list(rigged) if ga.name == "S3" else []
+    )
+    monkeypatch.setitem(STATEMENTS, "q13", spec)
+    reports["q13 with flags"] = run_verification(
+        ["q13"], slice_of("S3", "S4"), "rigged scan", max_order=30
+    )
+    assert len(reports["q13 with flags"].flags) == 1
+    reports["timings"] = small_run(with_timings=True)
+    reports["no verdicts"] = run_verification(["L2.2"], [], "empty corpus")
+    odd = Verdict(
+        "L2.2",
+        'G "quoted"',
+        "back\\slash \\n, tab\t",
+        True,
+        False,
+        False,
+        (
+            'say "hi"',
+            "C:\\path\\",
+            "Größe ≤ 7, ψ",
+            "\U0001d49e",
+            "\x00\x1f\u2028",
+            "two\nlines",
+            "",
+        ),
+    )
+    reports["odd witnesses"] = VerificationReport(
+        "odd\ncorpus", {"group_cap": 1}, verdicts=[odd], flags=[odd, odd]
+    )
+    for label, rep in reports.items():
+        assert rep.to_json() == _json_reference(rep), label
