@@ -478,3 +478,117 @@ def test_lattice_phi_and_derived_match_subgroup_lattices():
             nonabelian += derived != 1
     assert entries == 898
     assert phi_not_derived and nonabelian
+
+
+# -- verdict-row pins ----------------------------------------------------------
+#
+# Full rows (statement, group, instance, hypothesis, conclusion, consistent,
+# witnesses) for witness texts that no registry golden contains.
+
+
+def _rows(verdicts):
+    return [
+        (
+            v.statement_id,
+            v.group_id,
+            v.instance,
+            v.hypothesis_satisfied,
+            v.conclusion_holds,
+            v.consistent,
+            v.witnesses,
+        )
+        for v in verdicts
+    ]
+
+
+def _group_rows(sid, group="C1", hyp=True, concl=True, witnesses=()):
+    return [(sid, group, "group", hyp, concl, True, witnesses)]
+
+
+C1_ROWS = {
+    "thmB": [("thmB", "C1", "E=#000(order 1)", True, True, True, ("formation U", "G/E in F: True"))],
+    "thm12": [("thm12", "C1", "E=#000(order 1)", True, True, True, ("formation U", "G/E in F: True"))],
+    "L2.1": [("L2.1", "C1", part, False, None, True, ()) for part in ("(i)", "(ii)", "(iii)")],
+    "L2.2": [("L2.2", "C1", "all normal p-subgroups", False, None, True, ())],
+    "L2.3": [("L2.3", "C1", "s-permutable p-subgroups", False, None, True, ())],
+    "L2.5": [("L2.5", "C1", "nilpotent normal, Phi-avoiding", False, None, True, ())],
+    **{sid: _group_rows(sid) for sid in ("C4.3", "C4.4", "C4.5", "C4.6", "C4.7", "C4.8", "C4.11")},
+    "C4.9": _group_rows("C4.9", witnesses=("residual = #000(order 1)",)),
+    "C4.10": [("C4.10", "C1", "E=#000(order 1)", True, True, True, ())],
+    "C4.12": [("C4.12", "C1", "E=#000(order 1)", True, True, True, ())],
+    "q13": [("q13", "C1", "E=#000(order 1)", True, True, True, ())],
+}
+
+
+def test_every_statement_on_the_trivial_group():
+    ga = GroupAnalysis(close_generators(1, []), "C1")
+    for sid, spec in STATEMENTS.items():
+        assert _rows(spec.checker(ga)) == C1_ROWS.get(sid, []), sid
+
+
+def test_c4_3_nonnormal_prime_order_witness():
+    g = close_generators(7, gens(7, "(1 2 3 4 5 6 7)", "(2 3 5)(4 7 6)"))
+    assert g.order == 21
+    rows = _rows(statement_spec("C4.3").checker(GroupAnalysis(g, "C7:C3")))
+    assert rows == _group_rows(
+        "C4.3", "C7:C3", False, None, ("nonnormal H = #001(order 3)",)
+    )
+
+
+def test_l3_3_clause_failure_witness():
+    # SL(2,3) on the 8 nonzero vectors of F_3^2: a cyclic subgroup of
+    # order 4 of Q8 has no supersolvable supplement and is not weakly
+    # s-supplemented, so the 2|D| companion clause fails.
+    g = close_generators(8, gens(8, "(1 4 7)(2 8 5)", "(1 6 2 3)(4 7 8 5)"))
+    assert g.order == 24
+    rows = _rows(statement_spec("L3.3").checker(GroupAnalysis(g, "SL(2,3)")))
+    h = "<order 4: (1 2)(3 6)(4 8)(5 7), (1 3 2 6)(4 5 8 7)>"
+    assert rows == [
+        ("L3.3", "SL(2,3)", "P=#013(order 8) |D|=2", False, None, True, (f"clause fails at H = {h}",))
+    ]
+
+
+def _trivial_hypercenter(group):
+    return group.trivial_subgroup()
+
+
+def test_hypercenter_conclusion_failure_witnesses(monkeypatch):
+    from permlat import statements
+
+    monkeypatch.setattr(statements, "u_hypercenter", _trivial_hypercenter)
+    escapes = ("P escapes the supersolvable hypercenter",)
+    rows = _rows(statement_spec("C3.2").checker(analysis("C2xC2")))
+    assert rows == [("C3.2", "C2xC2", "P=#004(order 4) |D|=2", True, False, False, escapes)]
+    rows = _rows(statement_spec("L3.3").checker(analysis("C4")))
+    assert rows == [("L3.3", "C4", "P=#002(order 4) |D|=2", True, False, False, escapes)]
+
+
+def test_l3_1_conclusion_failure_witnesses(monkeypatch):
+    from permlat import statements
+
+    instance = ("L3.1", "C2xC2", "P=#004(order 4) |D|=2", True)
+    cases = (
+        (lambda ga, p: None, ("P is not a product of minimal normals of G",)),
+        (lambda ga, p: [ga.lat.subgroups[1], p], ("mixed minimal normal orders [2, 4]",)),
+        (
+            lambda ga, p: [p],
+            ("1 minimal normal factors of order 4", "iota(D)=1 not a multiple of s=2"),
+        ),
+    )
+    for decomposition, witnesses in cases:
+        monkeypatch.setattr(statements, "_direct_minimal_decomposition", decomposition)
+        rows = _rows(statement_spec("L3.1").checker(analysis("C2xC2")))
+        assert rows == [(*instance, False, False, witnesses)]
+
+
+def test_l3_5_conclusion_failure_witness(monkeypatch):
+    from permlat import statements
+    from permlat.structure import PLengthResult
+
+    monkeypatch.setattr(
+        statements, "p_length", lambda g, p: PLengthResult(p, True, 2, [])
+    )
+    rows = _rows(statement_spec("L3.5").checker(analysis("C2xC2")))
+    assert rows == [
+        ("L3.5", "C2xC2", "p=2 |D|=2", True, False, False, ("p-solvable True, p-length 2",))
+    ]
