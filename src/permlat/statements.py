@@ -129,7 +129,6 @@ class DOrderEntry(NamedTuple):
     cond_i: bool
     cond_ii: bool
     cond_iii: bool
-    two_d_rule_applied: bool
 
 
 class SylowReport(NamedTuple):
@@ -138,13 +137,9 @@ class SylowReport(NamedTuple):
     sylow_cyclic: bool
     d_orders: list
     satisfied: bool
-    satisfied_with_condition: bool
 
 
 class HypothesisReport(NamedTuple):
-    group_id: str
-    e_id: str
-    mode: str
     per_prime: list
     hypothesis: bool
     hypothesis_with_condition: bool
@@ -232,23 +227,27 @@ def _is_p_nilpotent_entry(lat: SubgroupLattice, t: Subgroup, p: int) -> bool:
 # -- thmB / thm12 hypothesis machinery ----------------------------------------
 
 
-def _order_clause(ga: GroupAnalysis, p_sub: Subgroup, order: int, mode: str):
-    """Whether every subgroup of p_sub of the given order that lacks a
+def _order_clause(
+    ga: GroupAnalysis, p_sub: Subgroup, orders: tuple, mode: str = "supplemented"
+):
+    """Whether every subgroup of p_sub of each given order that lacks a
     supersolvable supplement in G satisfies the mode's weak property in G.
-    Returns (holds, first failing subgroup description or None)."""
+    The orders are taken in turn, |D| before its 2|D| companion. Returns
+    (holds, first failing subgroup description or None)."""
     lat = ga.lat
     pred = (
         is_weakly_s_supplemented
         if mode == "supplemented"
         else is_weakly_s_permutable
     )
-    for i in lat.within(p_sub.members, order=order):
-        h = lat.subgroups[i]
-        if has_supersolvable_supplement(lat, h)[0]:
-            continue
-        if pred(lat, h)[0]:
-            continue
-        return False, h.describe()
+    for order in orders:
+        for i in lat.within(p_sub.members, order=order):
+            h = lat.subgroups[i]
+            if has_supersolvable_supplement(lat, h)[0]:
+                continue
+            if pred(lat, h)[0]:
+                continue
+            return False, h.describe()
     return True, None
 
 
@@ -278,8 +277,9 @@ def thmB_hypothesis(
     if mode not in ("supplemented", "permutable"):
         raise PermlatError(f"unknown mode {mode!r}")
     lat = ga.lat
-    e = lat.subgroups[lat.index_of(e)]
-    if not lat.normal_flags[lat.index_of(e)]:
+    i = lat.index_of(e)
+    e = lat.subgroups[i]
+    if not lat.normal_flags[i]:
         raise NotNormalError(f"E = {e.describe()} is not normal")
     per_prime = []
     hyp = True
@@ -287,9 +287,7 @@ def thmB_hypothesis(
     for p in sorted(_factorize(e.order)):
         rep = sylow_of(ga, e, p)
         if rep.is_cyclic():
-            per_prime.append(
-                SylowReport(p, rep.order, True, [], True, True)
-            )
+            per_prime.append(SylowReport(p, rep.order, True, [], True))
             continue
         i_p = iota(rep.order, p)
         derived_bits = _derived_bits(ga.group, rep.generator_indices)[0]
@@ -302,27 +300,21 @@ def thmB_hypothesis(
         for k in range(1, i_p):
             d = p**k
             two_d = p == 2 and derived_order > 1 and rep.order // d > 2
-            holds, failing = _order_clause(ga, rep, d, mode)
-            if holds and two_d:
-                holds, failing = _order_clause(ga, rep, 2 * d, mode)
+            holds, failing = _order_clause(ga, rep, (d, 2 * d) if two_d else (d,), mode)
             cond_ii = d <= derived_order
             cond_iii = derived_order < d and (
                 math.gcd(i_p - i_pprime, k - i_pprime) == 1
                 or math.gcd(i_p, i_p - k) == 1
             )
-            entries.append(
-                DOrderEntry(d, holds, failing, cond_i, cond_ii, cond_iii, two_d)
-            )
+            entries.append(DOrderEntry(d, holds, failing, cond_i, cond_ii, cond_iii))
             if holds:
                 any_clause = True
                 if cond_i or cond_ii or cond_iii:
                     any_with_cond = True
-        per_prime.append(
-            SylowReport(p, rep.order, False, entries, any_clause, any_with_cond)
-        )
+        per_prime.append(SylowReport(p, rep.order, False, entries, any_clause))
         hyp = hyp and any_clause
         hyp_cond = hyp_cond and any_with_cond
-    return HypothesisReport(ga.name, ga.label(e), mode, per_prime, hyp, hyp_cond)
+    return HypothesisReport(per_prime, hyp, hyp_cond)
 
 
 def _hyp_witnesses(rep: HypothesisReport) -> list:
@@ -699,26 +691,26 @@ def _min_prime_sylow(ga: GroupAnalysis):
     return p, ga.lat.sylow(p)[0]
 
 
-def check_L2_7(ga: GroupAnalysis) -> list:
-    """Every maximal subgroup of a minimal-prime Sylow subgroup lacking a
-    supersolvable supplement is weakly s-supplemented: then the group is
-    p-nilpotent for that prime."""
+def _min_prime_clause(ga: GroupAnalysis, statement_id: str, orders, what: str) -> list:
+    """The verdict of L2.7 and L2.9: the order clause on the minimal-prime
+    Sylow P, at the orders ``orders(p, P)``, gives p-nilpotency."""
     ps = _min_prime_sylow(ga)
     if ps is None:
         return []
     p, rep = ps
-    hyp, witness = _order_clause(ga, rep, rep.order // p, "supplemented")
+    hyp, witness = _order_clause(ga, rep, orders(p, rep))
     concl = is_p_nilpotent(ga.group, p) if hyp else None
-    return [
-        _verdict(
-            "L2.7",
-            ga.name,
-            f"p={p}",
-            hyp,
-            concl,
-            (f"failing maximal H = {witness}",) if witness else (),
-        )
-    ]
+    witnesses = (f"{what} H = {witness}",) if witness else ()
+    return [_verdict(statement_id, ga.name, f"p={p}", hyp, concl, witnesses)]
+
+
+def check_L2_7(ga: GroupAnalysis) -> list:
+    """Every maximal subgroup of a minimal-prime Sylow subgroup lacking a
+    supersolvable supplement is weakly s-supplemented: then the group is
+    p-nilpotent for that prime."""
+    return _min_prime_clause(
+        ga, "L2.7", lambda p, rep: (rep.order // p,), "failing maximal"
+    )
 
 
 def check_L2_8(ga: GroupAnalysis) -> list:
@@ -778,137 +770,113 @@ def check_L2_9(ga: GroupAnalysis) -> list:
     """Subgroups of order p (and 4, when the minimal-prime Sylow is a
     nonabelian 2-group) weakly s-supplemented unless supersolvably
     supplemented: then p-nilpotent."""
-    ps = _min_prime_sylow(ga)
-    if ps is None:
-        return []
-    p, rep = ps
-    orders = [p]
-    if p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1:
-        orders.append(4)
-    for order in orders:
-        hyp, witness = _order_clause(ga, rep, order, "supplemented")
-        if not hyp:
-            break
-    concl = is_p_nilpotent(ga.group, p) if hyp else None
-    return [
-        _verdict(
-            "L2.9",
-            ga.name,
-            f"p={p}",
-            hyp,
-            concl,
-            (f"failing H = {witness}",) if witness else (),
-        )
-    ]
+
+    def orders(p, rep):
+        if p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1:
+            return (2, 4)
+        return (p,)
+
+    return _min_prime_clause(ga, "L2.9", orders, "failing")
 
 
-def _normal_p_subgroup_instances(ga: GroupAnalysis, require_phi_avoiding: bool):
-    """(P, p, iota(P)) for nontrivial normal p-subgroups with iota >= 2,
-    optionally restricted to those meeting the Frattini subgroup trivially."""
+def _order_d_walk(ga: GroupAnalysis, statement_id: str, covers, conclude) -> list:
+    """Verdicts of an order-|D| statement on the normal p-subgroups P of G
+    with iota(P) >= 2, one per |D| = p^k the statement covers.
+
+    ``covers(P, p, iota(P), P meet Phi(G))`` runs once per P and lists
+    (k, clause orders). Where the clause holds, ``conclude(P, p, k)``
+    gives (conclusion, witnesses)."""
     lat = ga.lat
     phi = lat.frattini().members
-    out = []
+    verdicts = []
     for p_sub in lat.normal_subgroups():
         pe = _is_p_group_entry(p_sub)
         if pe is None or pe[1] < 2:
             continue
-        if require_phi_avoiding and (p_sub.members & phi) != 1:
-            continue
-        out.append((p_sub, pe[0], pe[1]))
-    return out
+        p, ip = pe
+        for k, orders in covers(p_sub, p, ip, p_sub.members & phi):
+            holds, failing = _order_clause(ga, p_sub, orders)
+            if holds:
+                concl, witnesses = conclude(p_sub, p, k)
+            else:
+                concl, witnesses = None, (f"clause fails at H = {failing}",)
+            instance = f"P={ga.label(p_sub)} |D|={p**k}"
+            verdicts.append(_verdict(statement_id, ga.name, instance, holds, concl, witnesses))
+    return verdicts
+
+
+def _in_u_hypercenter(ga: GroupAnalysis):
+    """The conclusion of C3.2 and L3.3: P lies in the supersolvable
+    hypercenter."""
+    zu = u_hypercenter(ga.group).members
+
+    def conclude(p_sub, p, k):
+        if p_sub.members & ~zu:
+            return False, ("P escapes the supersolvable hypercenter",)
+        return True, ()
+
+    return conclude
 
 
 def check_L3_1(ga: GroupAnalysis) -> list:
     """Normal p-subgroup P avoiding Phi(G), every subgroup of order |D|
     weakly s-supplemented: P is a direct product of minimal normal
     subgroups of one common order p^s with s dividing iota(D)."""
-    verdicts = []
-    for p_sub, p, ip in _normal_p_subgroup_instances(ga, require_phi_avoiding=True):
-        for k in range(1, ip):
-            d = p**k
-            holds, failing = _order_clause(ga, p_sub, d, "supplemented")
-            concl = None
-            witnesses = []
-            if not holds:
-                witnesses.append(f"clause fails at H = {failing}")
-            else:
-                decomp = _direct_minimal_decomposition(ga, p_sub)
-                if decomp is None:
-                    concl = False
-                    witnesses.append("P is not a product of minimal normals of G")
-                else:
-                    orders = sorted({m.order for m in decomp})
-                    if len(orders) != 1:
-                        concl = False
-                        witnesses.append(f"mixed minimal normal orders {orders}")
-                    else:
-                        s = iota(orders[0], p)
-                        concl = k % s == 0
-                        witnesses.append(
-                            f"{len(decomp)} minimal normal factors of order {orders[0]}"
-                        )
-                        if not concl:
-                            witnesses.append(f"iota(D)={k} not a multiple of s={s}")
-            instance = f"P={ga.label(p_sub)} |D|={d}"
-            verdicts.append(_verdict("L3.1", ga.name, instance, holds, concl, witnesses))
-    return verdicts
+
+    def covers(p_sub, p, ip, meet_phi):
+        return [(k, (p**k,)) for k in range(1, ip)] if meet_phi == 1 else []
+
+    def conclude(p_sub, p, k):
+        decomp = _direct_minimal_decomposition(ga, p_sub)
+        if decomp is None:
+            return False, ("P is not a product of minimal normals of G",)
+        orders = sorted({m.order for m in decomp})
+        if len(orders) != 1:
+            return False, (f"mixed minimal normal orders {orders}",)
+        s = iota(orders[0], p)
+        witnesses = [f"{len(decomp)} minimal normal factors of order {orders[0]}"]
+        if k % s:
+            witnesses.append(f"iota(D)={k} not a multiple of s={s}")
+        return k % s == 0, witnesses
+
+    return _order_d_walk(ga, "L3.1", covers, conclude)
 
 
 def check_C3_2(ga: GroupAnalysis) -> list:
     """Adds a coprimality side condition on iota(P) and iota(D) to the
     order-|D| clause; then P lies in the supersolvable hypercenter."""
-    zu = u_hypercenter(ga.group).members
-    verdicts = []
-    for p_sub, p, ip in _normal_p_subgroup_instances(ga, require_phi_avoiding=True):
-        for k in range(1, ip):
-            d = p**k
-            arith = math.gcd(ip, k) == 1 or math.gcd(ip - k, k) == 1
-            if not arith:
-                continue
-            holds, failing = _order_clause(ga, p_sub, d, "supplemented")
-            concl = (p_sub.members & ~zu == 0) if holds else None
-            witnesses = ()
-            if not holds:
-                witnesses = (f"clause fails at H = {failing}",)
-            elif not concl:
-                witnesses = ("P escapes the supersolvable hypercenter",)
-            instance = f"P={ga.label(p_sub)} |D|={d}"
-            verdicts.append(_verdict("C3.2", ga.name, instance, holds, concl, witnesses))
-    return verdicts
+
+    def covers(p_sub, p, ip, meet_phi):
+        if meet_phi != 1:
+            return []
+        return [
+            (k, (p**k,))
+            for k in range(1, ip)
+            if math.gcd(ip, k) == 1 or math.gcd(ip - k, k) == 1
+        ]
+
+    return _order_d_walk(ga, "C3.2", covers, _in_u_hypercenter(ga))
 
 
 def check_L3_3(ga: GroupAnalysis) -> list:
     """Normal p-subgroup P with the order-|D| (and 2|D| for nonabelian
     2-groups) clause, plus P' < P meet Phi(G) or |D| <= |P'|: P lies in
     the supersolvable hypercenter."""
-    lat = ga.lat
-    phi = lat.frattini().members
-    zu = u_hypercenter(ga.group).members
-    verdicts = []
-    for p_sub, p, ip in _normal_p_subgroup_instances(ga, require_phi_avoiding=False):
+
+    def covers(p_sub, p, ip, meet_phi):
         derived_bits = _derived_bits(ga.group, p_sub.generator_indices)[0]
         derived_order = derived_bits.bit_count()
-        meet_phi = p_sub.members & phi
         derived_in_phi = (
             derived_bits & ~meet_phi == 0 and derived_bits != meet_phi
         )
         two_d = p == 2 and derived_order > 1
-        for k in range(1, ip):
-            d = p**k
-            if not (derived_in_phi or d <= derived_order):
-                continue
-            holds, failing = _order_clause(ga, p_sub, d, "supplemented")
-            if holds and two_d:
-                holds, failing = _order_clause(ga, p_sub, 2 * d, "supplemented")
-            concl = (p_sub.members & ~zu == 0) if holds else None
-            witnesses = ()
-            if not holds:
-                witnesses = (f"clause fails at H = {failing}",)
-            elif not concl:
-                witnesses = ("P escapes the supersolvable hypercenter",)
-            instance = f"P={ga.label(p_sub)} |D|={d}"
-            verdicts.append(_verdict("L3.3", ga.name, instance, holds, concl, witnesses))
-    return verdicts
+        return [
+            (k, (p**k, 2 * p**k) if two_d else (p**k,))
+            for k in range(1, ip)
+            if derived_in_phi or p**k <= derived_order
+        ]
+
+    return _order_d_walk(ga, "L3.3", covers, _in_u_hypercenter(ga))
 
 
 def check_L3_5(ga: GroupAnalysis) -> list:
@@ -925,9 +893,7 @@ def check_L3_5(ga: GroupAnalysis) -> list:
     verdicts = []
     for k in range(1, ip):
         d = p**k
-        holds, failing = _order_clause(ga, rep, d, "supplemented")
-        if holds and two_d:
-            holds, failing = _order_clause(ga, rep, 2 * d, "supplemented")
+        holds, failing = _order_clause(ga, rep, (d, 2 * d) if two_d else (d,))
         concl = None
         witnesses = ()
         if not holds:
@@ -947,116 +913,115 @@ def check_L3_5(ga: GroupAnalysis) -> list:
 # -- C-series checkers -------------------------------------------------------
 
 
-def _group_verdict(statement_id, ga, hyp, concl_pred, witnesses=()):
-    concl = concl_pred() if hyp else None
-    return _verdict(statement_id, ga.name, "group", hyp, concl, witnesses)
+def _supersolvable_verdict(statement_id, ga, instance, hyp, witnesses=()):
+    """Verdict of a statement whose conclusion is "G is supersolvable"."""
+    concl = is_supersolvable(ga.group) if hyp else None
+    return _verdict(statement_id, ga.name, instance, hyp, concl, witnesses)
 
 
-def _sylow_maximal_indices(ga: GroupAnalysis):
-    """(p, index) over the maximal subgroups of one Sylow p-subgroup per
-    prime. One representative is enough for conjugation-invariant
-    predicates: conjugation carries the maximal subgroups of one Sylow
-    p-subgroup onto those of any other."""
+def _first_failure(ga: GroupAnalysis, targets, ok, what: str) -> tuple:
+    """(holds, witnesses) for "every target passes ok". ``targets`` are
+    (tag, H) pairs and ``ok(lat, H)`` the property; the first H that fails
+    it is named as "{tag}{what} H = {label}"."""
+    lat = ga.lat
+    for tag, sub in targets:
+        if not ok(lat, sub):
+            return False, [f"{tag}{what} H = {ga.label(sub)}"]
+    return True, []
+
+
+def _is_normal_entry(lat: SubgroupLattice, sub: Subgroup) -> bool:
+    return lat.normal_flags[lat.index_of(sub)]
+
+
+def _minimal_targets(ga: GroupAnalysis, inside: Subgroup, order_four: str = "") -> list:
+    """Targets ("", H) for the entries H of prime order inside X, then those
+    of order 4 (order_four "all") or the cyclic ones (order_four "cyclic")."""
     lat = ga.lat
     out = []
     for p in sorted(ga.group.prime_factorization):
-        rep = lat.sylow(p)[0]
-        for i in lat.within(rep.members, order=rep.order // p):
-            out.append((p, i))
+        out += [("", lat.subgroups[i]) for i in lat.within(inside.members, order=p)]
+    if order_four:
+        for i in lat.within(inside.members, order=4):
+            sub = lat.subgroups[i]
+            if order_four == "all" or sub.is_cyclic():
+                out.append(("", sub))
     return out
 
 
-def _entries_of_order(ga: GroupAnalysis, order: int, inside=None, cyclic_only=False):
+def _maximal_targets(ga: GroupAnalysis, p_subs) -> list:
+    """Targets ("p={p} ", H) over the maximal subgroups H of each
+    p-subgroup P of the (p, P) pairs."""
     lat = ga.lat
-    bits = inside.members if inside is not None else lat.top().members
     out = []
-    for i in lat.within(bits, order=order):
-        sub = lat.subgroups[i]
-        if cyclic_only and not sub.is_cyclic():
-            continue
-        out.append(sub)
+    for p, sub in p_subs:
+        idxs = lat.within(sub.members, order=sub.order // p)
+        out += [(f"p={p} ", lat.subgroups[i]) for i in idxs]
     return out
 
 
-def _prime_order_entries(ga: GroupAnalysis, inside=None):
-    out = []
-    for p in sorted(ga.group.prime_factorization):
-        out.extend(_entries_of_order(ga, p, inside=inside))
-    return out
+def _sylow_maximals(ga: GroupAnalysis) -> list:
+    """Maximal-subgroup targets of one Sylow p-subgroup per prime. One
+    representative is enough for conjugation-invariant predicates:
+    conjugation carries the maximal subgroups of one Sylow p-subgroup onto
+    those of any other."""
+    primes = sorted(ga.group.prime_factorization)
+    return _maximal_targets(ga, [(p, ga.lat.sylow(p)[0]) for p in primes])
 
 
 def check_C4_3(ga: GroupAnalysis) -> list:
     """Odd order with every prime-order subgroup normal: supersolvable."""
-    wit = []
-    hyp = ga.group.order % 2 == 1
-    if not hyp:
-        wit.append("group has even order")
+    if ga.group.order % 2 == 0:
+        hyp, wit = False, ["group has even order"]
     else:
-        for sub in _prime_order_entries(ga):
-            if not ga.lat.normal_flags[ga.lat.index_of(sub)]:
-                hyp = False
-                wit.append(f"nonnormal H = {ga.label(sub)}")
-                break
-    return [_group_verdict("C4.3", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
-
-
-def _maximal_of_sylow_hyp(ga: GroupAnalysis, ok) -> tuple:
-    for p, i in _sylow_maximal_indices(ga):
-        sub = ga.lat.subgroups[i]
-        if not ok(i, sub):
-            return False, (f"p={p} failing maximal H = {ga.label(sub)}",)
-    return True, ()
+        targets = _minimal_targets(ga, ga.lat.top())
+        hyp, wit = _first_failure(ga, targets, _is_normal_entry, "nonnormal")
+    return [_supersolvable_verdict("C4.3", ga, "group", hyp, wit)]
 
 
 def check_C4_4(ga: GroupAnalysis) -> list:
     """Maximal subgroups of the Sylow subgroups all normal: supersolvable."""
-    lat = ga.lat
-    hyp, wit = _maximal_of_sylow_hyp(ga, lambda i, sub: lat.normal_flags[i])
-    return [_group_verdict("C4.4", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    hyp, wit = _first_failure(ga, _sylow_maximals(ga), _is_normal_entry, "failing maximal")
+    return [_supersolvable_verdict("C4.4", ga, "group", hyp, wit)]
 
 
 def check_C4_5(ga: GroupAnalysis) -> list:
     """Subgroups of prime order or order 4 all c-normal: supersolvable."""
-    lat = ga.lat
-    wit = []
-    hyp = True
-    for sub in _prime_order_entries(ga) + _entries_of_order(ga, 4):
-        if not is_c_normal(lat, sub):
-            hyp = False
-            wit.append(f"non-c-normal H = {ga.label(sub)}")
-            break
-    return [_group_verdict("C4.5", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    targets = _minimal_targets(ga, ga.lat.top(), "all")
+    hyp, wit = _first_failure(ga, targets, is_c_normal, "non-c-normal")
+    return [_supersolvable_verdict("C4.5", ga, "group", hyp, wit)]
 
 
 def check_C4_6(ga: GroupAnalysis) -> list:
     """Maximal subgroups of the Sylow subgroups all c-normal: supersolvable."""
-    lat = ga.lat
-    hyp, wit = _maximal_of_sylow_hyp(ga, lambda i, sub: is_c_normal(lat, sub))
-    return [_group_verdict("C4.6", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    hyp, wit = _first_failure(ga, _sylow_maximals(ga), is_c_normal, "failing maximal")
+    return [_supersolvable_verdict("C4.6", ga, "group", hyp, wit)]
 
 
 def check_C4_7(ga: GroupAnalysis) -> list:
     """Maximal subgroups of the Sylow subgroups lacking a supersolvable
     supplement all normal: supersolvable."""
-    lat = ga.lat
-    hyp, wit = _maximal_of_sylow_hyp(
+    hyp, wit = _first_failure(
         ga,
-        lambda i, sub: has_supersolvable_supplement(lat, sub)[0]
-        or lat.normal_flags[i],
+        _sylow_maximals(ga),
+        lambda lat, sub: has_supersolvable_supplement(lat, sub)[0]
+        or _is_normal_entry(lat, sub),
+        "failing maximal",
     )
-    return [_group_verdict("C4.7", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    return [_supersolvable_verdict("C4.7", ga, "group", hyp, wit)]
 
 
 def check_C4_8(ga: GroupAnalysis) -> list:
     """Maximal subgroups of the Sylow subgroups lacking a supersolvable
     supplement all c-normal: supersolvable."""
-    lat = ga.lat
-    hyp, wit = _maximal_of_sylow_hyp(
+    hyp, wit = _first_failure(
         ga,
-        lambda i, sub: has_supersolvable_supplement(lat, sub)[0]
+        _sylow_maximals(ga),
+        lambda lat, sub: has_supersolvable_supplement(lat, sub)[0]
         or is_c_normal(lat, sub),
+        "failing maximal",
     )
-    return [_group_verdict("C4.8", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    return [_supersolvable_verdict("C4.8", ga, "group", hyp, wit)]
 
 
 def u_residual(ga: GroupAnalysis) -> Subgroup:
@@ -1079,19 +1044,11 @@ def u_residual(ga: GroupAnalysis) -> Subgroup:
 def check_C4_9(ga: GroupAnalysis) -> list:
     """Minimal subgroups and cyclic order-4 subgroups of the
     supersolvable residual all c-normal in G: G supersolvable."""
-    lat = ga.lat
     res = u_residual(ga)
-    wit = [f"residual = {ga.label(res)}"]
-    hyp = True
-    targets = _prime_order_entries(ga, inside=res) + _entries_of_order(
-        ga, 4, inside=res, cyclic_only=True
-    )
-    for sub in targets:
-        if not is_c_normal(lat, sub):
-            hyp = False
-            wit.append(f"non-c-normal H = {ga.label(sub)}")
-            break
-    return [_group_verdict("C4.9", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+    targets = _minimal_targets(ga, res, "cyclic")
+    hyp, wit = _first_failure(ga, targets, is_c_normal, "non-c-normal")
+    wit = [f"residual = {ga.label(res)}", *wit]
+    return [_supersolvable_verdict("C4.9", ga, "group", hyp, wit)]
 
 
 def check_C4_10(ga: GroupAnalysis) -> list:
@@ -1107,13 +1064,9 @@ def check_C4_10(ga: GroupAnalysis) -> list:
         hyp = ga.supersolvable_mod(e) and syl2_abelian
         wit = []
         if hyp:
-            for sub in _prime_order_entries(ga, inside=e):
-                if not is_permutable(lat, sub):
-                    hyp = False
-                    wit.append(f"non-permutable H = {ga.label(sub)}")
-                    break
-        concl = is_supersolvable(ga.group) if hyp else None
-        verdicts.append(_verdict("C4.10", ga.name, f"E={ga.label(e)}", hyp, concl, wit))
+            targets = _minimal_targets(ga, e)
+            hyp, wit = _first_failure(ga, targets, is_permutable, "non-permutable")
+        verdicts.append(_supersolvable_verdict("C4.10", ga, f"E={ga.label(e)}", hyp, wit))
     return verdicts
 
 
@@ -1121,48 +1074,32 @@ def check_C4_11(ga: GroupAnalysis) -> list:
     """Solvable G with the maximal subgroups of the Sylow subgroups of the
     Fitting subgroup all normal in G: supersolvable. The Sylow p-subgroup
     of the Fitting subgroup is O_p(G), its unique one."""
-    lat = ga.lat
-    wit = []
-    hyp = is_solvable(ga.group)
-    if not hyp:
-        wit.append("group is not solvable")
+    if not is_solvable(ga.group):
+        hyp, wit = False, ["group is not solvable"]
     else:
-        fit = fitting_subgroup(ga.group)
-        for p in sorted(_factorize(fit.order)):
-            op = p_core(ga.group, p)
-            for i in lat.within(op.members, order=op.order // p):
-                if not lat.normal_flags[i]:
-                    hyp = False
-                    wit.append(
-                        f"p={p} nonnormal maximal H = {ga.label(lat.subgroups[i])}"
-                    )
-                    break
-            if not hyp:
-                break
-    return [_group_verdict("C4.11", ga, hyp, lambda: is_supersolvable(ga.group), wit)]
+        primes = sorted(_factorize(fitting_subgroup(ga.group).order))
+        targets = _maximal_targets(ga, [(p, p_core(ga.group, p)) for p in primes])
+        hyp, wit = _first_failure(ga, targets, _is_normal_entry, "nonnormal maximal")
+    return [_supersolvable_verdict("C4.11", ga, "group", hyp, wit)]
 
 
 def check_C4_12(ga: GroupAnalysis) -> list:
     """Per solvable normal E with supersolvable quotient: minimal subgroups
     and cyclic order-4 subgroups of E weakly s-permutable in G force G
     supersolvable."""
-    lat = ga.lat
     verdicts = []
     normals, _trunc = ga.normal_e()
     for e in normals:
         hyp = ga.supersolvable_mod(e) and derived_series(ga.group, e)[-1].order == 1
         wit = []
         if hyp:
-            targets = _prime_order_entries(ga, inside=e) + _entries_of_order(
-                ga, 4, inside=e, cyclic_only=True
+            hyp, wit = _first_failure(
+                ga,
+                _minimal_targets(ga, e, "cyclic"),
+                lambda lat, sub: is_weakly_s_permutable(lat, sub)[0],
+                "non-wsp",
             )
-            for sub in targets:
-                if not is_weakly_s_permutable(lat, sub)[0]:
-                    hyp = False
-                    wit.append(f"non-wsp H = {ga.label(sub)}")
-                    break
-        concl = is_supersolvable(ga.group) if hyp else None
-        verdicts.append(_verdict("C4.12", ga.name, f"E={ga.label(e)}", hyp, concl, wit))
+        verdicts.append(_supersolvable_verdict("C4.12", ga, f"E={ga.label(e)}", hyp, wit))
     return verdicts
 
 
