@@ -129,14 +129,13 @@ class CayleyTable:
 
     __slots__ = ("order", "table", "identity_index")
 
-    def __init__(self, table: Sequence[Sequence[int]], validate: bool = True):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table = [list(row) for row in table]
         self.order = len(self.table)
         if any(len(row) != self.order for row in self.table):
             raise BadTableError("table is not square")
         self.identity_index = self._find_identity()
-        if validate:
-            self.validate()
+        self.validate()
 
     def _find_identity(self) -> int:
         n = self.order
@@ -224,9 +223,6 @@ class Group:
 
     def __contains__(self, p: Perm) -> bool:
         return isinstance(p, Perm) and p.images in self._index
-
-    def element(self, i: int) -> Perm:
-        return self.elements[i]
 
     def generator_indices(self) -> tuple[int, ...]:
         return tuple(self.index_of(g) for g in self.generators)
@@ -329,9 +325,6 @@ class Group:
 
     # -- subgroup handles -------------------------------------------------
 
-    def subgroup(self, members: int, generator_indices=None) -> "Subgroup":
-        return Subgroup(self, members, generator_indices)
-
     def trivial_subgroup(self) -> "Subgroup":
         return Subgroup(self, 1, ())
 
@@ -371,10 +364,6 @@ class Subgroup:
         self.generator_indices = tuple(generator_indices)
 
     @property
-    def index(self) -> int:
-        return self.parent.order // self.order
-
-    @property
     def generators(self) -> tuple[Perm, ...]:
         return tuple(self.parent.elements[i] for i in self.generator_indices)
 
@@ -384,27 +373,8 @@ class Subgroup:
     def elements(self) -> list[Perm]:
         return [self.parent.elements[i] for i in _iter_bits(self.members)]
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_full(self) -> bool:
         return self.order == self.parent.order
-
-    def conjugate(self, g: int) -> "Subgroup":
-        t = self.parent.table()
-        inv = self.parent.inverse_table()
-        bits = _conjugate_bits(t, inv, self.members, g)
-        row = t[inv[g]]
-        gens = tuple(t[row[x]][g] for x in self.generator_indices)
-        return Subgroup(self.parent, bits, gens)
-
-    def is_normal(self) -> bool:
-        t = self.parent.table()
-        inv = self.parent.inverse_table()
-        return all(
-            _conjugate_bits(t, inv, self.members, g) == self.members
-            for g in self.parent.generator_indices()
-        )
 
     def is_elementary_abelian(self) -> bool:
         if self.order == 1:

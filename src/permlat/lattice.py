@@ -142,12 +142,6 @@ class SubgroupLattice:
             bits = _close_bits(t, b.members, b.generator_indices, a.generator_indices)
         return self.entry(bits)
 
-    def intersect(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        return self.entry(a.members & b.members)
-
-    def maximal_subgroups(self) -> list[Subgroup]:
-        return [s for s, f in zip(self.subgroups, self.maximal_flags) if f]
-
     def minimal_normal_subgroups(self) -> list[Subgroup]:
         return [
             s for s, f in zip(self.subgroups, self.minimal_normal_flags) if f

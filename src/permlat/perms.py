@@ -61,9 +61,6 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, point: int) -> int:
-        return self.images[point - 1]
-
     def __mul__(self, other: "Perm") -> "Perm":
         """Apply self first, then other."""
         a, b = self.images, other.images

@@ -38,6 +38,7 @@ from permlat.groups import (
     CayleyTable,
     Group,
     Subgroup,
+    _conjugate_bits,
     close_generators,
     group_from_cayley,
 )
@@ -116,6 +117,17 @@ def brute_is_normal(group, elems, over=None):
             if t[t[gi][x]][g] not in elems:
                 return False
     return True
+
+
+def is_normal(sub):
+    """Whether the subgroup is normal in its parent: each generator of the
+    parent conjugates it onto itself."""
+    g = sub.parent
+    t, inv = g.table(), g.inverse_table()
+    return all(
+        _conjugate_bits(t, inv, sub.members, x) == sub.members
+        for x in g.generator_indices()
+    )
 
 
 def conjugation_partition(group, sets):
@@ -281,7 +293,7 @@ def section_wss_oracle(k, n):
     proj = list(range(ambient.order))
     if n.order > 1:
         n_bits = sum(1 << pos[gi] for gi in n.element_indices())
-        qr = quotient(ambient, ambient.subgroup(n_bits))
+        qr = quotient(ambient, Subgroup(ambient, n_bits))
         ambient, proj = qr.group, qr.projection
     lat = enumerate_subgroups(ambient)
 
@@ -406,7 +418,7 @@ def quotient(group, normal):
     """
     if normal.parent is not group:
         raise PermlatError("subgroup does not belong to this group")
-    if not normal.is_normal():
+    if not is_normal(normal):
         raise NotNormalError("cannot quotient by a non-normal subgroup")
     t = group.table()
     n = group.order
@@ -551,7 +563,7 @@ def quotient_tower(group, step):
         yield _bits(i for i, j in enumerate(proj) if (n >> j) & 1)
         if n.bit_count() == cur.order:
             return
-        qr = quotient(cur, cur.subgroup(n))
+        qr = quotient(cur, Subgroup(cur, n))
         proj = [qr.projection[j] for j in proj]
         cur = qr.group
 
@@ -599,7 +611,7 @@ def tower_sylow_tower(group):
         sylow = [i for i in range(cur.order) if _is_p_power(orders[i], q)]
         if len(sylow) != _p_part(cur.order, q):
             return False
-        cur = quotient(cur, cur.subgroup(_bits(sylow))).group
+        cur = quotient(cur, Subgroup(cur, _bits(sylow))).group
     return True
 
 

@@ -38,6 +38,7 @@ from oracles import (
     brute_supersolvable,
     chain_factors,
     chain_hypercenter,
+    is_normal,
     tower_answers,
     tower_chief_chain,
 )
@@ -378,4 +379,4 @@ def test_walks_match_quotient_tower_on_s6_subgroups(perms):
     """Subgroups of S6 generated by one to three permutations."""
     g = close_generators(6, perms)
     assert _structure_answers(g) == tower_answers(g)
-    assert all(s.is_normal() for s in chief_series(g).chain)
+    assert all(is_normal(s) for s in chief_series(g).chain)
