@@ -81,9 +81,7 @@ def _resolve_group(token: str, group_cap: int):
     if group is not None:
         return _within_cap(token, group, group_cap)
     raise GroupFileError(
-        f"unknown group {token!r}: not a file and not a builtin corpus name",
-        1,
-        1,
+        f"unknown group {token!r}: not a file and not a builtin corpus name"
     )
 
 
@@ -285,8 +283,28 @@ def _cannot_write(path, exc: OSError) -> int:
     return 2
 
 
-def _write_outputs(report, args, code: int) -> int:
-    """Write the requested report files; code, or 2 if one cannot be written."""
+# The registry and the report layer are imported by the commands that use
+# them, so the other commands start without loading them.
+
+
+def _run_report(args, ids, show_flags: bool) -> int:
+    """Run registry entries over the corpus, print the summary and write the
+    requested report files; the summary's code, or 2 if a file cannot be
+    written."""
+    from .reports import run_verification
+
+    corpus, description = _load_corpus(args.corpus, args.group_cap)
+    report = run_verification(
+        ids,
+        corpus,
+        description,
+        max_order=args.max_order,
+        group_cap=args.group_cap,
+        lattice_cap=args.lattice_cap,
+        max_normal_e=args.max_normal_e,
+        with_timings=args.with_timings,
+    )
+    code = _print_report(report, show_flags)
     for path, render, what in (
         (args.report, report.to_json, "JSON report"),
         (args.csv, report.to_csv, "CSV"),
@@ -301,12 +319,7 @@ def _write_outputs(report, args, code: int) -> int:
     return code
 
 
-# The registry and the report layer are imported by the commands that use
-# them, so the other commands start without loading them.
-
-
 def _cmd_verify(args) -> int:
-    from .reports import run_verification
     from .statements import STATEMENT_IDS
 
     if args.statement != "all" and args.statement not in STATEMENT_IDS:
@@ -316,38 +329,12 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    corpus, description = _load_corpus(args.corpus, args.group_cap)
     ids = list(STATEMENT_IDS) if args.statement == "all" else [args.statement]
-    report = run_verification(
-        ids,
-        corpus,
-        description,
-        max_order=args.max_order,
-        group_cap=args.group_cap,
-        lattice_cap=args.lattice_cap,
-        max_normal_e=args.max_normal_e,
-        with_timings=args.with_timings,
-    )
-    code = _print_report(report, show_flags=False)
-    return _write_outputs(report, args, code)
+    return _run_report(args, ids, show_flags=False)
 
 
 def _cmd_scan_q13(args) -> int:
-    from .reports import run_verification
-
-    corpus, description = _load_corpus(args.corpus, args.group_cap)
-    report = run_verification(
-        ["q13"],
-        corpus,
-        description,
-        max_order=args.max_order,
-        group_cap=args.group_cap,
-        lattice_cap=args.lattice_cap,
-        max_normal_e=args.max_normal_e,
-        with_timings=args.with_timings,
-    )
-    code = _print_report(report, show_flags=True)
-    return _write_outputs(report, args, code)
+    return _run_report(args, ["q13"], show_flags=True)
 
 
 def _cmd_example42(args) -> int:
@@ -402,14 +389,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest group order whose subgroup lattice is enumerated "
         f"(default {DEFAULT_LATTICE_CAP})",
     )
-    # Only the commands that pair groups with normal subgroups E read it.
-    pairs_e = argparse.ArgumentParser(add_help=False)
-    pairs_e.add_argument(
+    # The report commands, verify and scan-q13, run registry entries over a
+    # corpus; only they pair groups with normal subgroups E.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument(
         "--max-normal-e",
         type=_positive_int,
         default=DEFAULT_MAX_NORMAL_E,
         help=f"normal subgroups paired per group (default {DEFAULT_MAX_NORMAL_E})",
     )
+    report.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
+    report.add_argument(
+        "--max-order",
+        type=_positive_int,
+        help="group order bound for every entry run (default: each entry's own)",
+    )
+    report.add_argument("--report", help="write JSON report to this path")
+    report.add_argument("--csv", help="write CSV verdicts to this path")
+    report.add_argument("--with-timings", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="permlat",
@@ -440,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check_subgroup)
 
     p = sub.add_parser(
-        "verify", parents=[caps, pairs_e], help="check statements over a corpus"
+        "verify", parents=[caps, report], help="check statements over a corpus"
     )
     p.add_argument(
         "--statement",
@@ -448,31 +445,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="a statement id, or all (an unknown id lists the known ones)",
     )
-    p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
-    p.add_argument(
-        "--max-order",
-        type=_positive_int,
-        help="override the per-statement group order bound",
-    )
-    p.add_argument("--report", help="write JSON report to this path")
-    p.add_argument("--csv", help="write CSV verdicts to this path")
-    p.add_argument("--with-timings", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
         "scan-q13",
-        parents=[caps, pairs_e],
+        parents=[caps, report],
         help="scan for counterexample candidates to the open question",
     )
-    p.add_argument("--corpus", default="builtin", help="'builtin' or a directory")
-    p.add_argument(
-        "--max-order",
-        type=_positive_int,
-        help="override the scan's group order bound (default 200)",
-    )
-    p.add_argument("--report", help="write JSON report to this path")
-    p.add_argument("--csv", help="write CSV verdicts to this path")
-    p.add_argument("--with-timings", action="store_true")
     p.set_defaults(func=_cmd_scan_q13)
 
     p = sub.add_parser(

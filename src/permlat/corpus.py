@@ -95,7 +95,7 @@ def parse_group_text(text: str) -> GroupSpecFile:
         fields[key] = (value.strip(), lineno, value_col, value)
     for key in ("name", "degree", "gens"):
         if key not in fields:
-            raise GroupFileError(f"missing required key {key!r}", 1, 1)
+            raise GroupFileError(f"missing required key {key!r}")
 
     name, name_line, name_col, _ = fields["name"]
     if not name:
@@ -149,7 +149,7 @@ def parse_group_file(path) -> GroupSpecFile:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise GroupFileError(f"cannot read {path}: {exc}", 1, 1) from None
+        raise GroupFileError(f"cannot read {path}: {exc}") from None
     return parse_group_text(text)
 
 
@@ -183,13 +183,13 @@ def load_corpus_dir(path, cap: int = DEFAULT_GROUP_CAP) -> list:
     """(name, Group) for every *.group file under path, sorted by filename."""
     root = Path(path)
     if not root.is_dir():
-        raise GroupFileError(f"{path} is not a directory", 1, 1)
+        raise GroupFileError(f"{path} is not a directory")
     out = []
     for p in sorted(root.glob("*.group")):
         spec = parse_group_file(p)
         out.append((spec.name, load_group(spec, cap=cap)))
     if not out:
-        raise GroupFileError(f"no .group files in {path}", 1, 1)
+        raise GroupFileError(f"no .group files in {path}")
     return out
 
 

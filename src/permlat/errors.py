@@ -1,6 +1,8 @@
 """Exception hierarchy. CLI exit codes: usage/parse errors map to 2, cap
 violations to 3, verification inconsistencies to 1."""
 
+from typing import Optional
+
 
 class PermlatError(Exception):
     """Base for all library errors."""
@@ -43,9 +45,13 @@ class BadTableError(PermlatError):
 
 
 class GroupFileError(PermlatError):
-    """Parse error in a group spec file; carries line and column."""
+    """A group or corpus that cannot be loaded. A parse error carries its
+    line and column; an error with no file position (an unknown name, an
+    unreadable path, a missing key) carries None."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"line {line}, col {column}: {message}")
+    def __init__(self, message: str, line: Optional[int] = None, column: int = 1):
+        if line is not None:
+            message = f"line {line}, col {column}: {message}"
+        super().__init__(message)
         self.line = line
         self.column = column

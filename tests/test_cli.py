@@ -484,3 +484,38 @@ def test_builtin_name_does_not_build_the_corpus(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0, argv
         assert _sha(capsys.readouterr().out) == digest, argv
     assert _sha((tmp_path / "psl27.dot").read_text()) == PSL27_DOT
+
+
+def test_errors_without_a_file_position(tmp_path, capsys):
+    """Load errors that have no position in a file print none, and exit 2;
+    parse errors keep theirs."""
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    nameless = tmp_path / "nameless.group"
+    nameless.write_text("degree: 3\ngens: (1 2)\n")
+    cases = (
+        (
+            ["analyze", "NoSuch"],
+            "unknown group 'NoSuch': not a file and not a builtin corpus name",
+        ),
+        (
+            ["analyze", str(empty)],
+            f"cannot read {empty}: [Errno 21] Is a directory: '{empty}'",
+        ),
+        (
+            ["verify", "--statement", "C4.3", "--corpus", str(plain)],
+            f"{plain} is not a directory",
+        ),
+        (
+            ["verify", "--statement", "C4.3", "--corpus", str(empty)],
+            f"no .group files in {empty}",
+        ),
+        (["analyze", str(nameless)], "missing required key 'name'"),
+    )
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n", argv
+        assert captured.out == ""
