@@ -913,7 +913,7 @@ def check_L3_5(ga: GroupAnalysis) -> list:
 # -- C-series checkers -------------------------------------------------------
 
 
-def _supersolvable_verdict(statement_id, ga, instance, hyp, witnesses=()):
+def _supersolvable_verdict(statement_id, ga, instance, hyp, witnesses):
     """Verdict of a statement whose conclusion is "G is supersolvable"."""
     concl = is_supersolvable(ga.group) if hyp else None
     return _verdict(statement_id, ga.name, instance, hyp, concl, witnesses)
