@@ -15,24 +15,24 @@ the same way
 rule rather than from permutations of blocks, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
 predicates, to cross-check the checker's one-entry-per-class loops.
-``supplement_scan_oracle`` likewise builds the full supplement list and
-H_sG before it looks for a witness, to cross-check the library's
-early-exit scan.
+``supplement_scan_oracle`` likewise builds the full supplement list
+(``supplement_list``) and H_sG (``hsg_join_oracle``) before it looks for
+a witness, to cross-check the library's early-exit scan. The join oracle
+takes the set closure of N and every s-permutable subgroup inside H, so
+it also cross-checks the library's reading of H_sG as the largest
+s-permutable subgroup inside H (Kegel). ``supersolvable_supplement_oracle``
+walks the same list with each supplement built as a group of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 from typing import NamedTuple
 
-from permlat.embedding import (
-    h_sG,
-    is_weakly_s_supplemented,
-    subnormal_in,
-    supplements,
-)
+from permlat.embedding import is_weakly_s_supplemented, subnormal_in
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import (
     CayleyTable,
@@ -305,18 +305,93 @@ def section_wss_oracle(k, n):
     return wss
 
 
+def _section_sets(lat, section):
+    """(K, N, [(X, elements of X)] for the entries N <= X <= K), the whole
+    group when ``section`` is None."""
+    k, n = section or (lat.top(), lat.bottom())
+    entries = [
+        (x, frozenset(x.element_indices()))
+        for x in lat.subgroups
+        if n.members & ~x.members == 0 and x.members & ~k.members == 0
+    ]
+    return k, n, entries
+
+
+def supplement_list(lat, h, section=None):
+    """Every entry T of the section, in canonical order, with H*T = K as
+    a set: |H||T| = |K||H meet T|, since H*T lies in K."""
+    k, _n, entries = _section_sets(lat, section)
+    hs = set(h.element_indices())
+    return [
+        t for t, ts in entries if h.order * t.order == k.order * len(hs & ts)
+    ]
+
+
+_JOIN_ORACLES = weakref.WeakKeyDictionary()
+
+
+def hsg_join_oracle(lat, section=None):
+    """H -> bits of H_sG in the section K/N (the whole group when None):
+    the set closure of N and of every entry X with N <= X <= H that is
+    s-permutable in the section. X/N is s-permutable when XS = SX as
+    product sets for every Sylow S/N of K/N, the entries of order |N|
+    times the p-part of |K:N|. Kept per lattice and section, since every
+    call for one section shares that work."""
+    key = None if section is None else (section[0].members, section[1].members)
+    per_lat = _JOIN_ORACLES.setdefault(lat, {})
+    if key in per_lat:
+        return per_lat[key]
+    g = lat.group
+    t = g.table()
+    k, n, entries = _section_sets(lat, section)
+    index = k.order // n.order
+    sylow_orders = {
+        n.order * _p_part(index, p)
+        for p in range(2, index + 1)
+        if index % p == 0 and _is_prime(p)
+    }
+    sylows = [xs for x, xs in entries if x.order in sylow_orders]
+    s_permutable = [
+        xs
+        for _x, xs in entries
+        if all(naive_product_set(g, xs, ss) == naive_product_set(g, ss, xs) for ss in sylows)
+    ]
+    n_elems = frozenset(n.element_indices())
+    closures = {}
+
+    def join(h):
+        hs = frozenset(h.element_indices())
+        seed = n_elems.union(*(xs for xs in s_permutable if xs <= hs))
+        if seed not in closures:
+            closures[seed] = sum(1 << i for i in close_set(t, seed))
+        return closures[seed]
+
+    per_lat[key] = join
+    return join
+
+
 def supplement_scan_oracle(lat, h, require_subnormal=False, section=None):
     """Weak s-supplementation of H (weak s-permutability when
     ``require_subnormal``) from the full list of H's supplements and
-    H_sG, both computed up front: (True, (T, H meet T, H_sG)) for the
-    first admissible T in canonical order, else (False, None)."""
-    hsg = h_sG(lat, h, section)
-    for t in supplements(lat, h, section):
+    H_sG, both computed up front by the oracles above: (True, (T, H meet
+    T, H_sG)) for the first admissible T in canonical order, else
+    (False, None)."""
+    hsg = hsg_join_oracle(lat, section)(h)
+    for t in supplement_list(lat, h, section):
         if require_subnormal and not subnormal_in(lat, t):
             continue
         inter = h.members & t.members
-        if inter & ~hsg.members == 0:
-            return True, (t, lat.entry(inter), hsg)
+        if inter & ~hsg == 0:
+            return True, (t, lat.entry(inter), lat.entry(hsg))
+    return False, None
+
+
+def supersolvable_supplement_oracle(lat, h):
+    """(True, T) for the first supplement T of H in G, in canonical order,
+    that is supersolvable as a group of its own, else (False, None)."""
+    for t in supplement_list(lat, h):
+        if is_supersolvable(t.as_group()):
+            return True, t
     return False, None
 
 

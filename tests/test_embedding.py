@@ -31,8 +31,10 @@ from permlat.structure import is_supersolvable
 from oracles import (
     agl23,
     brute_is_normal,
+    hsg_join_oracle,
     normalizer,
     section_wss_oracle,
+    supersolvable_supplement_oracle,
     supplement_scan_oracle,
 )
 
@@ -457,6 +459,48 @@ def test_scan_matches_full_list_oracle():
     # A scan that always said True would fail here.
     assert false == {"wss": 73, "wsp": 84}
     assert wss_not_wsp == 23
+
+
+def test_h_sG_matches_join_oracle():
+    """H_sG in every section of ``_scan_cases``, for every entry of the
+    builtin groups of order <= 100, equals the set closure of N and every
+    s-permutable subgroup of the section inside H."""
+    answers = below_h = strictly_between = 0
+    for name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        lat = enumerate_subgroups(g)
+        for section, subs in _scan_cases(lat):
+            join = hsg_join_oracle(lat, section)
+            n_bits = lat.bottom().members if section is None else section[1].members
+            for h in subs:
+                got = h_sG(lat, h, section).members
+                assert got == join(h), (name, section, h)
+                answers += 1
+                below_h += got != h.members
+                strictly_between += got not in (h.members, n_bits)
+    assert answers == 6345
+    # An H_sG that was always H, or always N, would fail here.
+    assert (below_h, strictly_between) == (842, 222)
+
+
+def test_supersolvable_supplement_matches_oracle():
+    """The supersolvable-supplement answer and witness T for every entry
+    of the builtin groups of order <= 100: the first supplement in
+    canonical order that is supersolvable as a group of its own."""
+    answers = false = 0
+    for name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        lat = enumerate_subgroups(g)
+        for h in lat.subgroups:
+            ok, t = has_supersolvable_supplement(lat, h)
+            want_ok, want_t = supersolvable_supplement_oracle(lat, h)
+            assert ok == want_ok, (name, h)
+            assert (t and t.members) == (want_t and want_t.members), (name, h)
+            answers += 1
+            false += not ok
+    assert (answers, false) == (1118, 81)
 
 
 def test_l2_1_computes_few_h_sG():
