@@ -7,10 +7,10 @@ witness found is deterministic. Predicates and witnesses are memoized on
 the lattice keyed by subgroup bitset.
 
 The weak s-supplementation family (``sylow_family``, ``is_s_permutable``,
-``h_sG``, ``supplements``, ``is_weakly_s_supplemented``) also evaluates in
-a section K/N of the group, N normal in K, without building K/N: by the
-correspondence theorem the subgroups of K/N are the entries X with
-N <= X <= K, and every answer is read off the group's own lattice.
+``h_sG``, ``is_weakly_s_supplemented``) also evaluates in a section K/N of
+the group, N normal in K, without building K/N: by the correspondence
+theorem the subgroups of K/N are the entries X with N <= X <= K, and
+every answer is read off the group's own lattice.
 
 * The Sylow p-subgroups of K/N are the entries of order |N| times the
   p-part of |K:N|.
@@ -19,7 +19,9 @@ N <= X <= K, and every answer is read off the group's own lattice.
 * X/N is s-permutable when X permutes in G with every Sylow S of the
   section: (X/N)(S/N) is a subgroup exactly when XS is. A subgroup normal
   in G is normal in K, so the normality shortcut holds in every section.
-* The join H_sG starts from N, and results are the preimages in G.
+* By Kegel (1962) the s-permutable subgroups of a group form a
+  sublattice, so H_sG, their join inside H, is the largest of them inside
+  H; in a section it contains N. Results are the preimages in G.
 
 The weak supplement scan walks the section's entries once and stops at
 the first admissible supplement. An intersection equal to N lies in
@@ -35,11 +37,11 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import NotNormalError, PermlatError
-from .groups import Subgroup, _close_bits, _conjugate_bits, _factorize
+from .groups import Subgroup, _conjugate_bits, _factorize, _memo
 from .lattice import SubgroupLattice, is_subnormal, permutes
 from .structure import _is_prime
 
-# Not called here, as supplements are decided on the lattice;
+# Not called here, as supersolvability is decided on the lattice;
 # perfbench/test_perfbench.py checks that its tracer rebinds this name.
 from .structure import is_supersolvable  # noqa: F401
 
@@ -78,13 +80,6 @@ class SupplementWitness:
             f"SupplementWitness(property={self.property!r}, T={self.T!r}, "
             f"intersection={self.intersection!r}, bound={self.bound!r})"
         )
-
-
-def _memo(lat: SubgroupLattice, key, compute):
-    store = lat._memo
-    if key not in store:
-        store[key] = compute()
-    return store[key]
 
 
 def _section_key(lat: SubgroupLattice, section: Optional[tuple]) -> tuple:
@@ -134,19 +129,13 @@ def sylow_family(lat: SubgroupLattice, section: Optional[tuple] = None) -> list:
     key = _section_key(lat, section)
 
     def compute():
-        if not key:
-            return [
-                (p, lat.sylow(p)[1])
-                for p in sorted(lat.group.prime_factorization)
-            ]
         k, n, entries = _section(lat, key)
-        out = []
-        for p, a in sorted(_factorize(k.order // n.order).items()):
-            target = n.order * p**a
-            out.append((p, [e for e in entries if e.order == target]))
-        return out
+        return [
+            (p, [e for e in entries if e.order == n.order * p**a])
+            for p, a in sorted(_factorize(k.order // n.order).items())
+        ]
 
-    return _memo(lat, ("sylow_family",) + key if key else "sylow_family", compute)
+    return _memo(lat, ("sylow_family",) + key, compute)
 
 
 def is_s_permutable(
@@ -174,50 +163,21 @@ def h_sG(
 ) -> Subgroup:
     """Join of all subgroups of H that are s-permutable in the group (in
     the section K/N: the preimage of the join of the s-permutable
-    subgroups of H/N, a join that starts from N)."""
+    subgroups of H/N). By Kegel the join is itself s-permutable, so it is
+    the first entry of the section, in reverse canonical order, that lies
+    in H and is s-permutable; N/N always is."""
     key = _section_key(lat, section)
     h = _resolve(lat, h, key)
 
     def compute():
-        if is_s_permutable(lat, h, section):
-            return h
-        t = lat.group.table()
-        _k, n, entries = _section(lat, key)
-        bits = n.members
-        gens = n.generator_indices
-        for e in entries:
-            if e.members & ~h.members or e.members & ~bits == 0:
-                continue
-            if is_s_permutable(lat, e, section):
-                bits = _close_bits(t, bits, gens, e.generator_indices)
-                gens = gens + e.generator_indices
-        return lat.entry(bits)
+        _k, _n, entries = _section(lat, key)
+        return next(
+            e
+            for e in reversed(entries)
+            if e.members & ~h.members == 0 and is_s_permutable(lat, e, section)
+        )
 
     return _memo(lat, ("hsg", h.members) + key, compute)
-
-
-def supplements(
-    lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
-) -> list:
-    """All T with H*T = G as a set, i.e. |H||T| = |G||H meet T| (in the
-    section K/N: the T between N and K with |H||T| = |K||H meet T|)."""
-    key = _section_key(lat, section)
-    h = _resolve(lat, h, key)
-
-    def compute():
-        k, _n, entries = _section(lat, key)
-        k_order = k.order
-        out = []
-        for e in entries:
-            if e.order * h.order < k_order:
-                continue
-            inter = (e.members & h.members).bit_count()
-            if e.order * h.order == k_order * inter:
-                out.append(e)
-        assert out and out[-1] is k, "the top itself must always supplement"
-        return out
-
-    return _memo(lat, ("supps", h.members) + key, compute)
 
 
 def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
@@ -339,10 +299,15 @@ def is_supersolvable_section(
 def has_supersolvable_supplement(
     lat: SubgroupLattice, h: Subgroup
 ) -> tuple[bool, Optional[Subgroup]]:
+    """The first T in canonical order with H*T = G, i.e.
+    |H||T| = |G||H meet T|, that is supersolvable."""
     h = _resolve(lat, h)
 
     def compute():
-        for t in supplements(lat, h):
+        g_order, h_order, h_bits = lat.group.order, h.order, h.members
+        for t in lat.subgroups:
+            if t.order * h_order != g_order * (t.members & h_bits).bit_count():
+                continue
             if is_supersolvable_section(lat, (t, lat.bottom())):
                 return True, t
         return False, None

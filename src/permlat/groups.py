@@ -22,6 +22,15 @@ from .perms import Perm
 DEFAULT_GROUP_CAP = 2000
 
 
+def _memo(owner, key, compute):
+    """``owner._memo[key]``, computed by ``compute()`` on first use. Groups
+    and lattices keep their memos this way."""
+    store = owner._memo
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
 def _iter_bits(mask: int):
     """Indices of set bits, ascending."""
     while mask:
@@ -370,28 +379,8 @@ class Subgroup:
     def element_indices(self) -> list[int]:
         return list(_iter_bits(self.members))
 
-    def elements(self) -> list[Perm]:
-        return [self.parent.elements[i] for i in _iter_bits(self.members)]
-
     def is_full(self) -> bool:
         return self.order == self.parent.order
-
-    def is_elementary_abelian(self) -> bool:
-        if self.order == 1:
-            return True
-        fac = _factorize(self.order)
-        if len(fac) != 1:
-            return False
-        p = next(iter(fac))
-        orders = self.parent.element_orders()
-        if any(orders[i] not in (1, p) for i in _iter_bits(self.members)):
-            return False
-        els = self.elements()
-        return all(
-            (a * b).images == (b * a).images
-            for i, a in enumerate(els)
-            for b in els[i + 1:]
-        )
 
     def is_cyclic(self) -> bool:
         orders = self.parent.element_orders()

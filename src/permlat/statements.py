@@ -49,7 +49,6 @@ from .structure import (
     fingerprint,
     fitting_subgroup,
     iota,
-    is_p_nilpotent,
     is_p_solvable,
     is_solvable,
     is_supersolvable,
@@ -619,8 +618,9 @@ def check_L2_5(ga: GroupAnalysis) -> list:
     return [_implication("L2.5", ga.name, "nilpotent normal, Phi-avoiding", count > 0, fails)]
 
 
-def _psl_orders(max_order: int):
-    """(order, n, q, index) for PSL_n(q) with the projective-space index."""
+def _psl_orders():
+    """(order, n, q, index) for PSL_n(q) of order at most 10^6, with the
+    projective-space index."""
     out = []
     for n in (2, 3, 4):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
@@ -629,7 +629,7 @@ def _psl_orders(max_order: int):
                 size *= q**i - 1
             size *= q ** (n * (n - 1) // 2)
             size //= math.gcd(n, q - 1)
-            if size <= max_order:
+            if size <= 10**6:
                 out.append((size, n, q, (q**n - 1) // (q - 1)))
     return out
 
@@ -638,13 +638,13 @@ def check_L2_6(ga: GroupAnalysis) -> list:
     """Prime-power-index subgroups of nonabelian simple groups match the
     classified cases: alternating point stabilizers, or projective linear
     groups with the projective-space index."""
-    from .structure import is_simple, _prime_power_base
+    from .structure import is_simple
 
     g = ga.group
     if g.is_abelian() or not is_simple(g):
         return []
     lat = ga.lat
-    psl = _psl_orders(10**6)
+    psl = _psl_orders()
     fails = []
     count = 0
     details = []
@@ -652,7 +652,7 @@ def check_L2_6(ga: GroupAnalysis) -> list:
         if sub.is_full():
             continue
         index = g.order // sub.order
-        if _prime_power_base(index) is None:
+        if len(_factorize(index)) != 1:
             continue
         count += 1
         matched = None
@@ -699,7 +699,7 @@ def _min_prime_clause(ga: GroupAnalysis, statement_id: str, orders, what: str) -
         return []
     p, rep = ps
     hyp, witness = _order_clause(ga, rep, orders(p, rep))
-    concl = is_p_nilpotent(ga.group, p) if hyp else None
+    concl = _is_p_nilpotent_entry(ga.lat, ga.lat.top(), p) if hyp else None
     witnesses = (f"{what} H = {witness}",) if witness else ()
     return [_verdict(statement_id, ga.name, f"p={p}", hyp, concl, witnesses)]
 
@@ -721,7 +721,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
     g = ga.group
     verdicts = []
     for p in sorted(g.prime_factorization):
-        if is_p_nilpotent(g, p):
+        if _is_p_nilpotent_entry(lat, lat.top(), p):
             verdicts.append(_verdict("L2.8", ga.name, f"p={p}", False, None))
             continue
         minimal = True
@@ -1160,7 +1160,10 @@ def build_example42(
     lat = ga.lat
     o3 = lat.entry(p_core(g, 3).members)
     _require(o3.order == 27, f"O_3 order {o3.order} != 27")
-    _require(o3.is_elementary_abelian(), "O_3 is not elementary abelian")
+    _require(
+        exponent(g, o3) == 3 and _derived_bits(g, o3.generator_indices)[0] == 1,
+        "O_3 is not elementary abelian",
+    )
     rep = lat.sylow(3)[0]
     _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
     maximal_idxs = lat.within(rep.members, order=rep.order // 3)

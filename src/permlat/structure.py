@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PermlatError
-from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits
+from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits, _memo
 from .lattice import _normal_closure_bits
 
 
@@ -38,18 +38,6 @@ def _is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-def _prime_power_base(n: int) -> Optional[int]:
-    """The prime p with n = p^a (a >= 1), or None."""
-    if n < 2:
-        return None
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d if _is_p_power(n, d) else None
-        d += 1
-    return n
-
-
 def iota(m: int, p: int) -> int:
     """The exponent a with m = p^a. Errors unless m is a power of p."""
     a = 0
@@ -59,13 +47,6 @@ def iota(m: int, p: int) -> int:
     if m != 1:
         raise PermlatError(f"{m * p**a} is not a power of {p}")
     return a
-
-
-def _memo(group: Group, key, compute):
-    store = group._memo
-    if key not in store:
-        store[key] = compute()
-    return store[key]
 
 
 # -- derived series, center ---------------------------------------------
@@ -366,16 +347,6 @@ def is_p_solvable(group: Group, p: int) -> bool:
         )
 
     return _memo(group, ("psolvable", p), compute)
-
-
-def is_p_nilpotent(group: Group, p: int) -> bool:
-    """Whether a normal p-complement exists: |O_{p'}(G)| = |G| / p-part."""
-
-    def compute():
-        e = group.prime_factorization.get(p, 0)
-        return p_prime_core(group, p).order == group.order // p**e
-
-    return _memo(group, ("pnilpotent", p), compute)
 
 
 class PLengthResult(NamedTuple):

@@ -16,7 +16,7 @@ rule rather than from permutations of blocks, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
 predicates, to cross-check the checker's one-entry-per-class loops.
 ``supplement_scan_oracle`` likewise builds the full supplement list
-(``supplement_list``) and H_sG (``hsg_join_oracle``) before it looks for
+(``supplements``) and H_sG (``hsg_join_oracle``) before it looks for
 a witness, to cross-check the library's early-exit scan. The join oracle
 takes the set closure of N and every s-permutable subgroup inside H, so
 it also cross-checks the library's reading of H_sG as the largest
@@ -317,7 +317,7 @@ def _section_sets(lat, section):
     return k, n, entries
 
 
-def supplement_list(lat, h, section=None):
+def supplements(lat, h, section=None):
     """Every entry T of the section, in canonical order, with H*T = K as
     a set: |H||T| = |K||H meet T|, since H*T lies in K."""
     k, _n, entries = _section_sets(lat, section)
@@ -377,7 +377,7 @@ def supplement_scan_oracle(lat, h, require_subnormal=False, section=None):
     T, H_sG)) for the first admissible T in canonical order, else
     (False, None)."""
     hsg = hsg_join_oracle(lat, section)(h)
-    for t in supplement_list(lat, h, section):
+    for t in supplements(lat, h, section):
         if require_subnormal and not subnormal_in(lat, t):
             continue
         inter = h.members & t.members
@@ -389,7 +389,7 @@ def supplement_scan_oracle(lat, h, require_subnormal=False, section=None):
 def supersolvable_supplement_oracle(lat, h):
     """(True, T) for the first supplement T of H in G, in canonical order,
     that is supersolvable as a group of its own, else (False, None)."""
-    for t in supplement_list(lat, h):
+    for t in supplements(lat, h):
         if is_supersolvable(t.as_group()):
             return True, t
     return False, None

@@ -12,7 +12,6 @@ from permlat.embedding import (
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
     subnormal_in,
-    supplements,
     sylow_family,
 )
 from permlat.corpus import builtin_corpus
@@ -36,6 +35,7 @@ from oracles import (
     section_wss_oracle,
     supersolvable_supplement_oracle,
     supplement_scan_oracle,
+    supplements,
 )
 
 

@@ -167,7 +167,7 @@ def test_p_residual_s4():
     assert r.order == 12
     assert is_normal(r)
     # A4 is the unique order-12 subgroup: all even permutations
-    assert all(parity_even(p) for p in r.elements())
+    assert all(parity_even(s4.elements[i]) for i in r.element_indices())
 
 
 def parity_even(p):

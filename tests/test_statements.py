@@ -34,7 +34,6 @@ from permlat.structure import (
     derived_series,
     exponent,
     is_nilpotent,
-    is_p_nilpotent,
     is_p_solvable,
     is_solvable,
     p_prime_core,
@@ -350,7 +349,8 @@ def test_l2_8_entry_answers_match_subgroup_groups():
     """L2.8's p-nilpotency (one entry of order |T|_p' inside T) and
     exponent (lcm of G's element orders over T) against T built as a
     group of its own, for every entry T and prime p of the builtin groups
-    of order <= 200."""
+    of order <= 200. T = G is the p-nilpotency that L2.7 and L2.9
+    conclude."""
     entries = not_p_nilpotent = 0
     for name, g in builtin_corpus():
         if g.order > 200:
@@ -361,7 +361,8 @@ def test_l2_8_entry_answers_match_subgroup_groups():
             assert exponent(g, t) == exponent(own), (name, t)
             for p in sorted(g.prime_factorization):
                 got = _is_p_nilpotent_entry(lat, t, p)
-                assert got == is_p_nilpotent(own, p), (name, p, t)
+                e = own.prime_factorization.get(p, 0)
+                assert got == (p_prime_core(own, p).order == own.order // p**e), (name, p, t)
                 entries += 1
                 not_p_nilpotent += not got
     assert entries == 2525

@@ -21,7 +21,6 @@ from permlat.structure import (
     hypercenter,
     iota,
     is_nilpotent,
-    is_p_nilpotent,
     is_p_solvable,
     is_simple,
     is_solvable,
@@ -137,9 +136,10 @@ def test_chief_series_seed_independence():
 
 
 def test_p_nilpotency():
-    assert is_p_nilpotent(s3(), 2)
-    assert not is_p_nilpotent(s3(), 3)
-    assert is_p_nilpotent(cyc(12), 2)
+    # A normal p-complement is O_p'(G), of order |G| over its p-part.
+    for g, p, want in ((s3(), 2, True), (s3(), 3, False), (cyc(12), 2, True)):
+        e = g.prime_factorization[p]
+        assert (p_prime_core(g, p).order == g.order // p**e) == want
 
 
 def test_p_solvable_and_length():
@@ -177,7 +177,7 @@ def test_u_hypercenter_values():
     prod = direct_product(a4(), cyc(5))
     z = u_hypercenter(prod)
     assert z.order == 5
-    orders = sorted(e.order() for e in z.elements())
+    orders = sorted(prod.elements[i].order() for i in z.element_indices())
     assert orders == [1, 5, 5, 5, 5]
 
 
