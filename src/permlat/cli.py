@@ -157,11 +157,14 @@ def _cmd_analyze(args) -> int:
     group = _resolve_group(args.group, args.group_cap)
     props = (
         [p.strip() for p in args.props.split(",") if p.strip()]
-        if args.props
+        if args.props is not None
         else list(_DEFAULT_PROPS)
     )
-    if args.props and props == ["all"]:
+    if props == ["all"]:
         props = list(_PROPS)
+    if not props:
+        print(f"error: no props given (known: {', '.join(_PROPS)})", file=sys.stderr)
+        return 2
     unknown = [p for p in props if p not in _PROPS]
     if unknown:
         print(

@@ -180,13 +180,20 @@ def serialize_group(group: Group, name: Optional[str] = None) -> str:
 
 
 def load_corpus_dir(path, cap: int = DEFAULT_GROUP_CAP) -> list:
-    """(name, Group) for every *.group file under path, sorted by filename."""
+    """(name, Group) for every *.group file under path, sorted by filename.
+    Names must be distinct: a run keys its per-group work by name."""
     root = Path(path)
     if not root.is_dir():
         raise GroupFileError(f"{path} is not a directory")
     out = []
+    files: dict = {}
     for p in sorted(root.glob("*.group")):
         spec = parse_group_file(p)
+        if spec.name in files:
+            raise GroupFileError(
+                f"{files[spec.name]} and {p} both name the group {spec.name!r}"
+            )
+        files[spec.name] = p
         out.append((spec.name, load_group(spec, cap=cap)))
     if not out:
         raise GroupFileError(f"no .group files in {path}")

@@ -81,6 +81,14 @@ def test_analyze_unknown_prop(capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_analyze_no_props(capsys):
+    for props in (",", ""):
+        assert main(["analyze", "S4", "--props", props]) == 2, props
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no props given (known: order, "), props
+        assert captured.out == ""
+
+
 def test_analyze_malformed_file(tmp_path):
     f = tmp_path / "bad.group"
     f.write_text("degree: 3\ngens: (1 2\n")
@@ -495,6 +503,11 @@ def test_errors_without_a_file_position(tmp_path, capsys):
     plain.write_text("")
     nameless = tmp_path / "nameless.group"
     nameless.write_text("degree: 3\ngens: (1 2)\n")
+    # Two files that name one group: C3, then S4.
+    twins = tmp_path / "twins"
+    twins.mkdir()
+    (twins / "a.group").write_text("name: G\ndegree: 3\ngens: (1 2 3)\n")
+    (twins / "b.group").write_text("name: G\ndegree: 4\ngens: (1 2), (1 2 3 4)\n")
     cases = (
         (
             ["analyze", "NoSuch"],
@@ -513,6 +526,10 @@ def test_errors_without_a_file_position(tmp_path, capsys):
             f"no .group files in {empty}",
         ),
         (["analyze", str(nameless)], "missing required key 'name'"),
+        (
+            ["verify", "--statement", "L2.8", "--corpus", str(twins)],
+            f"{twins / 'a.group'} and {twins / 'b.group'} both name the group 'G'",
+        ),
     )
     for argv, message in cases:
         assert main(argv) == 2, argv
