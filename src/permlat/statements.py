@@ -1160,10 +1160,8 @@ def build_example42(
     lat = ga.lat
     o3 = lat.entry(p_core(g, 3).members)
     _require(o3.order == 27, f"O_3 order {o3.order} != 27")
-    _require(
-        exponent(g, o3) == 3 and _derived_bits(g, o3.generator_indices)[0] == 1,
-        "O_3 is not elementary abelian",
-    )
+    abelian = _derived_bits(g, o3.generator_indices)[0] == 1
+    _require(abelian and exponent(g, o3) == 3, "O_3 is not elementary abelian")
     rep = lat.sylow(3)[0]
     _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
     maximal_idxs = lat.within(rep.members, order=rep.order // 3)
