@@ -181,7 +181,7 @@ def serialize_group(group: Group, name: Optional[str] = None) -> str:
 
 def load_corpus_dir(path, cap: int = DEFAULT_GROUP_CAP) -> list:
     """(name, Group) for every *.group file under path, sorted by filename.
-    Names must be distinct: a run keys its per-group work by name."""
+    Names must be distinct: verdict rows identify groups by name."""
     root = Path(path)
     if not root.is_dir():
         raise GroupFileError(f"{path} is not a directory")

@@ -34,6 +34,7 @@ A section is passed as ``section=(K, N)``; the default is the whole group
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from .errors import NotNormalError, PermlatError
@@ -52,6 +53,8 @@ class SupplementWitness:
     ``bound`` is the subgroup the intersection was compared against,
     H_sG. It is computed (and memoized on the lattice) when first read:
     a statement that needs only the yes/no answer never pays for it.
+    The lattice memoizes the witness, so the witness holds the lattice
+    weakly, leaving no cycle: read ``bound`` while the lattice is alive.
     """
 
     __slots__ = ("property", "T", "intersection", "_lat", "_h", "_section")
@@ -60,7 +63,7 @@ class SupplementWitness:
         self.property = prop
         self.T = t
         self.intersection = intersection
-        self._lat = lat
+        self._lat = weakref.proxy(lat)
         self._h = h
         self._section = section
 

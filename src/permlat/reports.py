@@ -14,19 +14,20 @@ from typing import Optional
 
 from . import __version__
 from .groups import DEFAULT_GROUP_CAP
-# DOT export keeps its reports names; the benchmark's tracer self-test
-# reads reports.enumerate_subgroups.
+# The benchmark's tracer self-test reads reports.enumerate_subgroups.
 from .lattice import (  # noqa: F401
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
-    emit_lattice_dot,
     enumerate_subgroups,
-    lattice_dot,
 )
 from .statements import GroupAnalysis, statement_spec
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "permlat"
+
+
+def _verdict_key(v):
+    return (v.group_id, v.statement_id, v.instance)
 
 
 @dataclass
@@ -40,17 +41,15 @@ class VerificationReport:
     timings: Optional[dict] = None
 
     def inconsistencies(self) -> list:
-        return [v for v in self.verdicts if not v.consistent]
+        """The inconsistent verdicts, in ``sorted_verdicts`` order."""
+        return sorted([v for v in self.verdicts if not v.consistent], key=_verdict_key)
 
     @property
     def consistent(self) -> bool:
         return not self.inconsistencies()
 
     def sorted_verdicts(self) -> list:
-        return sorted(
-            self.verdicts,
-            key=lambda v: (v.group_id, v.statement_id, v.instance),
-        )
+        return sorted(self.verdicts, key=_verdict_key)
 
     def to_dict(self) -> dict:
         out = {
@@ -167,11 +166,15 @@ def run_verification(
     with_timings: bool = False,
 ) -> VerificationReport:
     """Run the given registry entries over the corpus and assemble a
-    report. max_order of None keeps each entry's documented default; an
-    explicit value overrides all of them. Scan entries also list their
-    verdicts with a satisfied hypothesis and a failed conclusion as flags,
-    in corpus order. Every group whose E list was cut is reported as a
+    report, in one pass: each group gets one GroupAnalysis, which every
+    entry uses in turn and which is dropped before the next group. All
+    ids are resolved first. Statement rows and timings sum over groups.
+    max_order of None keeps each entry's documented default; an explicit
+    value overrides all of them. Scan entries also list their verdicts
+    with a satisfied hypothesis and a failed conclusion as flags, in
+    corpus order. Every group whose E list was cut is reported as a
     truncation."""
+    specs = [statement_spec(sid) for sid in statement_ids]
     report = VerificationReport(
         corpus_description,
         caps={
@@ -179,29 +182,28 @@ def run_verification(
             "lattice_cap": lattice_cap,
             "max_normal_e": max_normal_e,
         },
-        timings={} if with_timings else None,
     )
-    ga_cache: dict = {}
-    for sid in statement_ids:
-        spec = statement_spec(sid)
+    for spec in specs:
         limit = max_order if max_order is not None else spec.default_max_order
-        started = time.perf_counter()
-        groups_checked = 0
-        verdict_count = 0
-        inconsistent = 0
-        for name, group in corpus:
-            if group.order > limit:
+        counts = dict(groups_checked=0, verdicts=0, inconsistent=0)
+        note = {"note": spec.note} if spec.note else {}
+        report.statements.append(
+            {"statement": spec.statement_id, "max_order": limit, **counts, **note}
+        )
+    seconds = {spec.statement_id: 0.0 for spec in specs}
+    for name, group in corpus:
+        ga = GroupAnalysis(
+            group, name, lattice_cap=lattice_cap, max_normal_e=max_normal_e
+        )
+        for spec, row in zip(specs, report.statements):
+            if group.order > row["max_order"]:
                 continue
-            ga = ga_cache.get(name)
-            if ga is None:
-                ga = GroupAnalysis(
-                    group, name, lattice_cap=lattice_cap, max_normal_e=max_normal_e
-                )
-                ga_cache[name] = ga
+            started = time.perf_counter()
             verdicts = spec.checker(ga)
-            groups_checked += 1
-            verdict_count += len(verdicts)
-            inconsistent += sum(1 for v in verdicts if not v.consistent)
+            seconds[spec.statement_id] += time.perf_counter() - started
+            row["groups_checked"] += 1
+            row["verdicts"] += len(verdicts)
+            row["inconsistent"] += sum(1 for v in verdicts if not v.consistent)
             report.verdicts.extend(verdicts)
             if spec.kind == "scan":
                 report.flags.extend(
@@ -209,22 +211,12 @@ def run_verification(
                     for v in verdicts
                     if v.hypothesis_satisfied and v.conclusion_holds is False
                 )
-            if spec.pairs_e and ga.normal_e()[1]:
+            if spec.pairs_e and ga.e_truncated:
                 report.truncations.append(
-                    f"{sid}: {name} E list truncated to the "
+                    f"{spec.statement_id}: {name} E list truncated to the "
                     f"{max_normal_e} largest normal subgroups"
                 )
-        row = {
-            "statement": sid,
-            "max_order": limit,
-            "groups_checked": groups_checked,
-            "verdicts": verdict_count,
-            "inconsistent": inconsistent,
-        }
-        if spec.note:
-            row["note"] = spec.note
-        report.statements.append(row)
-        if report.timings is not None:
-            report.timings[sid] = round(time.perf_counter() - started, 3)
+    if with_timings:
+        report.timings = {sid: round(t, 3) for sid, t in seconds.items()}
     report.truncations = sorted(set(report.truncations))
     return report

@@ -164,6 +164,7 @@ class GroupAnalysis:
         self.lattice_cap = lattice_cap
         self.max_normal_e = max_normal_e
         self._lat: Optional[SubgroupLattice] = None
+        self._normal_e: Optional[list] = None
 
     @property
     def lat(self) -> SubgroupLattice:
@@ -174,14 +175,20 @@ class GroupAnalysis:
     def label(self, sub: Subgroup) -> str:
         return f"#{self.lat.index_of(sub):03d}(order {sub.order})"
 
-    def normal_e(self) -> tuple[list, bool]:
-        """Normal subgroups to pair as E, largest first, capped."""
-        norms = sorted(
-            self.lat.normal_subgroups(), key=lambda s: (-s.order, s.members)
-        )
-        if len(norms) > self.max_normal_e:
-            return norms[: self.max_normal_e], True
-        return norms, False
+    def normal_e(self) -> list:
+        """Normal subgroups to pair as E, largest first, at most
+        ``max_normal_e`` of them; sorted once per group."""
+        if self._normal_e is None:
+            norms = sorted(
+                self.lat.normal_subgroups(), key=lambda s: (-s.order, s.members)
+            )
+            self._normal_e = norms[: self.max_normal_e]
+        return self._normal_e
+
+    @property
+    def e_truncated(self) -> bool:
+        """Whether ``normal_e`` leaves out some normal subgroup."""
+        return sum(self.lat.normal_flags) > self.max_normal_e
 
     def supersolvable_mod(self, n: Subgroup) -> bool:
         """Whether G/N is supersolvable, by Huppert's rule on the section."""
@@ -316,7 +323,10 @@ def thmB_hypothesis(
     return HypothesisReport(per_prime, hyp, hyp_cond)
 
 
-def _hyp_witnesses(rep: HypothesisReport) -> list:
+def _hyp_witnesses(rep: HypothesisReport, flag: bool = False) -> list:
+    """One line per Sylow: the first |D| whose clause holds with a
+    condition, else the last failing |D|. A q13 flag (``flag``) names
+    instead the first |D| whose clause holds with no condition."""
     out = []
     for syl in rep.per_prime:
         if syl.sylow_cyclic:
@@ -344,8 +354,14 @@ def _hyp_witnesses(rep: HypothesisReport) -> list:
                 f"p={syl.p}: clause holds at |D|={chosen.d_order} with {conds}"
             )
         else:
+            bare = [d for d in syl.d_orders if d.clause_holds]
             fails = [d for d in syl.d_orders if not d.clause_holds]
-            if fails:
+            if flag and bare:
+                out.append(
+                    f"p={syl.p}: clause holds at |D|={bare[0].d_order} "
+                    "with no condition; (i), (ii), (iii) fail"
+                )
+            elif fails:
                 d = fails[-1]
                 out.append(
                     f"p={syl.p}: clause fails at |D|={d.d_order}, H = {d.failing_h}"
@@ -394,8 +410,7 @@ def scan_question13(ga: GroupAnalysis) -> list:
     the proved implication and is reported as inconsistent).
     """
     out = []
-    normals, _trunc = ga.normal_e()
-    for e in normals:
+    for e in ga.normal_e():
         rep = thmB_hypothesis(ga, e, "supplemented")
         quotient_in_u = ga.supersolvable_mod(e)
         hyp = quotient_in_u and rep.hypothesis
@@ -405,7 +420,7 @@ def scan_question13(ga: GroupAnalysis) -> list:
         witnesses = []
         if flagged:
             witnesses.append("counterexample candidate for the open question")
-            witnesses.extend(_hyp_witnesses(rep))
+            witnesses.extend(_hyp_witnesses(rep, flag=True))
         out.append(
             Verdict(
                 "q13",
@@ -1059,8 +1074,7 @@ def check_C4_10(ga: GroupAnalysis) -> list:
     syl2 = lat.sylow(2)[0] if ga.group.order % 2 == 0 else None
     syl2_abelian = syl2 is None or _derived_bits(ga.group, syl2.generator_indices)[0] == 1
     verdicts = []
-    normals, _trunc = ga.normal_e()
-    for e in normals:
+    for e in ga.normal_e():
         hyp = ga.supersolvable_mod(e) and syl2_abelian
         wit = []
         if hyp:
@@ -1088,8 +1102,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
     and cyclic order-4 subgroups of E weakly s-permutable in G force G
     supersolvable."""
     verdicts = []
-    normals, _trunc = ga.normal_e()
-    for e in normals:
+    for e in ga.normal_e():
         hyp = ga.supersolvable_mod(e) and derived_series(ga.group, e)[-1].order == 1
         wit = []
         if hyp:
@@ -1207,13 +1220,11 @@ def build_example42(
 
 
 def check_thmB_all(ga: GroupAnalysis) -> list:
-    normals, _trunc = ga.normal_e()
-    return [check_thmB(ga, e) for e in normals]
+    return [check_thmB(ga, e) for e in ga.normal_e()]
 
 
 def check_thm12_all(ga: GroupAnalysis) -> list:
-    normals, _trunc = ga.normal_e()
-    return [check_thm12(ga, e) for e in normals]
+    return [check_thm12(ga, e) for e in ga.normal_e()]
 
 
 @dataclass(frozen=True)

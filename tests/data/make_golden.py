@@ -1,6 +1,6 @@
 """Regenerate the golden report JSON. Run from the repository root:
 
-    python tests/data/make_golden.py
+    PYTHONPATH=src python tests/data/make_golden.py
 
 Only do this after a deliberate schema or version change, then review
 the diff by hand before committing.

@@ -293,6 +293,25 @@ def test_scan_q13_outputs_match_pins(tmp_path, capsys, monkeypatch):
     assert _sha((tmp_path / "q13.csv").read_text()) == Q13_CSV
 
 
+def test_scan_q13_flags_c2_4_c3(capsys):
+    """C2^4:C3 on 8 points (tests/data/c2_4_c3.group): its O_2 is F_4^2
+    with C3 acting as the F_4 scalars. Each flag names the |D| where the
+    clause holds and no condition does."""
+    data_dir = str(Path(__file__).parent / "data")
+    assert main(["scan-q13", "--corpus", data_dir]) == 0
+    out = capsys.readouterr().out
+    assert "q13: 1 groups, 8 verdicts, 0 inconsistent" in out
+    bare = "    | p=2: clause holds at |D|=4 with no condition; (i), (ii), (iii) fail\n"
+    lead = "    | counterexample candidate for the open question\n"
+    assert (
+        "counterexample candidates: 2\n"
+        f"  C2^4:C3 E=#103(order 48)\n{lead}{bare}"
+        "    | p=3: Sylow cyclic, imposes nothing\n"
+        f"  C2^4:C3 E=#102(order 16)\n{lead}{bare}"
+        "all consistent\n"
+    ) in out
+
+
 def test_reproduce_example42(capsys):
     assert main(["reproduce-example42"]) == 0
     out = capsys.readouterr().out
@@ -375,6 +394,16 @@ def test_scan_q13_contradiction_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert "counterexample candidates: 1" in captured.out
     assert "INCONSISTENT: 1 verdicts\n  q13 S3 E=rigged\n" in captured.err
+
+
+def test_inconsistent_verdicts_print_in_report_order(capsys, monkeypatch):
+    from permlat.statements import Verdict
+
+    _rig(monkeypatch, "thmB", Verdict("thmB", "S3", "E=rigged", True, False, False))
+    _rig(monkeypatch, "L2.2", Verdict("L2.2", "S3", "rigged", True, False, False))
+    assert main(["verify", "--statement", "all", "--max-order", "6"]) == 1
+    err = capsys.readouterr().err
+    assert "INCONSISTENT: 2 verdicts\n  L2.2 S3 rigged\n  thmB S3 E=rigged\n" in err
 
 
 def test_verify_inconsistency_path(tmp_path, capsys, monkeypatch):

@@ -1,23 +1,26 @@
 """Report assembly: determinism, schema shape, CSV, DOT, golden file."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
+import weakref
 
 import pytest
 
+from permlat import reports
 from permlat.corpus import builtin_corpus
-from permlat.reports import (
-    SCHEMA_VERSION,
-    VerificationReport,
-    emit_lattice_dot,
-    lattice_dot,
-    run_verification,
+from permlat.reports import SCHEMA_VERSION, VerificationReport, run_verification
+from permlat.errors import LatticeCapError, PermlatError
+from permlat.lattice import emit_lattice_dot, enumerate_subgroups, lattice_dot
+from permlat.statements import (
+    STATEMENT_IDS,
+    STATEMENTS,
+    GroupAnalysis,
+    StatementSpec,
+    Verdict,
 )
-from permlat.errors import PermlatError
-from permlat.lattice import enumerate_subgroups
-from permlat.statements import STATEMENT_IDS, STATEMENTS, Verdict
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -128,6 +131,63 @@ def test_timings_optional():
 def test_unknown_statement_raises():
     with pytest.raises(PermlatError, match="known"):
         run_verification(["L99"], slice_of("S3"), "x")
+    # Every id is resolved before any group is analysed: S4 is over the
+    # lattice cap, so analysing it would raise LatticeCapError.
+    with pytest.raises(LatticeCapError):
+        run_verification(["L2.2"], slice_of("S4"), "x", lattice_cap=10)
+    with pytest.raises(PermlatError, match="bogus") as info:
+        run_verification(["L2.2", "bogus"], slice_of("S4"), "x", lattice_cap=10)
+    assert not isinstance(info.value, LatticeCapError)
+
+
+def test_repeated_group_names_keep_their_own_verdicts():
+    groups = dict(builtin_corpus())
+    rep = run_verification(
+        ["L2.8"], [("G", groups["C3"]), ("G", groups["S4"])], "repeated name"
+    )
+    assert [v.instance for v in rep.verdicts] == ["p=3", "p=2", "p=3"]
+    assert rep.statements[0]["groups_checked"] == 2
+
+
+def test_finished_group_analysis_is_collectable(monkeypatch):
+    refs = []
+
+    def probe(ga):
+        gc.collect()
+        assert [r() for r in refs] == [None] * len(refs)
+        refs.append(weakref.ref(ga))
+        return []
+
+    spec = StatementSpec("probe", probe, 100)
+    monkeypatch.setattr(reports, "statement_spec", lambda sid: spec)
+    run_verification(["probe"], slice_of("S3", "C12", "S4"), "x")
+    assert len(refs) == 3
+
+
+def test_dropped_analysis_frees_its_lattice_without_the_cycle_collector():
+    ga = GroupAnalysis(dict(builtin_corpus())["S4"], "S4", max_normal_e=1000)
+    for spec in STATEMENTS.values():
+        spec.checker(ga)
+    lat = weakref.ref(ga.lat)
+    gc.disable()
+    try:
+        del ga
+        assert lat() is None
+    finally:
+        gc.enable()
+
+
+def test_rows_sum_over_groups_in_catalog_order():
+    rep = run_verification(
+        ["remark1", "L2.2"], slice_of("S3", "Q8"), "x", with_timings=True
+    )
+    assert [r["statement"] for r in rep.statements] == ["remark1", "L2.2"]
+    assert [r["groups_checked"] for r in rep.statements] == [2, 2]
+    assert list(rep.timings) == ["remark1", "L2.2"]
+    # Verdicts come group by group; reports sort them.
+    assert [v.group_id for v in rep.verdicts] == sorted(
+        (v.group_id for v in rep.verdicts), key=["S3", "Q8"].index
+    )
 
 
 def test_max_order_none_keeps_defaults():

@@ -218,8 +218,9 @@ def test_remark1_instances():
 
 def test_group_analysis_helpers():
     ga = analysis("S4")
-    normals, truncated = ga.normal_e()
-    assert not truncated
+    normals = ga.normal_e()
+    assert not ga.e_truncated
+    assert ga.normal_e() is normals
     orders = [n.order for n in normals]
     assert orders == sorted(orders, reverse=True)
     assert orders[0] == 24
@@ -235,8 +236,8 @@ def test_normal_e_cap():
         close_generators(3, gens(3, "(1 2)", "(1 2 3)")),
     )
     ga = GroupAnalysis(g, "S3xS3", max_normal_e=3)
-    normals, truncated = ga.normal_e()
-    assert truncated
+    normals = ga.normal_e()
+    assert ga.e_truncated
     assert len(normals) == 3
     assert normals[0].order == 36
 
