@@ -194,6 +194,7 @@ class Group:
         "_index",
         "_table",
         "_inv",
+        "_gidx",
         "_orders",
         "_memo",
     )
@@ -219,6 +220,7 @@ class Group:
         self._index = {p.images: i for i, p in enumerate(self.elements)}
         self._table = table
         self._inv = None
+        self._gidx = None
         self._orders = None
         self._memo: dict = {}
 
@@ -234,7 +236,9 @@ class Group:
         return isinstance(p, Perm) and p.images in self._index
 
     def generator_indices(self) -> tuple[int, ...]:
-        return tuple(self.index_of(g) for g in self.generators)
+        if self._gidx is None:
+            self._gidx = tuple(self.index_of(g) for g in self.generators)
+        return self._gidx
 
     # -- index-level machinery -------------------------------------------
 
@@ -354,9 +358,14 @@ class Group:
 
 
 class Subgroup:
-    """A subgroup, held as a bitset over the parent's element indices."""
+    """A subgroup, held as a bitset over the parent's element indices.
 
-    __slots__ = ("parent", "members", "order", "generator_indices")
+    Without explicit generators, ``generator_indices`` is the greedy tuple
+    of ``_extract_generators``, computed on first read; a bitset that is
+    not closed under multiplication raises PermlatError there, not here.
+    """
+
+    __slots__ = ("parent", "members", "order", "_gens")
 
     def __init__(self, parent: Group, members: int, generator_indices=None):
         self.parent = parent
@@ -368,9 +377,13 @@ class Subgroup:
             raise PermlatError(
                 f"order {self.order} does not divide group order {parent.order}"
             )
-        if generator_indices is None:
-            generator_indices = _extract_generators(parent.table(), members)
-        self.generator_indices = tuple(generator_indices)
+        self._gens = None if generator_indices is None else tuple(generator_indices)
+
+    @property
+    def generator_indices(self) -> tuple[int, ...]:
+        if self._gens is None:
+            self._gens = _extract_generators(self.parent.table(), self.members)
+        return self._gens
 
     @property
     def generators(self) -> tuple[Perm, ...]:

@@ -66,6 +66,9 @@ class SubgroupLattice:
         self.conjugacy_classes = classes
         self.class_of = class_of
         self.normal_flags = [len(classes[c]) == 1 for c in class_of]
+        # The list that structure._normal_bits would compute from the table.
+        normal = [b for b, f in zip(entries, self.normal_flags) if f]
+        group._memo.setdefault("normal_bits", normal)
         self._compute_flags()
 
     # -- construction helpers --------------------------------------------

@@ -28,6 +28,7 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     Group,
     Subgroup,
+    _close_bits,
     _conjugate_bits,
     _factorize,
     close_generators,
@@ -63,7 +64,6 @@ from .embedding import (
     is_complemented,
     is_permutable,
     is_s_permutable,
-    is_supersolvable_section,
     is_weakly_s_permutable,
     is_weakly_s_supplemented,
 )
@@ -191,15 +191,15 @@ class GroupAnalysis:
         return sum(self.lat.normal_flags) > self.max_normal_e
 
     def supersolvable_mod(self, n: Subgroup) -> bool:
-        """Whether G/N is supersolvable, by Huppert's rule on the section."""
-        return is_supersolvable_section(self.lat, (self.lat.top(), n))
+        """Whether G/N is supersolvable: iff its U-hypercenter is all of G/N."""
+        return self.u_hypercenter_mod(n) == self.lat.top().members
 
     def u_hypercenter_mod(self, n: Subgroup) -> int:
         """Bits of the preimage of the supersolvable hypercenter of G/N
         (``structure.u_hypercenter``'s walk started at N)."""
         if not self.lat.normal_flags[self.lat.index_of(n)]:
             raise NotNormalError("quotient by a subgroup that is not normal")
-        return _u_hypercenter_bits(self.group, n.members, n.generator_indices)
+        return _u_hypercenter_bits(self.group, n.members)
 
 
 def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:
@@ -587,8 +587,6 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     contained in the accumulated product A, M meet A is a proper normal
     subgroup of M, hence trivial, so M extends the direct product.
     """
-    from .groups import _close_bits
-
     t = ga.group.table()
     acc = 1
     gens: tuple[int, ...] = ()

@@ -3,11 +3,14 @@ supersolvability, chief series, cores, hypercenters, the exponent,
 Sylow towers, and invariant fingerprints.
 
 Everything works on a Group's own table and element-index bitsets,
-without a subgroup lattice. The series that pass through quotients G/N
-(hypercenters, chief series, the upper p-series) build no quotient group:
-by the correspondence theorem the normal subgroups of G/N are the normal
-subgroups of G above N, so each step is taken on G's table and yields the
-preimage in G. Results are memoized on the group object.
+without a subgroup lattice. The normal-series questions (minimal normal
+subgroups, chief series, O_p, O_p', the Fitting subgroup, the upper
+p-series, the U-hypercenter, also of G/N) are answered by scanning one
+memoized list of the bitsets of G's normal subgroups. By the
+correspondence theorem the normal subgroups of G/N are the entries above
+N, so no quotient group is built and each answer is a preimage in G. The
+list comes from G's table, or from G's lattice when that was enumerated
+first. Results are memoized on the group object.
 """
 
 from __future__ import annotations
@@ -112,63 +115,54 @@ def center(group: Group) -> Subgroup:
     return _memo(group, "center", compute)
 
 
-def _order_mod(t, x: int, n_bits: int) -> int:
-    """Order of xN in G/N: the least k >= 1 with x^k in N."""
-    k, y = 1, x
-    while not (n_bits >> y) & 1:
-        y = t[y][x]
-        k += 1
-    return k
+def _normal_bits(group: Group) -> list[int]:
+    """Bitsets of all normal subgroups of G, by (order, bitset). Each is
+    the join of the normal closures of its elements, and conjugate
+    elements have the same closure, so the joins of the closures of one
+    element per conjugacy class are all of them. A lattice enumerated
+    first hands over its normal entries instead: the same list."""
+
+    def compute():
+        t = group.table()
+        normals: dict[int, tuple[int, ...]] = {1: ()}
+        for cls in group.conjugacy_classes()[0][1:]:
+            x = cls[0]
+            cb, cgens = _normal_closure_bits(
+                group, group.generator_indices(), _close_bits(t, 1, (), (x,)), (x,)
+            )
+            if cb in normals:
+                continue  # the joins with it are already listed
+            for b, gens in list(normals.items()):
+                if cb & ~b:
+                    normals.setdefault(_close_bits(t, b, gens, cgens), gens + cgens)
+        return sorted(normals, key=lambda b: (b.bit_count(), b))
+
+    return _memo(group, "normal_bits", compute)
 
 
-def _closure_over(group: Group, n_bits: int, n_gens: tuple, x: int):
-    """Bits and generators of the normal closure of N and x, for N normal;
-    the generators start with N's."""
-    bits = _close_bits(group.table(), n_bits, n_gens, (x,))
-    return _normal_closure_bits(group, group.generator_indices(), bits, n_gens + (x,))
-
-
-def _minimal_over(group: Group, n_bits: int, n_gens: tuple) -> list[Subgroup]:
+def _minimal_over(group: Group, n_bits: int) -> list[Subgroup]:
     """The normal subgroups of G minimal over the normal subgroup N, by
-    (order, bitset). Each is the normal closure of N and any of its
-    elements outside N, so the minimal ones among the closures for one x
-    per conjugacy class outside N are all of them."""
-    classes, _ = group.conjugacy_classes()
-    cand: dict[int, tuple[int, ...]] = {}
-    for cls in classes:
-        x = cls[0]
-        if not (n_bits >> x) & 1:
-            bits, gens = _closure_over(group, n_bits, n_gens, x)
-            cand.setdefault(bits, gens)
-    minimal = [
-        Subgroup(group, bits, gens)
-        for bits, gens in cand.items()
-        if not any(o != bits and o & ~bits == 0 for o in cand)
+    (order, bitset)."""
+    above = [b for b in _normal_bits(group) if b != n_bits and b & n_bits == n_bits]
+    return [
+        Subgroup(group, b)
+        for i, b in enumerate(above)
+        if not any(o & ~b == 0 for o in above[:i])
     ]
-    minimal.sort(key=lambda s: (s.order, s.members))
-    return minimal
 
 
-def _core_over(group: Group, n_bits: int, n_gens: tuple, keep):
-    """Bits and generators of the preimage of O_pi(G/N), where ``keep``
-    tests an integer for being a pi-number: the join of N with every
-    normal closure of N and x whose index over N passes, for one x per
-    conjugacy class outside the join so far. An x whose order mod N fails
-    the test is skipped, since that order divides the closure's index."""
-    t = group.table()
-    classes, _ = group.conjugacy_classes()
+def _core_over(group: Group, n_bits: int, keep) -> int:
+    """Bits of the smallest normal subgroup of G containing N and every
+    normal M >= N with ``keep(|M:N|)``. When ``keep`` tests for a
+    pi-number this is the preimage of O_pi(G/N); ``_is_prime`` gives one
+    step of the U-hypercenter walk."""
+    normals = _normal_bits(group)
     n_order = n_bits.bit_count()
-    bits, gens = n_bits, n_gens
-    for cls in classes:
-        x = cls[0]
-        if (bits >> x) & 1 or not keep(_order_mod(t, x, n_bits)):
-            continue
-        cb, cgens = _closure_over(group, n_bits, n_gens, x)
-        if keep(cb.bit_count() // n_order):
-            new = cgens[len(n_gens):]
-            bits = _close_bits(t, bits, gens, new)
-            gens = gens + new
-    return bits, gens
+    want = n_bits
+    for b in normals:
+        if b & n_bits == n_bits and keep(b.bit_count() // n_order):
+            want |= b
+    return next(b for b in normals if b & want == want)
 
 
 def hypercenter(group: Group) -> Subgroup:
@@ -248,7 +242,7 @@ def has_sylow_tower(group: Group) -> bool:
 
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
     """All minimal normal subgroups, by (order, bitset)."""
-    return _memo(group, "minnorm", lambda: _minimal_over(group, 1, ()))
+    return _memo(group, "minnorm", lambda: _minimal_over(group, 1))
 
 
 def is_simple(group: Group) -> bool:
@@ -260,7 +254,7 @@ def p_core(group: Group, p: int) -> Subgroup:
     """O_p(G), the largest normal p-subgroup."""
 
     def compute():
-        sub = Subgroup(group, *_core_over(group, 1, (), lambda n: _is_p_power(n, p)))
+        sub = Subgroup(group, _core_over(group, 1, lambda n: _is_p_power(n, p)))
         if not _is_p_power(sub.order, p):
             raise PermlatError("join of normal p-subgroups is not a p-group")
         return sub
@@ -272,7 +266,7 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
     """O_{p'}(G), the largest normal subgroup of order coprime to p."""
 
     def compute():
-        sub = Subgroup(group, *_core_over(group, 1, (), lambda n: n % p != 0))
+        sub = Subgroup(group, _core_over(group, 1, lambda n: n % p != 0))
         if sub.order % p == 0:
             raise PermlatError("join of normal p'-subgroups is not a p'-group")
         return sub
@@ -281,18 +275,16 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
 
 
 def fitting_subgroup(group: Group) -> Subgroup:
+    """The smallest normal subgroup containing every O_p(G)."""
+
     def compute():
-        t = group.table()
-        bits = 1
-        gens: tuple[int, ...] = ()
-        for p in sorted(group.prime_factorization):
-            sub = p_core(group, p)
-            if sub.order > 1:
-                bits = _close_bits(t, bits, gens, sub.generator_indices)
-                gens = gens + sub.generator_indices
+        want = 1
+        for p in group.prime_factorization:
+            want |= p_core(group, p).members
+        bits = next(b for b in _normal_bits(group) if b & want == want)
         if not _is_nilpotent_bits(group, bits):
             raise PermlatError("Fitting subgroup failed its nilpotency check")
-        return Subgroup(group, bits, gens)
+        return Subgroup(group, bits)
 
     return _memo(group, "fitting", compute)
 
@@ -317,7 +309,7 @@ def chief_series(group: Group) -> ChiefSeries:
         factors: list[ChiefFactor] = []
         while chain[-1].order < group.order:
             n = chain[-1]
-            m = _minimal_over(group, n.members, n.generator_indices)[0]
+            m = _minimal_over(group, n.members)[0]
             index = m.order // n.order
             factors.append(ChiefFactor(index, _is_prime(index)))
             chain.append(m)
@@ -367,14 +359,14 @@ def p_length(group: Group, p: int) -> PLengthResult:
         # trivial, so a p'-step is always followed by a p-step.
         layers: list[bool] = []
         series = [group.trivial_subgroup()]
-        bits, gens = 1, ()
+        bits = 1
         while bits.bit_count() < group.order:
             grown = bits
             if not layers or layers[-1]:
-                grown, gens = _core_over(group, bits, gens, lambda n: n % p != 0)
+                grown = _core_over(group, bits, lambda n: n % p != 0)
             p_layer = grown == bits
             if p_layer:
-                grown, gens = _core_over(group, bits, gens, lambda n: _is_p_power(n, p))
+                grown = _core_over(group, bits, lambda n: _is_p_power(n, p))
                 if grown == bits:
                     raise PermlatError("upper p-series stalled on a p-solvable group")
             layers.append(p_layer)
@@ -398,18 +390,18 @@ def u_hypercenter(group: Group) -> Subgroup:
     minimal normal subgroup, which certifies maximality.
     """
     return _memo(
-        group, "uhypercenter", lambda: Subgroup(group, _u_hypercenter_bits(group, 1, ()))
+        group, "uhypercenter", lambda: Subgroup(group, _u_hypercenter_bits(group, 1))
     )
 
 
-def _u_hypercenter_bits(group: Group, n_bits: int, n_gens: tuple) -> int:
+def _u_hypercenter_bits(group: Group, n_bits: int) -> int:
     """Bits of the preimage of the U-hypercenter of G/N, for N normal with
-    these bits and generators: ``u_hypercenter``'s walk started at N."""
+    these bits: ``u_hypercenter``'s walk started at N."""
 
     def compute():
-        bits, gens = n_bits, n_gens
+        bits = n_bits
         while True:
-            grown, gens = _core_over(group, bits, gens, _is_prime)
+            grown = _core_over(group, bits, _is_prime)
             if grown == bits:
                 return bits
             bits = grown

@@ -1,11 +1,13 @@
 import pytest
 
 import permlat.groups
-from permlat.errors import BadTableError, GroupOrderCapError
+from permlat.errors import BadTableError, GroupOrderCapError, PermlatError
 from permlat.corpus import builtin_group
 from permlat.groups import (
     CayleyTable,
+    Subgroup,
     _close_bits,
+    _extract_generators,
     _iter_bits,
     close_generators,
     direct_product,
@@ -333,3 +335,26 @@ def test_product_set_sizes():
         s3.index_of(parse_cycle_string(c, 3)) for c in ["(1 2 3)", "(1 3 2)"]
     }
     assert len(naive_product_set(s3, h, a3)) == 6
+
+
+def test_subgroup_generators_are_the_greedy_tuple_on_first_read():
+    """An entry built from its bitset alone gets ``_extract_generators``'s
+    tuple when its generators are first read, so witness strings are the
+    same as when the tuple was built with the entry."""
+    for name in ("S4", "A5"):
+        g = builtin_group(name)
+        t = g.table()
+        for sub in enumerate_subgroups(g).subgroups:
+            assert sub.generator_indices == _extract_generators(t, sub.members)
+            assert sub.generator_indices is sub.generator_indices
+    assert g.generator_indices() is g.generator_indices()
+
+
+def test_unclosed_bitset_raises_on_first_generator_read():
+    """{1, (1 2 3)} passes the order check in S4 but is not a subgroup:
+    construction accepts it and the first generator read raises."""
+    g = builtin_group("S4")
+    bits = 1 | 1 << g.index_of(parse_cycle_string("(1 2 3)", 4))
+    sub = Subgroup(g, bits)
+    with pytest.raises(PermlatError, match="not closed"):
+        sub.generator_indices

@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from permlat.corpus import builtin_corpus, example_pair
+from permlat.embedding import is_supersolvable_section
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import Subgroup, _factorize, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
@@ -415,6 +416,24 @@ def test_quotient_answers_on_agl23_subgroups():
     assert pairs == 246
     assert falses >= 15
     assert proper >= 15
+
+
+def test_supersolvable_mod_matches_huppert_on_the_section():
+    """G/E is supersolvable iff its U-hypercenter is all of G/E, which is
+    how ``supersolvable_mod`` decides it; Huppert's rule on the section
+    (top, E) of G's lattice decides it independently. Checked for every
+    normal E of every builtin group of order <= 200."""
+    pairs = falses = 0
+    for name, g in builtin_corpus():
+        if g.order <= 200:
+            ga = GroupAnalysis(g, name)
+            for e in ga.lat.normal_subgroups():
+                want = is_supersolvable_section(ga.lat, (ga.lat.top(), e))
+                assert ga.supersolvable_mod(e) == want, (name, e.members)
+                pairs += 1
+                falses += not want
+    assert pairs == 681
+    assert falses == 6
 
 
 def test_supersolvable_mod_rejects_a_non_normal_subgroup():

@@ -1,15 +1,22 @@
 """Structural invariants pinned to hand-derived values, plus the
-independent supersolvability and hypercenter oracles on small groups, and
-the walks above a normal subgroup against the quotient-tower oracle."""
+independent supersolvability and hypercenter oracles on small groups, the
+walks above a normal subgroup against the quotient-tower oracle, and the
+list of normal subgroups those walks scan, whether walked from the table
+or handed over by the lattice."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlat.groups import close_generators, direct_product
+from permlat import groups, lattice, statements, structure
+from permlat.corpus import builtin_corpus
+from permlat.groups import Group, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
+from permlat.statements import GroupAnalysis
 from permlat.structure import (
     _derived_bits,
+    _normal_bits,
+    _u_hypercenter_bits,
     abelian_invariants,
     center,
     chief_series,
@@ -34,6 +41,7 @@ from permlat.structure import (
 
 from oracles import (
     agl23,
+    brute_normal_subgroups,
     brute_supersolvable,
     chain_factors,
     chain_hypercenter,
@@ -380,3 +388,82 @@ def test_walks_match_quotient_tower_on_s6_subgroups(perms):
     g = close_generators(6, perms)
     assert _structure_answers(g) == tower_answers(g)
     assert all(is_normal(s) for s in chief_series(g).chain)
+
+
+def _fresh(g):
+    """The same group with an empty memo, so nothing computed on ``g``
+    carries over."""
+    return Group(g.degree, g.generators, g.elements, name=g.name)
+
+
+def test_normal_list_table_walk_matches_lattice_and_brute_force():
+    """The normal subgroups from G's table equal the normal entries of its
+    lattice on every builtin group, and the brute-force normal subgroups
+    on those of order <= 48."""
+    brute_checked = 0
+    for name, g in builtin_corpus():
+        walked = _normal_bits(_fresh(g))
+        lat = enumerate_subgroups(_fresh(g), cap=g.order)
+        assert walked == [s.members for s in lat.normal_subgroups()], name
+        assert _normal_bits(lat.group) == walked, name
+        if g.order <= 48:
+            brute = brute_normal_subgroups(g)
+            assert walked == sorted(
+                (sum(1 << i for i in s) for s in brute), key=lambda b: (b.bit_count(), b)
+            ), name
+            brute_checked += 1
+    assert brute_checked == 84
+
+
+def _normal_series_answers(g):
+    """Every answer ``structure`` reads off the normal-subgroup list."""
+    chief = chief_series(g)
+    return {
+        **_structure_answers(g),
+        "chief_chain": [s.members for s in chief.chain],
+        "minimal_normal": [s.members for s in minimal_normal_subgroups(g)],
+        "u_hypercenter_mod": [_u_hypercenter_bits(g, n) for n in _normal_bits(g)],
+    }
+
+
+def test_normal_series_answers_do_not_depend_on_who_lists_the_normal_subgroups():
+    """On every builtin group, the answers are the same whether
+    ``structure`` walks the table or the lattice hands its entries over."""
+    for name, g in builtin_corpus():
+        walked = _fresh(g)
+        answers = _normal_series_answers(walked)
+        handed = _fresh(g)
+        enumerate_subgroups(handed, cap=g.order)
+        assert _normal_series_answers(handed) == answers, name
+
+
+def test_normal_series_questions_close_nothing_after_the_lattice(monkeypatch):
+    """Once G's lattice is built, no normal-series question runs a
+    closure: each is a scan of the normal-subgroup list the lattice
+    handed over."""
+    analyses = [GroupAnalysis(_fresh(g), name) for name, g in builtin_corpus() if g.order <= 200]
+    for ga in analyses:
+        ga.lat.normal_subgroups()
+    close = groups._close_bits
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return close(*args)
+
+    for module in (groups, lattice, structure, statements):
+        monkeypatch.setattr(module, "_close_bits", counted)
+    for ga in analyses:
+        g = ga.group
+        chief_series(g)
+        minimal_normal_subgroups(g)
+        u_hypercenter(g)
+        fitting_subgroup(g)
+        for p in g.prime_factorization:
+            p_core(g, p)
+            p_prime_core(g, p)
+            p_length(g, p)
+        for n in ga.lat.normal_subgroups():
+            ga.supersolvable_mod(n)
+    assert len(analyses) == 86
+    assert calls == []
