@@ -31,6 +31,20 @@ def _memo(owner, key, compute):
     return store[key]
 
 
+def _normal_bits(group) -> Optional[list[int]]:
+    """The normal subgroups' bitsets by (order, bitset) once a lattice set them."""
+    return group._memo.get("normal_bits")
+
+
+def _set_normal_bits(group, bits: list[int]) -> None:
+    group._memo.setdefault("normal_bits", bits)
+
+
+def _minimal_bits(bits: list[int]) -> list[int]:
+    """The minimal members of a list of bitsets sorted by order."""
+    return [b for i, b in enumerate(bits) if not any(o & ~b == 0 for o in bits[:i])]
+
+
 def _iter_bits(mask: int):
     """Indices of set bits, ascending."""
     while mask:

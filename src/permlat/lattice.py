@@ -31,6 +31,9 @@ from .groups import (
     _close_bits,
     _conjugate_bits,
     _factorize,
+    _memo,
+    _minimal_bits,
+    _set_normal_bits,
 )
 
 DEFAULT_LATTICE_CAP = 400
@@ -66,9 +69,7 @@ class SubgroupLattice:
         self.conjugacy_classes = classes
         self.class_of = class_of
         self.normal_flags = [len(classes[c]) == 1 for c in class_of]
-        # The list that structure._normal_bits would compute from the table.
-        normal = [b for b, f in zip(entries, self.normal_flags) if f]
-        group._memo.setdefault("normal_bits", normal)
+        _set_normal_bits(group, [b for b, f in zip(entries, self.normal_flags) if f])
         self._compute_flags()
 
     # -- construction helpers --------------------------------------------
@@ -94,18 +95,6 @@ class SubgroupLattice:
             for k in cls:
                 maximal[k] = is_max
         self.maximal_flags = maximal
-        minimal_normal = [False] * n
-        for i in range(1, n):
-            if not self.normal_flags[i]:
-                continue
-            mi = self.subgroups[i].members
-            ok = True
-            for j in range(1, i):
-                if self.normal_flags[j] and self.subgroups[j].members & ~mi == 0:
-                    ok = False
-                    break
-            minimal_normal[i] = ok
-        self.minimal_normal_flags = minimal_normal
 
     # -- basic queries -----------------------------------------------------
 
@@ -146,9 +135,11 @@ class SubgroupLattice:
         return self.entry(bits)
 
     def minimal_normal_subgroups(self) -> list[Subgroup]:
-        return [
-            s for s, f in zip(self.subgroups, self.minimal_normal_flags) if f
-        ]
+        def compute():
+            normal = [s.members for s in self.normal_subgroups()[1:]]
+            return [self.entry(b) for b in _minimal_bits(normal)]
+
+        return _memo(self, "minnorm", compute)
 
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
@@ -161,16 +152,11 @@ class SubgroupLattice:
         return self.entry(bits)
 
     def socle(self) -> Subgroup:
-        mins = self.minimal_normal_subgroups()
-        if not mins:
-            return self.subgroups[0]
-        t = self.group.table()
-        bits = mins[0].members
-        gens = mins[0].generator_indices
-        for m in mins[1:]:
-            bits = _close_bits(t, bits, gens, m.generator_indices)
-            gens = gens + m.generator_indices
-        return self.entry(bits)
+        """The smallest normal entry holding every minimal normal one."""
+        want = 0
+        for m in self.minimal_normal_subgroups():
+            want |= m.members
+        return next(s for s in self.normal_subgroups() if s.members & want == want)
 
     def sylow(self, p: int) -> tuple[Subgroup, list[Subgroup]]:
         """A Sylow p-subgroup (lowest-index) and the list of its conjugates.

@@ -199,7 +199,7 @@ class GroupAnalysis:
         (``structure.u_hypercenter``'s walk started at N)."""
         if not self.lat.normal_flags[self.lat.index_of(n)]:
             raise NotNormalError("quotient by a subgroup that is not normal")
-        return _u_hypercenter_bits(self.group, n.members)
+        return _u_hypercenter_bits(self.group, n)
 
 
 def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:

@@ -2,15 +2,13 @@
 supersolvability, chief series, cores, hypercenters, the exponent,
 Sylow towers, and invariant fingerprints.
 
-Everything works on a Group's own table and element-index bitsets,
-without a subgroup lattice. The normal-series questions (minimal normal
-subgroups, chief series, O_p, O_p', the Fitting subgroup, the upper
-p-series, the U-hypercenter, also of G/N) are answered by scanning one
-memoized list of the bitsets of G's normal subgroups. By the
-correspondence theorem the normal subgroups of G/N are the entries above
-N, so no quotient group is built and each answer is a preimage in G. The
-list comes from G's table, or from G's lattice when that was enumerated
-first. Results are memoized on the group object.
+Everything works on a Group's own table and element-index bitsets. The
+normal-series questions (chief series, O_p, O_p', the upper p-series, the
+U-hypercenter, also of G/N) build no quotient: the normal subgroups of G/N
+are those of G above N, so each answer is a preimage in G. Each step scans
+the list of G's normal subgroups once a lattice of G has made it, and
+otherwise joins normal closures of N and one element per conjugacy class:
+the list can be exponentially long (C2^n). Results are memoized on G.
 """
 
 from __future__ import annotations
@@ -21,6 +19,7 @@ from typing import NamedTuple, Optional
 
 from .errors import PermlatError
 from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits, _memo
+from .groups import _minimal_bits, _normal_bits
 from .lattice import _normal_closure_bits
 
 
@@ -115,54 +114,66 @@ def center(group: Group) -> Subgroup:
     return _memo(group, "center", compute)
 
 
-def _normal_bits(group: Group) -> list[int]:
-    """Bitsets of all normal subgroups of G, by (order, bitset). Each is
-    the join of the normal closures of its elements, and conjugate
-    elements have the same closure, so the joins of the closures of one
-    element per conjugacy class are all of them. A lattice enumerated
-    first hands over its normal entries instead: the same list."""
-
-    def compute():
-        t = group.table()
-        normals: dict[int, tuple[int, ...]] = {1: ()}
-        for cls in group.conjugacy_classes()[0][1:]:
-            x = cls[0]
-            cb, cgens = _normal_closure_bits(
-                group, group.generator_indices(), _close_bits(t, 1, (), (x,)), (x,)
-            )
-            if cb in normals:
-                continue  # the joins with it are already listed
-            for b, gens in list(normals.items()):
-                if cb & ~b:
-                    normals.setdefault(_close_bits(t, b, gens, cgens), gens + cgens)
-        return sorted(normals, key=lambda b: (b.bit_count(), b))
-
-    return _memo(group, "normal_bits", compute)
+def _order_mod(t, x: int, n_bits: int) -> int:
+    """Order of xN in G/N: the least k >= 1 with x^k in N."""
+    k, y = 1, x
+    while not (n_bits >> y) & 1:
+        y = t[y][x]
+        k += 1
+    return k
 
 
-def _minimal_over(group: Group, n_bits: int) -> list[Subgroup]:
+def _closure_over(group: Group, n: Subgroup, x: int):
+    """Bits and generators of the normal closure of N and x, for N normal;
+    the generators start with N's."""
+    n_gens = n.generator_indices
+    bits = _close_bits(group.table(), n.members, n_gens, (x,))
+    return _normal_closure_bits(group, group.generator_indices(), bits, n_gens + (x,))
+
+
+def _minimal_over(group: Group, n: Subgroup) -> list[Subgroup]:
     """The normal subgroups of G minimal over the normal subgroup N, by
-    (order, bitset)."""
-    above = [b for b in _normal_bits(group) if b != n_bits and b & n_bits == n_bits]
-    return [
-        Subgroup(group, b)
-        for i, b in enumerate(above)
-        if not any(o & ~b == 0 for o in above[:i])
-    ]
-
-
-def _core_over(group: Group, n_bits: int, keep) -> int:
-    """Bits of the smallest normal subgroup of G containing N and every
-    normal M >= N with ``keep(|M:N|)``. When ``keep`` tests for a
-    pi-number this is the preimage of O_pi(G/N); ``_is_prime`` gives one
-    step of the U-hypercenter walk."""
+    (order, bitset): the minimal entries above N in G's normal-subgroup
+    list, or, with no list, the minimal normal closures of N and x for one
+    x per conjugacy class outside N (each of them is such a closure)."""
     normals = _normal_bits(group)
-    n_order = n_bits.bit_count()
-    want = n_bits
-    for b in normals:
-        if b & n_bits == n_bits and keep(b.bit_count() // n_order):
-            want |= b
-    return next(b for b in normals if b & want == want)
+    if normals is not None:
+        cand = {b: None for b in normals if b != n.members and b & n.members == n.members}
+    else:
+        cand = {}
+        for cls in group.conjugacy_classes()[0]:
+            if not (n.members >> cls[0]) & 1:
+                cand.setdefault(*_closure_over(group, n, cls[0]))
+    above = sorted(cand, key=lambda b: (b.bit_count(), b))
+    return [Subgroup(group, b, cand[b]) for b in _minimal_bits(above)]
+
+
+def _core_over(group: Group, n: Subgroup, keep) -> Subgroup:
+    """The join of N with every normal M >= N with ``keep(|M:N|)``: for a
+    pi-test the preimage of O_pi(G/N), for ``_is_prime`` one U-hypercenter
+    step. It is the smallest entry of G's normal-subgroup list containing
+    them; with no list, the walk joins the passing closures of N and x, one
+    x per class outside the join so far, skipping x whose order mod N fails."""
+    normals = _normal_bits(group)
+    n_order = n.order
+    if normals is not None:
+        want = n.members
+        for b in normals:
+            if b & n.members == n.members and keep(b.bit_count() // n_order):
+                want |= b
+        return Subgroup(group, next(b for b in normals if b & want == want))
+    t = group.table()
+    bits, gens = n.members, n.generator_indices
+    for cls in group.conjugacy_classes()[0]:
+        x = cls[0]
+        if (bits >> x) & 1 or not keep(_order_mod(t, x, n.members)):
+            continue
+        cb, cgens = _closure_over(group, n, x)
+        if keep(cb.bit_count() // n_order):
+            new = cgens[len(n.generator_indices):]
+            bits = _close_bits(t, bits, gens, new)
+            gens = gens + new
+    return Subgroup(group, bits, gens)
 
 
 def hypercenter(group: Group) -> Subgroup:
@@ -242,7 +253,7 @@ def has_sylow_tower(group: Group) -> bool:
 
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
     """All minimal normal subgroups, by (order, bitset)."""
-    return _memo(group, "minnorm", lambda: _minimal_over(group, 1))
+    return _memo(group, "minnorm", lambda: _minimal_over(group, group.trivial_subgroup()))
 
 
 def is_simple(group: Group) -> bool:
@@ -254,7 +265,7 @@ def p_core(group: Group, p: int) -> Subgroup:
     """O_p(G), the largest normal p-subgroup."""
 
     def compute():
-        sub = Subgroup(group, _core_over(group, 1, lambda n: _is_p_power(n, p)))
+        sub = _core_over(group, group.trivial_subgroup(), lambda n: _is_p_power(n, p))
         if not _is_p_power(sub.order, p):
             raise PermlatError("join of normal p-subgroups is not a p-group")
         return sub
@@ -266,7 +277,7 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
     """O_{p'}(G), the largest normal subgroup of order coprime to p."""
 
     def compute():
-        sub = Subgroup(group, _core_over(group, 1, lambda n: n % p != 0))
+        sub = _core_over(group, group.trivial_subgroup(), lambda n: n % p != 0)
         if sub.order % p == 0:
             raise PermlatError("join of normal p'-subgroups is not a p'-group")
         return sub
@@ -275,13 +286,15 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
 
 
 def fitting_subgroup(group: Group) -> Subgroup:
-    """The smallest normal subgroup containing every O_p(G)."""
+    """The product of the O_p(G), normal of coprime orders."""
 
     def compute():
-        want = 1
+        t = group.table()
+        members = [0]
         for p in group.prime_factorization:
-            want |= p_core(group, p).members
-        bits = next(b for b in _normal_bits(group) if b & want == want)
+            o_p = list(_iter_bits(p_core(group, p).members))
+            members = [t[a][b] for a in members for b in o_p]
+        bits = sum(1 << i for i in members)
         if not _is_nilpotent_bits(group, bits):
             raise PermlatError("Fitting subgroup failed its nilpotency check")
         return Subgroup(group, bits)
@@ -309,7 +322,7 @@ def chief_series(group: Group) -> ChiefSeries:
         factors: list[ChiefFactor] = []
         while chain[-1].order < group.order:
             n = chain[-1]
-            m = _minimal_over(group, n.members)[0]
+            m = _minimal_over(group, n)[0]
             index = m.order // n.order
             factors.append(ChiefFactor(index, _is_prime(index)))
             chain.append(m)
@@ -359,19 +372,17 @@ def p_length(group: Group, p: int) -> PLengthResult:
         # trivial, so a p'-step is always followed by a p-step.
         layers: list[bool] = []
         series = [group.trivial_subgroup()]
-        bits = 1
-        while bits.bit_count() < group.order:
-            grown = bits
+        while series[-1].order < group.order:
+            n = grown = series[-1]
             if not layers or layers[-1]:
-                grown = _core_over(group, bits, lambda n: n % p != 0)
-            p_layer = grown == bits
+                grown = _core_over(group, n, lambda k: k % p != 0)
+            p_layer = grown.members == n.members
             if p_layer:
-                grown = _core_over(group, bits, lambda n: _is_p_power(n, p))
-                if grown == bits:
+                grown = _core_over(group, n, lambda k: _is_p_power(k, p))
+                if grown.members == n.members:
                     raise PermlatError("upper p-series stalled on a p-solvable group")
             layers.append(p_layer)
-            bits = grown
-            series.append(Subgroup(group, bits))
+            series.append(grown)
         return PLengthResult(p, True, sum(layers), series)
 
     return _memo(group, ("plength", p), compute)
@@ -390,23 +401,25 @@ def u_hypercenter(group: Group) -> Subgroup:
     minimal normal subgroup, which certifies maximality.
     """
     return _memo(
-        group, "uhypercenter", lambda: Subgroup(group, _u_hypercenter_bits(group, 1))
+        group,
+        "uhypercenter",
+        lambda: Subgroup(group, _u_hypercenter_bits(group, group.trivial_subgroup())),
     )
 
 
-def _u_hypercenter_bits(group: Group, n_bits: int) -> int:
-    """Bits of the preimage of the U-hypercenter of G/N, for N normal with
-    these bits: ``u_hypercenter``'s walk started at N."""
+def _u_hypercenter_bits(group: Group, n: Subgroup) -> int:
+    """Bits of the preimage of the U-hypercenter of G/N, for N normal:
+    ``u_hypercenter``'s walk started at N."""
 
     def compute():
-        bits = n_bits
+        z = n
         while True:
-            grown = _core_over(group, bits, _is_prime)
-            if grown == bits:
-                return bits
-            bits = grown
+            grown = _core_over(group, z, _is_prime)
+            if grown.members == z.members:
+                return z.members
+            z = grown
 
-    return _memo(group, ("uhypercenter", n_bits), compute)
+    return _memo(group, ("uhypercenter", n.members), compute)
 
 
 # -- exponent ---------------------------------------------------------------

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -565,3 +566,18 @@ def test_errors_without_a_file_position(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n", argv
         assert captured.out == ""
+
+
+def test_analyze_rank_8_elementary_abelian_file_is_fast(tmp_path, capsys):
+    """C2^8 has 417,199 subgroups, every one normal, so no answer of the
+    default props may list them: each walk takes per-class steps."""
+    f = tmp_path / "c2_8.group"
+    gens = ", ".join(f"({2 * i + 1} {2 * i + 2})" for i in range(8))
+    f.write_text(f"name: C2^8\ndegree: 16\ngens: {gens}\n")
+    started = time.process_time()
+    assert main(["analyze", str(f)]) == 0
+    assert time.process_time() - started < 10
+    out = capsys.readouterr().out
+    assert "chief-factors: 2 2 2 2 2 2 2 2" in out
+    assert "fitting: 256" in out
+    assert "p-length: 2:1" in out

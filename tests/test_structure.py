@@ -1,21 +1,19 @@
 """Structural invariants pinned to hand-derived values, plus the
 independent supersolvability and hypercenter oracles on small groups, the
 walks above a normal subgroup against the quotient-tower oracle, and the
-list of normal subgroups those walks scan, whether walked from the table
-or handed over by the lattice."""
+same answers read off the normal-subgroup list a lattice hands over."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlat import groups, lattice, statements, structure
 from permlat.corpus import builtin_corpus
-from permlat.groups import Group, close_generators, direct_product
+from permlat.groups import Group, Subgroup, _normal_bits, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
 from permlat.statements import GroupAnalysis
 from permlat.structure import (
     _derived_bits,
-    _normal_bits,
     _u_hypercenter_bits,
     abelian_invariants,
     center,
@@ -396,45 +394,53 @@ def _fresh(g):
     return Group(g.degree, g.generators, g.elements, name=g.name)
 
 
-def test_normal_list_table_walk_matches_lattice_and_brute_force():
-    """The normal subgroups from G's table equal the normal entries of its
-    lattice on every builtin group, and the brute-force normal subgroups
-    on those of order <= 48."""
+def test_lattice_hands_over_its_normal_entries():
+    """A group has no normal-subgroup list until a lattice of it is built;
+    then the list is the lattice's normal entries, on every builtin group,
+    and the brute-force normal subgroups on those of order <= 48. The
+    lattice's minimal normal entries are the ones the walks find."""
     brute_checked = 0
     for name, g in builtin_corpus():
-        walked = _normal_bits(_fresh(g))
-        lat = enumerate_subgroups(_fresh(g), cap=g.order)
-        assert walked == [s.members for s in lat.normal_subgroups()], name
-        assert _normal_bits(lat.group) == walked, name
+        fresh = _fresh(g)
+        assert _normal_bits(fresh) is None, name
+        lat = enumerate_subgroups(fresh, cap=g.order)
+        listed = _normal_bits(fresh)
+        assert listed == [s.members for s in lat.normal_subgroups()], name
+        walked = [s.members for s in minimal_normal_subgroups(_fresh(g))]
+        assert [s.members for s in lat.minimal_normal_subgroups()] == walked, name
         if g.order <= 48:
             brute = brute_normal_subgroups(g)
-            assert walked == sorted(
+            assert listed == sorted(
                 (sum(1 << i for i in s) for s in brute), key=lambda b: (b.bit_count(), b)
             ), name
             brute_checked += 1
     assert brute_checked == 84
 
 
-def _normal_series_answers(g):
-    """Every answer ``structure`` reads off the normal-subgroup list."""
+def _normal_series_answers(g, normals):
+    """Every normal-series answer ``structure`` gives, with the
+    U-hypercenter of G/N for each of the given normal bitsets N."""
     chief = chief_series(g)
     return {
         **_structure_answers(g),
         "chief_chain": [s.members for s in chief.chain],
         "minimal_normal": [s.members for s in minimal_normal_subgroups(g)],
-        "u_hypercenter_mod": [_u_hypercenter_bits(g, n) for n in _normal_bits(g)],
+        "u_hypercenter_mod": [_u_hypercenter_bits(g, Subgroup(g, n)) for n in normals],
     }
 
 
-def test_normal_series_answers_do_not_depend_on_who_lists_the_normal_subgroups():
-    """On every builtin group, the answers are the same whether
-    ``structure`` walks the table or the lattice hands its entries over."""
+def test_normal_series_answers_do_not_depend_on_whether_a_lattice_was_built():
+    """On every builtin group, the per-class walks on a group with no
+    lattice give the same answers as the scans of the normal-subgroup list
+    a lattice hands over."""
     for name, g in builtin_corpus():
-        walked = _fresh(g)
-        answers = _normal_series_answers(walked)
         handed = _fresh(g)
         enumerate_subgroups(handed, cap=g.order)
-        assert _normal_series_answers(handed) == answers, name
+        normals = _normal_bits(handed)
+        walked = _fresh(g)
+        answers = _normal_series_answers(walked, normals)
+        assert _normal_bits(walked) is None, name
+        assert _normal_series_answers(handed, normals) == answers, name
 
 
 def test_normal_series_questions_close_nothing_after_the_lattice(monkeypatch):
