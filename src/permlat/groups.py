@@ -53,21 +53,23 @@ def _iter_bits(mask: int):
         mask ^= lsb
 
 
-def _close_bits(table, base_bits: int, base_gens, new_gens) -> int:
+def _close_bits(table, base_bits: int, base_gens, new_gens, base_members=None) -> int:
     """Bitset of the subgroup generated by a subgroup and extra elements.
 
     ``base_bits`` must be the bitset of an actual subgroup with generator
-    indices ``base_gens``. Grows by whole right cosets of the base, so the
-    cost is linear in the size of the result. The cosets are counted: once
-    they hold more than half of the group the closure is a subgroup of
-    index below 2, which by Lagrange is the group itself, so the full mask
-    is returned without filling in the rest.
+    indices ``base_gens``; ``base_members``, if given, lists its elements,
+    for a caller that closes many joins over one base. Grows by whole right
+    cosets of the base, so the cost is linear in the size of the result.
+    The cosets are counted: once they hold more than half of the group the
+    closure is a subgroup of index below 2, which by Lagrange is the group
+    itself, so the full mask is returned without filling in the rest.
     """
     bits = base_bits
     gens = tuple(dict.fromkeys((*base_gens, *new_gens)))
     if not gens:
         return bits
-    base_members = list(_iter_bits(base_bits))
+    if base_members is None:
+        base_members = list(_iter_bits(base_bits))
     n = len(table)
     # More cosets than this hold more than n/2 elements.
     coset_limit = n // (2 * len(base_members))

@@ -10,14 +10,14 @@ working up to conjugacy loses nothing: if K = <H^g, C> then
 K^(g^-1) = <H, C^(g^-1)>, a join made from the representative H. The orbits
 are the conjugacy classes of subgroups.
 
-H is joined with one cyclic subgroup per orbit of H acting by conjugation:
-for h in H, <H, C^h> = <H, C>^h, so the other members of C's orbit only
-give conjugates of <H, C>, which its recorded orbit already holds. If C
-lies in H, so does its whole orbit, and nothing is joined. The orbits are
-traced by table lookups, through a map from every generator of each
-cyclic subgroup to that subgroup. Joins stop as soon as they pass half
-the group (see ``groups._close_bits``), since such a join is the group.
-Equivalence with a brute-force oracle is part of the test suite.
+H is joined with one cyclic subgroup per orbit of N_G(H) acting by
+conjugation: for n in N_G(H), <H, C^n> = <H, C>^n, so the rest of C's
+orbit only gives conjugates of <H, C>, which its recorded orbit holds. If
+C lies in H, so does its whole orbit, and nothing is joined. N_G(H) has
+order |G| over the size of H's class, which fixes when its generators
+are all found. Joins stop as soon as they pass half the group (see
+``groups._close_bits``), since such a join is the group. Equivalence
+with a brute-force oracle is part of the test suite.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .groups import (
     Group,
     Subgroup,
     _close_bits,
-    _conjugate_bits,
     _factorize,
+    _iter_bits,
     _memo,
     _minimal_bits,
     _set_normal_bits,
@@ -195,19 +195,24 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
         raise LatticeCapError(
             f"group order {group.order} exceeds lattice cap {cap}", cap
         )
+    n = group.order
     t = group.table()
     inv = group.inverse_table()
     gidx = group.generator_indices()
     orders = group.element_orders()
+    # x -> g^-1 x g for each generator g of G.
+    gmaps = [[t[t[inv[g]][x]][g] for x in range(n)] for g in gidx]
 
     # The prime-power cyclic subgroups, numbered in the order of their
     # lowest generating element: cyc_gen[c] is that element, cyc_bits[c]
-    # the subgroup, and cyc_of[x] the number of the cyclic subgroup that x
-    # generates (-1 if x has no prime-power order).
+    # the subgroup, cyc_members[c] its elements, and cyc_of[x] the number
+    # of the cyclic subgroup that x generates (-1 if x has no prime-power
+    # order).
     cyc_gen: list[int] = []
     cyc_bits: list[int] = []
-    cyc_of = [-1] * group.order
-    for i in range(1, group.order):
+    cyc_members: list[list[int]] = []
+    cyc_of = [-1] * n
+    for i in range(1, n):
         if cyc_of[i] != -1:
             continue
         fac = _factorize(orders[i])
@@ -215,62 +220,87 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
             continue
         (p,) = fac
         c = len(cyc_gen)
-        bits = 1
+        members = [0]
         x = i
         k = 1
         while x != 0:
-            bits |= 1 << x
+            members.append(x)
             if k % p:
                 cyc_of[x] = c
             x = t[x][i]
             k += 1
         cyc_gen.append(i)
-        cyc_bits.append(bits)
+        cyc_bits.append(sum(1 << x for x in members))
+        cyc_members.append(members)
 
     orbits = [[1]]
     seen = {1}
-    work: list[tuple[int, tuple[int, ...]]] = [(1, ())]
+    # Each class representative H with its generators and |N_G(H)|.
+    work: list[tuple[int, tuple[int, ...], int]] = [(1, (), n)]
     while work:
-        hb, hgens = work.pop()
-        hsize = hb.bit_count()
-        conj = [(t[inv[h]], h) for h in hgens]
+        hb, hgens, norm_order = work.pop()
+        hmem = list(_iter_bits(hb))
+        if norm_order == n:
+            ngens = gidx
+        else:
+            ngens = _normalizer_generators(t, inv, hb, hgens, norm_order)
+        # How each generator of N_G(H) permutes the cyclic subgroups.
+        acts = [[cyc_of[t[t[inv[g]][x]][g]] for x in cyc_gen] for g in ngens]
         marked = bytearray(len(cyc_gen))
         for c in range(len(cyc_gen)):
             if marked[c]:
                 continue
-            # Mark c's orbit under conjugation by H; only c is joined.
+            # Mark c's orbit under conjugation by N_G(H); only c is joined.
             marked[c] = 1
             stack = [c]
             while stack:
-                x = cyc_gen[stack.pop()]
-                for row, h in conj:
-                    d = cyc_of[t[row[x]][h]]
+                x = stack.pop()
+                for act in acts:
+                    d = act[x]
                     if not marked[d]:
                         marked[d] = 1
                         stack.append(d)
             cg = cyc_gen[c]
             if (hb >> cg) & 1:
                 continue
-            cb = cyc_bits[c]
-            if hsize >= cb.bit_count():
-                jb = _close_bits(t, hb, hgens, (cg,))
+            cmem = cyc_members[c]
+            if len(hmem) >= len(cmem):
+                jb = _close_bits(t, hb, hgens, (cg,), hmem)
             else:
-                jb = _close_bits(t, cb, (cg,), hgens)
+                jb = _close_bits(t, cyc_bits[c], (cg,), hgens, cmem)
             if jb not in seen:
-                orbit = _conjugation_orbit(t, inv, gidx, jb)
+                orbit = _conjugation_orbit(gmaps, jb)
                 seen.update(orbit)
                 orbits.append(orbit)
-                work.append((jb, hgens + (cg,)))
+                work.append((jb, hgens + (cg,), n // len(orbit)))
     return SubgroupLattice(group, orbits)
 
 
-def _conjugation_orbit(table, inv, gens, bits: int) -> list[int]:
-    """Bitsets of all conjugates of a subgroup, by BFS over the generators."""
+def _normalizer_generators(table, inv, h_bits: int, h_gens, norm_order: int):
+    """Generators of N_G(H), given its order: H's generators, then each
+    element outside their closure, ascending, that conjugates them into H."""
+    n_bits, gens = h_bits, list(h_gens)
+    for g in range(1, len(table)):
+        if n_bits.bit_count() == norm_order:
+            break
+        row = table[inv[g]]
+        if not (n_bits >> g) & 1 and all((h_bits >> table[row[h]][g]) & 1 for h in h_gens):
+            n_bits = _close_bits(table, n_bits, tuple(gens), (g,))
+            gens.append(g)
+    return gens
+
+
+def _conjugation_orbit(maps, bits: int) -> list[int]:
+    """Bitsets of all conjugates of a subgroup, by BFS over the conjugation
+    maps of G's generators."""
     orbit = [bits]
     seen = {bits}
     for b in orbit:
-        for g in gens:
-            c = _conjugate_bits(table, inv, b, g)
+        members = list(_iter_bits(b))
+        for m in maps:
+            c = 0
+            for x in members:
+                c |= 1 << m[x]
             if c not in seen:
                 seen.add(c)
                 orbit.append(c)

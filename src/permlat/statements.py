@@ -31,6 +31,7 @@ from .groups import (
     _close_bits,
     _conjugate_bits,
     _factorize,
+    _memo,
     close_generators,
     p_residual,
 )
@@ -291,15 +292,25 @@ def thmB_hypothesis(
     hyp = True
     hyp_cond = True
     for p in sorted(_factorize(e.order)):
-        rep = sylow_of(ga, e, p)
+        syl, with_cond = _sylow_clause(ga, sylow_of(ga, e, p), p, mode)
+        per_prime.append(syl)
+        hyp = hyp and syl.satisfied
+        hyp_cond = hyp_cond and with_cond
+    return HypothesisReport(per_prime, hyp, hyp_cond)
+
+
+def _sylow_clause(ga: GroupAnalysis, rep: Subgroup, p: int, mode: str) -> tuple:
+    """A Sylow P's report, and whether some |D| has the clause and a
+    condition. Memoized on the lattice per (P, mode): E plays no part."""
+
+    def compute():
         if rep.is_cyclic():
-            per_prime.append(SylowReport(p, rep.order, True, [], True))
-            continue
+            return SylowReport(p, rep.order, True, [], True), True
         i_p = iota(rep.order, p)
         derived_bits = _derived_bits(ga.group, rep.generator_indices)[0]
         derived_order = derived_bits.bit_count()
         i_pprime = iota(derived_order, p)
-        cond_i = _frattini_bits(lat, rep, p) != derived_bits
+        cond_i = _frattini_bits(ga.lat, rep, p) != derived_bits
         entries = []
         any_clause = False
         any_with_cond = False
@@ -317,10 +328,9 @@ def thmB_hypothesis(
                 any_clause = True
                 if cond_i or cond_ii or cond_iii:
                     any_with_cond = True
-        per_prime.append(SylowReport(p, rep.order, False, entries, any_clause))
-        hyp = hyp and any_clause
-        hyp_cond = hyp_cond and any_with_cond
-    return HypothesisReport(per_prime, hyp, hyp_cond)
+        return SylowReport(p, rep.order, False, entries, any_clause), any_with_cond
+
+    return _memo(ga.lat, ("sylow_clause", rep.members, mode), compute)
 
 
 def _hyp_witnesses(rep: HypothesisReport, flag: bool = False) -> list:
@@ -1100,8 +1110,12 @@ def check_C4_12(ga: GroupAnalysis) -> list:
     and cyclic order-4 subgroups of E weakly s-permutable in G force G
     supersolvable."""
     verdicts = []
+    # Every subgroup of a solvable group is solvable.
+    g_solvable = is_solvable(ga.group)
     for e in ga.normal_e():
-        hyp = ga.supersolvable_mod(e) and derived_series(ga.group, e)[-1].order == 1
+        hyp = ga.supersolvable_mod(e) and (
+            g_solvable or derived_series(ga.group, e)[-1].order == 1
+        )
         wit = []
         if hyp:
             hyp, wit = _first_failure(

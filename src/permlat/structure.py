@@ -257,6 +257,10 @@ def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
 
 
 def is_simple(group: Group) -> bool:
+    """By Burnside's p^a q^b theorem (1904) a group whose order has at most
+    two prime divisors is solvable, so simple iff of prime order."""
+    if len(group.prime_factorization) <= 2:
+        return _is_prime(group.order)
     mins = minimal_normal_subgroups(group)
     return len(mins) == 1 and mins[0].order == group.order
 

@@ -5,12 +5,20 @@ import hashlib
 
 import pytest
 
+from permlat import lattice
 from permlat.corpus import builtin_corpus
 from permlat.embedding import core_of
 from permlat.errors import LatticeCapError, PermlatError
-from permlat.groups import Group, _conjugate_bits, close_generators, direct_product
+from permlat.groups import (
+    Group,
+    _close_bits,
+    _conjugate_bits,
+    close_generators,
+    direct_product,
+)
 from permlat.lattice import (
     _normal_closure_bits,
+    _normalizer_generators,
     enumerate_subgroups,
     is_subnormal,
     permutes,
@@ -18,6 +26,7 @@ from permlat.lattice import (
 from permlat.perms import Perm, parse_cycle_string
 
 from oracles import (
+    agl23,
     brute_is_normal,
     brute_subgroups,
     conjugation_partition,
@@ -302,6 +311,48 @@ def test_lattice_digest_pin():
         entries = [s.members for s in lat.subgroups]
         digest.update(repr((name, entries, lat.conjugacy_classes)).encode())
     assert digest.hexdigest() == LATTICE_DIGEST
+
+
+@pytest.mark.parametrize(
+    "make, cap",
+    [
+        (lambda: [g for _, g in builtin_corpus() if g.order <= 400], 400),
+        (lambda: [agl23()], 432),
+    ],
+    ids=["builtin", "AGL(2,3)"],
+)
+def test_normalizer_generators_close_to_the_normalizer(make, cap):
+    """For the lowest entry H of every conjugacy class, |N_G(H)| is |G|
+    over the class size, and when H is not normal the normalizer
+    generators that the enumeration finds close to N_G(H)."""
+    for g in make():
+        lat = enumerate_subgroups(g, cap=cap)
+        t, inv = g.table(), g.inverse_table()
+        for cls in lat.conjugacy_classes:
+            h = lat.subgroups[cls[0]]
+            want = normalizer(h)
+            assert want.order == g.order // len(cls)
+            if len(cls) > 1:
+                ngens = _normalizer_generators(
+                    t, inv, h.members, h.generator_indices, want.order
+                )
+                assert _close_bits(t, 1, (), ngens) == want.members
+
+
+def test_a6_enumeration_joins_once_per_normalizer_orbit(monkeypatch):
+    """A6's lattice takes at most 450 closures (818 when each
+    representative H joined one cyclic subgroup per orbit of H alone)."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _close_bits(*args, **kwargs)
+
+    g = builtin("A6")
+    g.table()
+    monkeypatch.setattr(lattice, "_close_bits", counting)
+    assert len(enumerate_subgroups(g)) == 501
+    assert len(calls) <= 450
 
 
 def fresh_copy(g):

@@ -134,6 +134,22 @@ def test_thm12_controls():
     assert verdict.consistent
 
 
+def test_shared_sylow_clause_matches_a_fresh_analysis():
+    """The per-Sylow clause is memoized on the lattice per (P, mode): on
+    every builtin group of order <= 200, the report for each normal E and
+    mode from one shared analysis equals that of a fresh analysis. AGL(2,3)
+    is the group where the two modes' reports differ."""
+    cases = [(n, g) for n, g in builtin_corpus() if g.order <= 200]
+    for name, g in cases + [("AGL(2,3)", agl23())]:
+        shared = GroupAnalysis(g, name, lattice_cap=432)
+        for e in shared.lat.normal_subgroups():
+            for mode in ("supplemented", "permutable"):
+                fresh = GroupAnalysis(g, name, lattice_cap=432)
+                assert thmB_hypothesis(shared, e, mode) == thmB_hypothesis(
+                    fresh, e, mode
+                ), (name, e.order, mode)
+
+
 def test_cyclic_sylows_vacuous():
     ga = analysis("C15")
     rep = thmB_hypothesis(ga, ga.lat.top())

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlat import groups, lattice, statements, structure
-from permlat.corpus import builtin_corpus
+from permlat.corpus import builtin_corpus, builtin_group
 from permlat.groups import Group, Subgroup, _normal_bits, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
@@ -39,6 +39,7 @@ from permlat.structure import (
 
 from oracles import (
     agl23,
+    brute_minimal_normals,
     brute_normal_subgroups,
     brute_supersolvable,
     chain_factors,
@@ -275,6 +276,25 @@ def test_is_simple():
     assert is_simple(cyc(7))
     assert not is_simple(s4())
     assert not is_simple(cyc(6))
+
+
+def test_is_simple_matches_the_definition():
+    """On fresh copies of every builtin group and S5, is_simple agrees
+    with its definition: one minimal normal subgroup, the whole group."""
+    s5 = close_generators(5, gens(5, "(1 2)", "(1 2 3 4 5)"))
+    for g in [g for _, g in builtin_corpus()] + [s5]:
+        mins = brute_minimal_normals(_fresh(g))
+        want = len(mins) == 1 and mins[0].bit_count() == g.order
+        assert is_simple(_fresh(g)) == want, g.name
+
+
+def test_L2_6_builds_no_table_for_a_two_prime_order():
+    """|G324| = 2^2 * 3^4, so Burnside's theorem says G324 is not simple
+    before any table is built."""
+    g = builtin_group("G324")
+    assert g._table is None
+    assert statements.check_L2_6(GroupAnalysis(g, "G324")) == []
+    assert g._table is None
 
 
 def test_abelian_invariants_values():
