@@ -17,8 +17,9 @@ every answer is read off the group's own lattice.
 * T/N supplements H/N when |H||T| = |K||H meet T|; the trivial
   intersection is N.
 * X/N is s-permutable when X permutes in G with every Sylow S of the
-  section: (X/N)(S/N) is a subgroup exactly when XS is. A subgroup normal
-  in G is normal in K, so the normality shortcut holds in every section.
+  section: (X/N)(S/N) is a subgroup exactly when XS is, which the
+  lattice answers. A subgroup normal in G is normal in K, so the
+  normality shortcut holds in every section.
 * By Kegel (1962) the s-permutable subgroups of a group form a
   sublattice, so H_sG, their join inside H, is the largest of them inside
   H; in a section it contains N. Results are the preimages in G.
@@ -39,7 +40,7 @@ from typing import Optional
 
 from .errors import NotNormalError, PermlatError
 from .groups import Subgroup, _conjugate_bits, _factorize, _memo
-from .lattice import SubgroupLattice, is_subnormal, permutes
+from .lattice import SubgroupLattice, is_subnormal
 from .structure import _is_prime
 
 # Not called here, as supersolvability is decided on the lattice;
@@ -106,10 +107,11 @@ def _section(lat: SubgroupLattice, key: tuple) -> tuple:
     def compute():
         k_bits, n_bits = key
         k, n = lat.entry(k_bits), lat.entry(n_bits)
-        t = lat.group.table()
-        inv = lat.group.inverse_table()
-        if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
-            raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
+        # N normal in G (trivial N included) is normal in K.
+        if not lat.normal_flags[lat.index_by_bits[n_bits]]:
+            t, inv = lat.group.table(), lat.group.inverse_table()
+            if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
+                raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
         entries = [
             e for e in lat.subgroups
             if e.members & ~k_bits == 0 and n_bits & ~e.members == 0
@@ -154,7 +156,7 @@ def is_s_permutable(
             return True
         for _p, conjugates in sylow_family(lat, section):
             for q in conjugates:
-                if not permutes(h, q):
+                if lat.product(h, q) is None:
                     return False
         return True
 
@@ -328,6 +330,6 @@ def is_permutable(lat: SubgroupLattice, h: Subgroup) -> bool:
     h = _resolve(lat, h)
 
     def compute():
-        return all(permutes(h, e) for e in lat.subgroups)
+        return all(lat.product(h, e) is not None for e in lat.subgroups)
 
     return _memo(lat, ("perm", h.members), compute)

@@ -126,13 +126,18 @@ class SubgroupLattice:
 
     # -- lattice operations -------------------------------------------------
 
-    def join(self, a: Subgroup, b: Subgroup) -> Subgroup:
-        t = self.group.table()
-        if a.order >= b.order:
-            bits = _close_bits(t, a.members, a.generator_indices, b.generator_indices)
-        else:
-            bits = _close_bits(t, b.members, b.generator_indices, a.generator_indices)
-        return self.entry(bits)
+    def product(self, a: Subgroup, b: Subgroup) -> Optional[Subgroup]:
+        """The entry equal to the set AB of entries A and B, or None when AB
+        is not a subgroup. An entry of order |A||B|/|A meet B| that holds
+        A and B contains the set AB, which has that many elements."""
+        size = a.order * b.order // (a.members & b.members).bit_count()
+        if size == a.order or size == b.order:
+            return a if size == a.order else b
+        both = a.members | b.members
+        for i in self._by_order.get(size, ()):
+            if both & ~self.subgroups[i].members == 0:
+                return self.subgroups[i]
+        return None
 
     def minimal_normal_subgroups(self) -> list[Subgroup]:
         def compute():
@@ -338,23 +343,6 @@ def is_subnormal(h: Subgroup) -> bool:
         if nb == cur_bits:
             return cur_bits == h.members
         cur_bits, cur_gens = nb, ngens
-
-
-def permutes(h: Subgroup, k: Subgroup) -> bool:
-    """True iff HK = KH, i.e. the product set is a subgroup."""
-    inter = (h.members & k.members).bit_count()
-    size = h.order * k.order // inter
-    g_order = h.parent.order
-    if g_order % size:
-        return False
-    if size == g_order or size == h.order or size == k.order:
-        return True
-    t = h.parent.table()
-    if h.order >= k.order:
-        jb = _close_bits(t, h.members, h.generator_indices, k.generator_indices)
-    else:
-        jb = _close_bits(t, k.members, k.generator_indices, h.generator_indices)
-    return jb.bit_count() == size
 
 
 # -- DOT export --------------------------------------------------------------

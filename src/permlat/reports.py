@@ -119,33 +119,37 @@ def _nested_json(value, pad: str) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
+_LITERAL = {True: "true", False: "false", None: "null"}
+_FLAG_TYPES = (bool, type(None))
+
+
 def _rows_json(rows: list) -> str:
-    """A top-level field's list of flat dicts, the verdict rows, as
-    json.dumps(indent=2) writes it. Strings, booleans, None and lists of
-    strings are written directly; any other value goes to json.dumps."""
+    """A top-level field's list of verdict rows, each a ``Verdict.as_dict``,
+    as json.dumps(indent=2) writes it, one template per row. A row with a
+    flag that is not a bool (or None for the conclusion), or a text that
+    is not a string, goes to json.dumps instead."""
     if not rows:
         return "[]"
+    enc = _encode_str
     items = []
     for row in rows:
-        fields = []
-        for key, value in row.items():
-            if type(value) is str:
-                text = _encode_str(value)
-            elif value is True:
-                text = "true"
-            elif value is False:
-                text = "false"
-            elif value is None:
-                text = "null"
-            elif value == []:
-                text = "[]"
-            elif type(value) is list and all(type(x) is str for x in value):
-                lines = ",\n        ".join(map(_encode_str, value))
-                text = f"[\n        {lines}\n      ]"
-            else:
-                text = _nested_json(value, "      ")
-            fields.append(f"      {_encode_str(key)}: {text}")
-        items.append("    {\n" + ",\n".join(fields) + "\n    }")
+        hyp, concl, ok = row["hypothesis_satisfied"], row["conclusion_holds"], row["consistent"]
+        try:
+            if type(hyp) is not bool or type(ok) is not bool or type(concl) not in _FLAG_TYPES:
+                raise TypeError
+            w = ",\n        ".join(map(enc, row["witnesses"]))
+            w = f"[\n        {w}\n      ]" if w else "[]"
+            items.append(
+                f'    {{\n      "statement": {enc(row["statement"])},\n'
+                f'      "group": {enc(row["group"])},\n'
+                f'      "instance": {enc(row["instance"])},\n'
+                f'      "hypothesis_satisfied": {_LITERAL[hyp]},\n'
+                f'      "conclusion_holds": {_LITERAL[concl]},\n'
+                f'      "consistent": {_LITERAL[ok]},\n'
+                f'      "witnesses": {w}\n    }}'
+            )
+        except TypeError:
+            items.append("    " + _nested_json(row, "    "))
     return "[\n" + ",\n".join(items) + "\n  ]"
 
 

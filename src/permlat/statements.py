@@ -28,10 +28,10 @@ from .groups import (
     DEFAULT_GROUP_CAP,
     Group,
     Subgroup,
-    _close_bits,
     _conjugate_bits,
     _factorize,
     _memo,
+    _normal_bits,
     close_generators,
     p_residual,
 )
@@ -506,7 +506,10 @@ def check_L2_1(ga: GroupAnalysis) -> list:
             if not is_weakly_s_supplemented(lat, e)[0]:
                 continue
             count += 1
-            if not is_weakly_s_supplemented(lat, lat.join(n, e), (top, n))[0]:
+            ne = lat.product(n, e)
+            if ne is None:
+                raise PermlatError("a normal subgroup times a subgroup is not a subgroup")
+            if not is_weakly_s_supplemented(lat, ne, (top, n))[0]:
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts
@@ -597,20 +600,16 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     contained in the accumulated product A, M meet A is a proper normal
     subgroup of M, hence trivial, so M extends the direct product.
     """
-    t = ga.group.table()
-    acc = 1
-    gens: tuple[int, ...] = ()
-    chosen = []
-    for m in ga.lat.minimal_normal_subgroups():
-        if m.members & ~n_sub.members:
+    minimal, normals = ga.lat.minimal_normal_subgroups(), _normal_bits(ga.group)
+    acc, chosen = 1, []
+    for m in minimal:
+        if m.members & ~n_sub.members or m.members & acc != 1:
             continue
-        if (m.members & acc) != 1:
-            continue
-        new = _close_bits(t, acc, gens, m.generator_indices)
-        if new.bit_count() != acc.bit_count() * m.order:
+        # A*M is the normal entry of order |A||M| that holds both.
+        size, both = acc.bit_count() * m.order, acc | m.members
+        acc = next((b for b in normals if b.bit_count() == size and both & ~b == 0), None)
+        if acc is None:
             raise PermlatError("normal product with trivial meet is not direct")
-        acc = new
-        gens = gens + m.generator_indices
         chosen.append(m)
     if acc != n_sub.members:
         return None
@@ -668,29 +667,35 @@ def check_L2_6(ga: GroupAnalysis) -> list:
         return []
     lat = ga.lat
     psl = _psl_orders()
+    # The cases are invariant under conjugation: one check per class.
+    # Only one n has n!/2 = |G|, so A_{n-1} is fingerprinted once.
+    case_of = {}
+    alt_print = None
     fails = []
     count = 0
     details = []
-    for sub in lat.subgroups:
+    for sub, cid in zip(lat.subgroups, lat.class_of):
         if sub.is_full():
             continue
         index = g.order // sub.order
         if len(_factorize(index)) != 1:
             continue
         count += 1
-        matched = None
-        if math.factorial(index) // 2 == g.order:
-            alt = _alternating_named(index - 1, f"A{index - 1}")
-            own = close_generators(g.degree, sub.generators)
-            if fingerprint(own) == fingerprint(alt):
-                matched = f"alternating point stabilizer, n={index}"
-        if matched is None:
-            for size, n, q, proj_index in psl:
-                if size == g.order and proj_index == index:
-                    matched = f"projective linear index, PSL_{n}({q})"
-                    break
-        if matched is None and g.order == 660 and sub.order == 60:
-            matched = "PSL_2(11) with an order-60 point stabilizer"
+        if cid not in case_of:
+            matched = None
+            if math.factorial(index) // 2 == g.order:
+                alt_print = alt_print or fingerprint(_alternating_named(index - 1, f"A{index - 1}"))
+                if fingerprint(close_generators(g.degree, sub.generators)) == alt_print:
+                    matched = f"alternating point stabilizer, n={index}"
+            if matched is None:
+                for size, n, q, proj_index in psl:
+                    if size == g.order and proj_index == index:
+                        matched = f"projective linear index, PSL_{n}({q})"
+                        break
+            if matched is None and g.order == 660 and sub.order == 60:
+                matched = "PSL_2(11) with an order-60 point stabilizer"
+            case_of[cid] = matched
+        matched = case_of[cid]
         if matched is None:
             fails.append(f"H={ga.label(sub)} index {index} matches no case")
         else:

@@ -14,7 +14,8 @@ the same way
 ``wreath_by_semidirect`` builds a wreath product from its multiplication
 rule rather than from permutations of blocks, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
-predicates, to cross-check the checker's one-entry-per-class loops.
+predicates, to cross-check the checker's one-entry-per-class loops; it
+closes each product NE itself rather than reading it off the lattice.
 ``supplement_scan_oracle`` likewise builds the full supplement list
 (``supplements``) and H_sG (``hsg_join_oracle``) before it looks for
 a witness, to cross-check the library's early-exit scan. The join oracle
@@ -220,6 +221,13 @@ def commutator_closure(group):
         for b in range(n):
             comms.add(t[t[t[inv[a]][inv[b]]][a]][b])
     return close_set(t, comms)
+
+
+def permutes(h, k):
+    """True iff HK = KH, i.e. the closure of H and K, which holds the set
+    HK, has exactly the |H||K|/|H meet K| elements of that set."""
+    hs, ks = set(h.element_indices()), set(k.element_indices())
+    return len(close_set(h.parent.table(), hs | ks)) == len(hs) * len(ks) // len(hs & ks)
 
 
 def naive_product_set(group, a_elems, b_elems):
@@ -474,7 +482,8 @@ def l2_1_all_entries(ga):
             if math.gcd(n.order, e.order) != 1 or not wss(lat, e)[0]:
                 continue
             count += 1
-            if not wss(lat, lat.join(n, e), (top, n))[0]:
+            ne = close_set(lat.group.table(), set(n.element_indices()) | set(e.element_indices()))
+            if not wss(lat, lat.entry(_bits(ne)), (top, n))[0]:
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts

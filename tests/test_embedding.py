@@ -396,6 +396,39 @@ def test_section_rejects_bad_input():
         is_weakly_s_supplemented(lat, d8, (c2, d8))
 
 
+def test_section_bottom_normal_in_k_but_not_in_g():
+    """The conjugation check is skipped only for an N normal in G. In S4,
+    <(1 3)(2 4)> is normal in D8 but not in S4: the section D8/N is
+    accepted with the answers of the rebuilt section, and <(1 3)>,
+    which D8 does not normalize, is still rejected."""
+    g, lat = make(4, "(1 2)", "(1 2 3 4)")
+    d8 = sub(lat, "(1 2 3 4)", "(1 3)")
+    n = sub(lat, "(1 3)(2 4)")
+    assert not lat.normal_flags[lat.index_of(n)]
+    section = (d8, n)
+    oracle = section_wss_oracle(d8, n)
+    got = []
+    for i in lat.within(d8.members):
+        h = lat.subgroups[i]
+        if n.members & ~h.members:
+            continue
+        ok, wit = is_weakly_s_supplemented(lat, h, section)
+        assert ok == oracle(h)
+        got.append((i, h.order, ok, wit.T.order, h_sG(lat, h, section).order))
+    assert got == [
+        (7, 2, True, 8, 2),
+        (15, 4, True, 4, 4),
+        (16, 4, True, 4, 4),
+        (19, 4, True, 4, 4),
+        (25, 8, True, 2, 8),
+    ]
+    assert [(p, [lat.index_of(s) for s in c]) for p, c in sylow_family(lat, section)] == [
+        (2, [25])
+    ]
+    with pytest.raises(NotNormalError):
+        is_weakly_s_supplemented(lat, d8, (d8, sub(lat, "(1 3)")))
+
+
 # -- the early-exit supplement scan against the full-list oracle ---------------
 
 

@@ -21,7 +21,6 @@ from permlat.lattice import (
     _normalizer_generators,
     enumerate_subgroups,
     is_subnormal,
-    permutes,
 )
 from permlat.perms import Perm, parse_cycle_string
 
@@ -31,7 +30,10 @@ from oracles import (
     brute_subgroups,
     conjugation_partition,
     is_normal,
+    is_subgroup_set,
+    naive_product_set,
     normalizer,
+    permutes,
 )
 
 
@@ -132,8 +134,9 @@ def test_join_meet():
     lat = enumerate_subgroups(g)
     a = lat.entry(g.subgroup_generated_by(gens(4, "(1 2)")).members)
     b = lat.entry(g.subgroup_generated_by(gens(4, "(3 4)")).members)
-    assert lat.join(a, b).order == 4
-    assert lat.join(a, lat.bottom()) == a
+    assert lat.product(a, b).order == 4
+    assert lat.product(a, lat.bottom()) == a
+    assert lat.product(a, lat.entry(g.subgroup_generated_by(gens(4, "(1 3)")).members)) is None
     a4 = lat.entry(g.subgroup_generated_by(gens(4, "(1 2 3)", "(2 3 4)")).members)
     d8 = lat.sylow(2)[0]
     v4 = lat.entry(a4.members & d8.members)
@@ -192,18 +195,42 @@ def test_subnormal():
 
 
 def test_permutes():
-    g = s3()
-    h = g.subgroup_generated_by(gens(3, "(1 2)"))
-    a3 = g.subgroup_generated_by(gens(3, "(1 2 3)"))
-    assert permutes(h, a3)
-    h13 = g.subgroup_generated_by(gens(3, "(1 3)"))
-    assert not permutes(h, h13)
-    big = s4()
-    hb = big.subgroup_generated_by(gens(4, "(1 2)"))
-    kb = big.subgroup_generated_by(gens(4, "(1 3 4)"))
-    assert not permutes(hb, kb)
-    v4 = big.subgroup_generated_by(gens(4, "(1 2)(3 4)", "(1 3)(2 4)"))
-    assert permutes(hb, v4)
+    """The closure oracle and ``product`` on the same pairs."""
+    cases = [
+        (s3(), ["(1 2)"], ["(1 2 3)"], True),
+        (s3(), ["(1 2)"], ["(1 3)"], False),
+        (s4(), ["(1 2)"], ["(1 3 4)"], False),
+        (s4(), ["(1 2)"], ["(1 2)(3 4)", "(1 3)(2 4)"], True),
+    ]
+    for g, h_gens, k_gens, expected in cases:
+        lat = enumerate_subgroups(g)
+        h = lat.entry(g.subgroup_generated_by(gens(g.degree, *h_gens)).members)
+        k = lat.entry(g.subgroup_generated_by(gens(g.degree, *k_gens)).members)
+        assert permutes(h, k) is expected
+        assert (lat.product(h, k) is not None) is expected
+
+
+def test_product_matches_the_set_product():
+    """For every pair of entries of the builtin groups of order <= 60,
+    ``product`` is the entry equal to the elementwise set product when
+    that set is a subgroup, and None otherwise."""
+    pairs = closed = 0
+    for name, g in builtin_corpus():
+        if g.order > 60:
+            continue
+        lat = enumerate_subgroups(g)
+        elems = [s.element_indices() for s in lat.subgroups]
+        for a, ea in zip(lat.subgroups, elems):
+            for b, eb in zip(lat.subgroups, elems):
+                prod = naive_product_set(g, ea, eb)
+                got = lat.product(a, b)
+                pairs += 1
+                if is_subgroup_set(g, prod):
+                    closed += 1
+                    assert got is not None and bits_to_set(got.members) == prod, name
+                else:
+                    assert got is None, name
+    assert (pairs, closed) == (29904, 22284)
 
 
 def test_within_and_of_order():

@@ -330,3 +330,16 @@ def test_to_json_matches_json_dumps(registry_report, monkeypatch):
     )
     for label, rep in reports.items():
         assert rep.to_json() == _json_reference(rep), label
+
+
+def test_to_json_writes_off_template_rows_like_json_dumps():
+    """Rows the template does not fit (integer flags, a non-string
+    witness) are still written as json.dumps writes them."""
+    odd = [
+        Verdict("L2.2", "G", "ints", 1, 0, True),
+        Verdict("L2.2", "G", "int witness", True, None, True, ("fine", 3)),
+        Verdict("L2.2", "G", "plain", True, True, True, ("w",)),
+    ]
+    rep = VerificationReport("odd rows", {}, verdicts=odd, flags=odd[:1])
+    assert '"hypothesis_satisfied": 1' in rep.to_json()
+    assert rep.to_json() == _json_reference(rep)

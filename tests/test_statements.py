@@ -150,6 +150,25 @@ def test_shared_sylow_clause_matches_a_fresh_analysis():
                 ), (name, e.order, mode)
 
 
+def test_thmB_modes_differ_on_agl23():
+    """The builtin corpus cannot tell weak s-supplementation from weak
+    s-permutability inside the clause; AGL(2,3) at E of order 216 can.
+    Every clause fails in both modes, but the first order-3 subgroup that
+    fails differs, so a swapped predicate fails here."""
+    ga = GroupAnalysis(agl23(), "AGL(2,3)", lattice_cap=432)
+    (e,) = [n for n in ga.lat.normal_subgroups() if n.order == 216]
+    reports = {mode: thmB_hypothesis(ga, e, mode) for mode in ("supplemented", "permutable")}
+    assert reports["supplemented"] != reports["permutable"]
+    order_3 = {}
+    for mode, rep in reports.items():
+        assert [(syl.p, syl.satisfied) for syl in rep.per_prime] == [(2, False), (3, False)]
+        order_3[mode] = rep.per_prime[1].d_orders[0].failing_h
+    assert order_3 == {
+        "supplemented": "<order 3: (1 2 3)(4 5 6)(7 8 9)>",
+        "permutable": "<order 3: (2 5 8)(3 9 6)>",
+    }
+
+
 def test_cyclic_sylows_vacuous():
     ga = analysis("C15")
     rep = thmB_hypothesis(ga, ga.lat.top())

@@ -6,12 +6,13 @@ same answers read off the normal-subgroup list a lattice hands over."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlat import groups, lattice, statements, structure
+from permlat import embedding, groups, lattice, statements, structure
 from permlat.corpus import builtin_corpus, builtin_group
+from permlat.embedding import h_sG, is_permutable, is_s_permutable, is_weakly_s_supplemented
 from permlat.groups import Group, Subgroup, _normal_bits, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm, parse_cycle_string
-from permlat.statements import GroupAnalysis
+from permlat.statements import GroupAnalysis, check_L2_1
 from permlat.structure import (
     _derived_bits,
     _u_hypercenter_bits,
@@ -297,6 +298,26 @@ def test_L2_6_builds_no_table_for_a_two_prime_order():
     assert g._table is None
 
 
+def test_L2_6_checks_each_class_once(monkeypatch):
+    """A5's five index-5 subgroups are one conjugacy class: A4 is built
+    once and one subgroup is closed, yet the verdict still lists each."""
+    calls = {"alternating": 0, "close": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(statements, "_alternating_named", counted("alternating", statements._alternating_named))
+    monkeypatch.setattr(statements, "close_generators", counted("close", statements.close_generators))
+    (verdict,) = statements.check_L2_6(GroupAnalysis(builtin_group("A5"), "A5"))
+    assert calls == {"alternating": 1, "close": 1}
+    assert verdict.hypothesis_satisfied and verdict.conclusion_holds
+    assert verdict.witnesses == ("index 5: alternating point stabilizer, n=5",)
+
+
 def test_abelian_invariants_values():
     assert abelian_invariants(cyc(6)) == (6,)
     assert abelian_invariants(direct_product(cyc(2), cyc(4))) == (2, 4)
@@ -478,7 +499,7 @@ def test_normal_series_questions_close_nothing_after_the_lattice(monkeypatch):
         return close(*args)
 
     for module in (groups, lattice, structure, statements):
-        monkeypatch.setattr(module, "_close_bits", counted)
+        monkeypatch.setattr(module, "_close_bits", counted, raising=False)
     for ga in analyses:
         g = ga.group
         chief_series(g)
@@ -493,3 +514,37 @@ def test_normal_series_questions_close_nothing_after_the_lattice(monkeypatch):
             ga.supersolvable_mod(n)
     assert len(analyses) == 86
     assert calls == []
+
+
+def test_embedding_questions_close_nothing_after_the_lattice(monkeypatch):
+    """Once G's lattice is built, products, joins and section normality
+    are read off it: no s-permutability, permutability, H_sG or weak
+    s-supplementation question runs a closure, in G, in any G/N or in any
+    K/1, and neither does Lemma 2.1's checker."""
+    analyses = [GroupAnalysis(_fresh(g), name) for name, g in builtin_corpus() if g.order <= 200]
+    for ga in analyses:
+        ga.lat.normal_subgroups()
+
+    def fail(*args, **kwargs):
+        raise AssertionError("closure run after the lattice was built")
+
+    for module in (groups, lattice, structure, embedding, statements):
+        monkeypatch.setattr(module, "_close_bits", fail, raising=False)
+    for ga in analyses:
+        lat = ga.lat
+        top, bottom = lat.top(), lat.bottom()
+        for h in lat.subgroups:
+            is_s_permutable(lat, h)
+            is_permutable(lat, h)
+            h_sG(lat, h)
+            is_weakly_s_supplemented(lat, h)
+        for n in lat.normal_subgroups():
+            for h in lat.subgroups:
+                if n.members & ~h.members == 0:
+                    is_weakly_s_supplemented(lat, h, (top, n))
+        for cls in lat.conjugacy_classes:
+            k = lat.subgroups[cls[0]]
+            for i in lat.within(k.members):
+                is_weakly_s_supplemented(lat, lat.subgroups[i], (k, bottom))
+        check_L2_1(ga)
+    assert len(analyses) == 86
