@@ -16,9 +16,8 @@ points; an empty value gives the trivial group of the stated degree.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GroupFileError, InvalidPermutationError
 from .groups import (
@@ -29,7 +28,6 @@ from .groups import (
     close_generators,
     direct_product,
     group_from_cayley,
-    p_residual,
     wreath_regular,
 )
 from .perms import parse_cycle_string
@@ -38,13 +36,13 @@ PRODUCT_ORDER_LIMIT = 200
 PRODUCT_BUDGET = 40
 
 
-@dataclass(frozen=True)
-class GroupSpecFile:
+class GroupSpecFile(NamedTuple):
     name: str
     degree: int
     gens: tuple
     expected_order: Optional[int] = None
-    positions: dict = field(default_factory=dict, compare=False, repr=False)
+    # (line, column) of each key's value; read, never written.
+    positions: dict = {}
 
 
 _KNOWN_KEYS = ("name", "degree", "gens", "expected_order")
@@ -274,14 +272,28 @@ def _elementary_abelian(p: int, rank: int, name: str) -> Group:
     return close_generators(p * rank, gens, name=name)
 
 
+# The generators that ``p_residual(B648, 2)`` picks, in its order: the
+# three 3-cycles of the base group and two elements of order 3 that move
+# the blocks. ``statements.build_example42`` proves that they generate
+# O^2(B648).
+_G324_GENERATORS = (
+    "(7 8 9)",
+    "(4 5 6)",
+    "(1 2 3)",
+    "(1 4 7)(2 5 8)(3 6 9)",
+    "(1 4 7)(2 5 9)(3 6 8)",
+)
+
+
 def example_pair(cap: int = DEFAULT_GROUP_CAP) -> tuple[Group, Group]:
     """The order-324 control example: B648 = S3 wr C3 on 9 points and its
-    2-residual G324 = O^2(B648). Fresh groups on every call; a ``cap``
-    below 648 raises before anything is closed."""
+    2-residual G324 = O^2(B648), closed from the residual's five
+    generators, so B648 builds no Cayley table. Fresh groups on every
+    call; a ``cap`` below 648 raises before anything is closed."""
     b = wreath_regular(_symmetric(3, "S3"), 3, cap=cap)
     b.name = "B648"
-    residual = p_residual(b, 2)
-    return b, close_generators(b.degree, residual.generators, cap=cap, name="G324")
+    gens = [parse_cycle_string(text, b.degree) for text in _G324_GENERATORS]
+    return b, close_generators(b.degree, gens, cap=cap, name="G324")
 
 
 def _product(name: str, a: Group, b: Group) -> Group:

@@ -262,14 +262,17 @@ class Group:
         """``table()[a][b]`` is the index of a*b.
 
         Left multiplication by each generator is taken once from the
-        permutations; every other row then follows along a breadth-first
-        word tree, since row g*a is row a mapped through x -> g*x.
+        permutations, g*x being x's images gathered through g's 0-based
+        images; every other row then follows along a breadth-first word
+        tree, since row g*a is row a mapped through x -> g*x.
         """
         if self._table is None:
             idx = self._index
-            lefts = [
-                [idx[(g * x).images] for x in self.elements] for g in self.generators
-            ]
+            images = [x.images for x in self.elements]
+            lefts = []
+            for g in self.generators:
+                through = [v - 1 for v in g.images]
+                lefts.append([idx[tuple(map(im.__getitem__, through))] for im in images])
             rows: list = [None] * self.order
             rows[0] = list(range(self.order))
             reached = [0]
@@ -472,7 +475,10 @@ def close_generators(
 ) -> Group:
     """Group generated by ``gens`` via breadth-first closure.
 
-    Raises GroupOrderCapError as soon as the element count exceeds ``cap``.
+    The search runs on image tuples: each generator g becomes one gather
+    through g's images, so x*g is ``tuple(map(step, x.images))``, and the
+    permutations are built once, in sorted order, at the end. Raises
+    GroupOrderCapError as soon as the element count exceeds ``cap``.
     """
     if degree < 1:
         raise PermlatError("degree must be at least 1")
@@ -482,24 +488,22 @@ def close_generators(
             raise DegreeMismatchError(
                 f"generator degree {g.degree} != group degree {degree}"
             )
-    identity = Perm.identity(degree)
-    seen = {identity.images}
-    elems = [identity]
-    mult_gens = [g for g in gens if not g.is_identity()]
+    identity = Perm.identity(degree).images
+    seen = {identity}
+    steps = [((0,) + g.images).__getitem__ for g in gens if not g.is_identity()]
     queue = [identity]
     while queue:
         x = queue.pop()
-        for g in mult_gens:
-            y = x * g
-            if y.images not in seen:
-                seen.add(y.images)
-                elems.append(y)
+        for step in steps:
+            y = tuple(map(step, x))
+            if y not in seen:
+                seen.add(y)
                 queue.append(y)
-                if len(elems) > cap:
+                if len(seen) > cap:
                     raise GroupOrderCapError(
                         f"group order exceeds cap {cap}", cap
                     )
-    elems.sort(key=lambda p: p.images)
+    elems = [Perm._unchecked(y) for y in sorted(seen)]
     return Group(degree, gens, elems, name=name)
 
 
@@ -540,23 +544,13 @@ def direct_product(a: Group, b: Group, cap: int = DEFAULT_GROUP_CAP) -> Group:
     if order > cap:
         raise GroupOrderCapError(f"product order {order} exceeds cap {cap}", cap)
     da = a.degree
-    shift = tuple(range(da + 1, da + b.degree + 1))
     identity_b = tuple(range(da + 1, da + b.degree + 1))
 
-    elements = []
-    for p in a.elements:
-        pim = p.images
-        for q in b.elements:
-            elements.append(
-                Perm._unchecked(pim + tuple(x + da for x in q.images))
-            )
+    shifted = [tuple(x + da for x in q.images) for q in b.elements]
+    elements = [Perm._unchecked(p.images + s) for p in a.elements for s in shifted]
     ta, tb = a.table(), b.table()
     nb = b.order
-    table = [
-        [ta[i1][i2] * nb + tb[j1][j2] for i2 in range(a.order) for j2 in range(nb)]
-        for i1 in range(a.order)
-        for j1 in range(nb)
-    ]
+    table = [[x * nb + y for x in row_a for y in row_b] for row_a in ta for row_b in tb]
     identity_a = tuple(range(1, da + 1))
     gens = [Perm._unchecked(p.images + identity_b) for p in a.generators]
     gens += [

@@ -2,6 +2,8 @@
 
 Composition is left-to-right throughout: (p * q) sends x to q(p(x)).
 Points are 1-based, matching the cycle notation used in group files.
+A product is one C-level gather: q's images behind a 0 placeholder,
+indexed by p's 1-based images.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ class Perm:
             raise DegreeMismatchError(
                 f"cannot compose degree {len(a)} with degree {len(b)}"
             )
-        return Perm._unchecked(tuple(b[x - 1] for x in a))
+        return Perm._unchecked(tuple(map(((0,) + b).__getitem__, a)))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)

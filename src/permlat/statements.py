@@ -1186,6 +1186,15 @@ def build_example42(
     b, g = example_pair(cap=group_cap)
     _require(b.order == 648, f"wreath order {b.order} != 648")
     _require(g.order == 324, f"2-residual order {g.order} != 324")
+    # G = O^2(B) without B's table. G is normal of index 2 in B, so
+    # O^2(B) <= G; and G = O^2(G) is generated by odd-order elements of B,
+    # so G <= O^2(B).
+    _require(all(x in b for x in g.generators), "G is not inside the wreath product")
+    _require(
+        all(~y * x * y in g for x in g.generators for y in b.generators),
+        "G is not normal in the wreath product",
+    )
+    _require(p_residual(g, 2).is_full(), "G has a normal subgroup of index 2")
     ga = GroupAnalysis(g, "example324", lattice_cap=lattice_cap)
     lat = ga.lat
     o3 = lat.entry(p_core(g, 3).members)

@@ -14,7 +14,6 @@ the list can be exponentially long (C2^n). Results are memoized on G.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PermlatError
@@ -474,12 +473,11 @@ def abelian_invariants(group: Group) -> tuple[int, ...]:
     return _memo(group, "abinv", compute)
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Isomorphism-invariant record used in place of isomorphism testing.
 
-    Equality compares the invariants; ``name`` is derived from them by the
-    recognition rules in _recognize.
+    Equality compares the invariants field by field; ``name`` is derived
+    from them by the recognition rules in _recognize.
     """
     order: int
     abelian: bool

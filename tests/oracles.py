@@ -23,6 +23,9 @@ takes the set closure of N and every s-permutable subgroup inside H, so
 it also cross-checks the library's reading of H_sG as the largest
 s-permutable subgroup inside H (Kegel). ``supersolvable_supplement_oracle``
 walks the same list with each supplement built as a group of its own.
+``compose`` and ``naive_closure`` work below the table, on image tuples:
+they pin the package's gathered products and closures to the definition
+of left-to-right composition.
 """
 
 from __future__ import annotations
@@ -47,6 +50,24 @@ from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm
 from permlat.statements import _implication
 from permlat.structure import is_supersolvable, u_hypercenter
+
+
+def compose(a, b):
+    """Image tuple of a followed by b, straight from the definition:
+    x goes to b(a(x))."""
+    return tuple(b[x - 1] for x in a)
+
+
+def naive_closure(degree, gens):
+    """Sorted image tuples of the group generated by the image tuples
+    ``gens``: every element found so far times every generator, by
+    ``compose``, until a round adds nothing."""
+    cur = {tuple(range(1, degree + 1))}
+    while True:
+        new = {compose(x, g) for x in cur for g in gens} - cur
+        if not new:
+            return sorted(cur)
+        cur |= new
 
 
 def close_set(t, seed):

@@ -450,6 +450,17 @@ def test_cli_import_defers_registry_and_reports():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_does_not_load_dataclasses():
+    # -S keeps the site's .pth imports out of the child.
+    env = dict(os.environ, PYTHONPATH=str(Path(permlat.__file__).parents[1]))
+    code = "import sys, permlat.cli; print('dataclasses' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # -- unwritable output paths -------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from permlat import corpus
 from permlat.corpus import (
     builtin_corpus,
     builtin_group,
@@ -146,6 +147,13 @@ def test_builtin_group_matches_corpus_entry():
         assert h.degree == g.degree
         assert h.generators == g.generators, name
         assert h.elements == g.elements, name
+
+
+def test_example_pair_builds_no_table_of_b648():
+    b, _ = corpus.example_pair()
+    assert b._table is None
+    # A fresh build, not the cached corpus that other tests share.
+    assert dict(corpus._builtin.__wrapped__())["B648"]._table is None
 
 
 def test_builtin_group_unknown_name():

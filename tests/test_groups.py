@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import permlat.groups
 from permlat.errors import BadTableError, GroupOrderCapError, PermlatError
-from permlat.corpus import builtin_group
+from permlat.corpus import builtin_group, example_pair
 from permlat.groups import (
     CayleyTable,
     Subgroup,
@@ -22,7 +24,9 @@ from oracles import (
     brute_is_associative,
     close_set,
     commutator_closure,
+    compose,
     is_normal,
+    naive_closure,
     naive_product_set,
     quotient,
     reduced_latin_squares,
@@ -128,6 +132,15 @@ def test_wreath_two_residual_matches_regular_construction(s3_wreath_pair):
     assert [g.order for g in residuals] == [324, 324]
     assert fingerprint(residuals[0]) == fingerprint(residuals[1])
     assert [len(enumerate_subgroups(g).subgroups) for g in residuals] == [340, 340]
+
+
+def test_g324_is_closed_from_the_residual_generators():
+    b, g = example_pair()
+    residual = p_residual(b, 2)
+    assert g.generators == residual.generators
+    assert {p.images for p in g.elements} == {
+        b.elements[i].images for i in residual.element_indices()
+    }
 
 
 def test_wreath_cap_checked_before_closure(monkeypatch):
@@ -358,3 +371,57 @@ def test_unclosed_bitset_raises_on_first_generator_read():
     sub = Subgroup(g, bits)
     with pytest.raises(PermlatError, match="not closed"):
         sub.generator_indices
+
+
+# -- gathers against the definition of composition --------------------------
+
+
+@st.composite
+def _generator_sets(draw, max_degree=6):
+    degree = draw(st.integers(1, max_degree))
+    perm = st.permutations(range(1, degree + 1)).map(tuple)
+    return degree, draw(st.lists(perm, max_size=3))
+
+
+def _check_table(group, data):
+    """Every product of the table, up to order 120, and 300 drawn ones
+    above it, against ``compose`` of the element images."""
+    images = [p.images for p in group.elements]
+    index = {im: i for i, im in enumerate(images)}
+    n = group.order
+    if n <= 120:
+        pairs = [(i, j) for i in range(n) for j in range(n)]
+    else:
+        ix = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(ix, ix), min_size=300, max_size=300))
+    t = group.table()
+    for i, j in pairs:
+        assert t[i][j] == index[compose(images[i], images[j])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(_generator_sets(), st.data())
+def test_closure_and_table_match_compose(case, data):
+    degree, images = case
+    perms = [Perm(im) for im in images]
+    for a in perms:
+        for b in perms:
+            assert (a * b).images == compose(a.images, b.images)
+    group = close_generators(degree, perms)
+    assert [p.images for p in group.elements] == naive_closure(degree, images)
+    _check_table(group, data)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_generator_sets(max_degree=4), _generator_sets(max_degree=4), st.data())
+def test_direct_product_matches_compose(case_a, case_b, data):
+    (da, gens_a), (db, gens_b) = case_a, case_b
+    a = close_generators(da, [Perm(im) for im in gens_a])
+    b = close_generators(db, [Perm(im) for im in gens_b])
+    prod = direct_product(a, b)
+    ident_a = tuple(range(1, da + 1))
+    ident_b = tuple(range(da + 1, da + db + 1))
+    product_gens = [im + ident_b for im in gens_a]
+    product_gens += [ident_a + tuple(x + da for x in im) for im in gens_b]
+    assert [p.images for p in prod.elements] == naive_closure(da + db, product_gens)
+    _check_table(prod, data)

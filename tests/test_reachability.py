@@ -28,7 +28,6 @@ ALLOWED = {
     "groups.Subgroup.as_group": "wrapped and reported by the benchmark's tracer",
     "perms.Perm.order": "wrapped and reported by the benchmark's tracer",
     "groups.Subgroup.element_indices": "the element list of as_group and the test oracles",
-    "perms.Perm.inverse": "the reference for Group.inverse_table in the tests",
     "cli._cannot_write": "error path: an output path that cannot be written",
     "corpus.serialize_group": "writes the group file format the loaders read",
 }

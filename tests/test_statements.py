@@ -292,6 +292,19 @@ def test_example42_facts():
     assert len(ex.lines()) == len(ex.facts)
 
 
+def test_example42_rejects_a_conjugate_outside_the_wreath(monkeypatch):
+    from permlat import statements
+
+    b, g = example_pair()
+    c = parse_cycle_string("(1 2 4)", 9)
+    assert c not in b
+    moved = close_generators(9, [~c * x * c for x in g.generators], name="G324")
+    assert moved.order == 324
+    monkeypatch.setattr(statements, "example_pair", lambda cap: (b, moved))
+    with pytest.raises(PermlatError, match="example reproduction failed"):
+        build_example42()
+
+
 def test_l2_1_builds_only_the_parent_lattice(monkeypatch):
     """L2.1 reads its quotient and subgroup cases off G's lattice: one
     enumeration, no quotient group and no subgroup materialized."""
