@@ -18,6 +18,7 @@ from .corpus import (
     parse_group_file,
 )
 from .embedding import (
+    h_sG,
     has_supersolvable_supplement,
     is_c_normal,
     is_complemented,
@@ -193,10 +194,21 @@ def _pred_plain(fn):
     return lambda lat, sub: (fn(lat, sub), None)
 
 
-def _pred_witnessed(fn):
+def _pred_witnessed(fn, prop=None):
+    """A predicate returning (ok, T); with ``prop``, a weak supplement
+    predicate whose witness line also names H meet T and H_sG."""
+
     def run(lat, sub):
-        ok, wit = fn(lat, sub)
-        return ok, None if wit is None else wit.describe()
+        ok, t = fn(lat, sub)
+        if t is None:
+            return ok, None
+        if prop is None:
+            return ok, t.describe()
+        return ok, (
+            f"{prop} via T = {t.describe()}, "
+            f"intersection order {(t.members & sub.members).bit_count()}, "
+            f"bound order {h_sG(lat, sub).order}"
+        )
 
     return run
 
@@ -211,8 +223,12 @@ _PREDICATES = {
     "permutable": _pred_plain(is_permutable),
     "c-normal": _pred_plain(is_c_normal),
     "complemented": _pred_plain(is_complemented),
-    "weakly-s-supplemented": _pred_witnessed(is_weakly_s_supplemented),
-    "weakly-s-permutable": _pred_witnessed(is_weakly_s_permutable),
+    "weakly-s-supplemented": _pred_witnessed(
+        is_weakly_s_supplemented, "weakly_s_supplemented"
+    ),
+    "weakly-s-permutable": _pred_witnessed(
+        is_weakly_s_permutable, "weakly_s_permutable"
+    ),
     "supersolvable-supplement": _pred_witnessed(has_supersolvable_supplement),
 }
 

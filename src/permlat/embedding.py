@@ -24,18 +24,18 @@ every answer is read off the group's own lattice.
   sublattice, so H_sG, their join inside H, is the largest of them inside
   H; in a section it contains N. Results are the preimages in G.
 
-The weak supplement scan walks the section's entries once and stops at
-the first admissible supplement. An intersection equal to N lies in
-H_sG, so H_sG is computed only when a supplement meets H in more than N,
-and a witness's bound is computed when it is read.
+The weak supplement predicates return (ok, T): T, the first admissible
+supplement in canonical order, is the certificate, since H meet T and
+H_sG follow from H and T. The scan walks the section's entries once and
+stops at T. An intersection equal to N lies in H_sG, so H_sG is computed
+only when a supplement meets H in more than N.
 
 A section is passed as ``section=(K, N)``; the default is the whole group
-(G, 1), whose memo keys and witnesses are those of the plain predicates.
+(G, 1), whose memo keys and answers are those of the plain predicates.
 """
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional
 
 from .errors import NotNormalError, PermlatError
@@ -46,44 +46,6 @@ from .structure import _is_prime
 # Not called here, as supersolvability is decided on the lattice;
 # perfbench/test_perfbench.py checks that its tracer rebinds this name.
 from .structure import is_supersolvable  # noqa: F401
-
-
-class SupplementWitness:
-    """Certificate that a supplement T satisfies a weak supplement property.
-
-    ``bound`` is the subgroup the intersection was compared against,
-    H_sG. It is computed (and memoized on the lattice) when first read:
-    a statement that needs only the yes/no answer never pays for it.
-    The lattice memoizes the witness, so the witness holds the lattice
-    weakly, leaving no cycle: read ``bound`` while the lattice is alive.
-    """
-
-    __slots__ = ("property", "T", "intersection", "_lat", "_h", "_section")
-
-    def __init__(self, prop, t, intersection, lat, h, section):
-        self.property = prop
-        self.T = t
-        self.intersection = intersection
-        self._lat = weakref.proxy(lat)
-        self._h = h
-        self._section = section
-
-    @property
-    def bound(self) -> Subgroup:
-        return h_sG(self._lat, self._h, self._section)
-
-    def describe(self) -> str:
-        return (
-            f"{self.property} via T = {self.T.describe()}, "
-            f"intersection order {self.intersection.order}, "
-            f"bound order {self.bound.order}"
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"SupplementWitness(property={self.property!r}, T={self.T!r}, "
-            f"intersection={self.intersection!r}, bound={self.bound!r})"
-        )
 
 
 def _section_key(lat: SubgroupLattice, section: Optional[tuple]) -> tuple:
@@ -196,11 +158,12 @@ def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
     return _memo(lat, ("subn", h.members), compute)
 
 
-def _supplement_scan(lat, h, prop, require_subnormal, section=None):
-    """The first entry T of the section, in canonical order, with
-    |H||T| = |K||H meet T|, subnormal if required, and H meet T equal to
-    N or inside H_sG. H_sG contains N, and is computed at most once,
-    when a supplement first meets H in more than N."""
+def _supplement_scan(lat, h, require_subnormal, section=None):
+    """(True, T) for the first entry T of the section, in canonical order,
+    with |H||T| = |K||H meet T|, subnormal if required, and H meet T equal
+    to N or inside H_sG; (False, None) if there is none. H_sG contains N,
+    and is computed at most once, when a supplement first meets H in more
+    than N."""
     k, n, entries = _section(lat, _section_key(lat, section))
     k_order, h_order, h_bits, n_bits = k.order, h.order, h.members, n.members
     hsg = None
@@ -217,34 +180,35 @@ def _supplement_scan(lat, h, prop, require_subnormal, section=None):
                 hsg = h_sG(lat, h, section).members
             if inter & ~hsg:
                 continue
-        return True, SupplementWitness(prop, t, lat.entry(inter), lat, h, section)
+        return True, t
     return False, None
 
 
 def is_weakly_s_supplemented(
     lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
-) -> tuple[bool, Optional[SupplementWitness]]:
-    """Whether some supplement T has H meet T inside h_sG(G, H); in the
-    section K/N, whether H/N is weakly s-supplemented in K/N, with the
-    witness's subgroups given as preimages."""
+) -> tuple[bool, Optional[Subgroup]]:
+    """(ok, T): whether some supplement T has H meet T inside h_sG(G, H),
+    with the first such T, an entry of the lattice, or None. In the
+    section K/N, whether H/N is weakly s-supplemented in K/N, with T/N the
+    supplement, given as its preimage T."""
     key = _section_key(lat, section)
     h = _resolve(lat, h, key)
     return _memo(
         lat,
         ("wss", h.members) + key,
-        lambda: _supplement_scan(lat, h, "weakly_s_supplemented", False, section),
+        lambda: _supplement_scan(lat, h, False, section),
     )
 
 
 def is_weakly_s_permutable(
     lat: SubgroupLattice, h: Subgroup
-) -> tuple[bool, Optional[SupplementWitness]]:
-    """Same as weak s-supplementation but T must be subnormal."""
+) -> tuple[bool, Optional[Subgroup]]:
+    """(ok, T) as for weak s-supplementation, but T must be subnormal."""
     h = _resolve(lat, h)
     return _memo(
         lat,
         ("wsp", h.members),
-        lambda: _supplement_scan(lat, h, "weakly_s_permutable", True),
+        lambda: _supplement_scan(lat, h, True),
     )
 
 

@@ -119,6 +119,29 @@ def test_check_subgroup_witness(capsys):
     assert "T =" in out
 
 
+@pytest.mark.parametrize(
+    "group, gens, predicate, line",
+    [
+        ("D8xC3", "(5 6 7); (1 3)(2 4)", "weakly-s-supplemented",
+         "witness: weakly_s_supplemented via T = <order 8: (2 4), (1 2)(3 4)>, "
+         "intersection order 2, bound order 6"),
+        ("S4", "(2 4); (1 2)(3 4)", "weakly-s-permutable",
+         "witness: weakly_s_permutable via T = <order 12: (2 3 4), (1 2)(3 4)>, "
+         "intersection order 4, bound order 4"),
+        ("S4", "(1 2 3 4)", "supersolvable-supplement",
+         "witness: <order 6: (3 4), (2 3)>"),
+    ],
+)
+def test_check_subgroup_witness_text(capsys, group, gens, predicate, line):
+    """The full witness line of each supplement predicate, with an
+    intersection and a bound above the trivial group."""
+    assert main(["check-subgroup", group, "--gens", gens, "--predicate", predicate]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == f"{predicate}: True"
+    assert out[3] == line
+    assert len(out) == 4
+
+
 def test_check_subgroup_s_permutable(capsys):
     code = main(
         ["check-subgroup", "S3", "--gens", "(1 2)",
@@ -592,3 +615,21 @@ def test_analyze_rank_8_elementary_abelian_file_is_fast(tmp_path, capsys):
     assert "chief-factors: 2 2 2 2 2 2 2 2" in out
     assert "fitting: 256" in out
     assert "p-length: 2:1" in out
+
+
+def test_readme_quick_start_runs():
+    """The README's Python block, run as written, prints what it says."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")
+    assert len(blocks) == 2
+    code = blocks[1].split("```")[0]
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(permlat.__file__).parents[1]),
+        PYTHONDONTWRITEBYTECODE="1",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True <order 12: (2 3 4), (1 2)(3 4)>\n"

@@ -108,25 +108,26 @@ def test_supplements_degenerate():
 
 def test_wss_examples():
     g, lat = make(3, "(1 2)", "(1 2 3)")
-    ok, wit = is_weakly_s_supplemented(lat, sub(lat, "(1 2)"))
+    h = sub(lat, "(1 2)")
+    ok, t = is_weakly_s_supplemented(lat, h)
     assert ok
-    assert wit.T.order == 3
-    assert wit.intersection.order == 1
+    assert t.order == 3
+    assert (t.members & h.members).bit_count() == 1
     g4, lat4 = make(4, "(1 2)", "(1 2 3 4)")
     bad = sub(lat4, "(1 2)", "(3 4)")
     assert bad.order == 4
-    ok, wit = is_weakly_s_supplemented(lat4, bad)
+    ok, t = is_weakly_s_supplemented(lat4, bad)
     assert not ok
-    assert wit is None
+    assert t is None
 
 
 def test_wsp_examples():
     # A3 is a normal, hence subnormal, supplement of <(12)> with trivial
     # intersection, so the weak s-permutability scan accepts it.
     g, lat = make(3, "(1 2)", "(1 2 3)")
-    ok, wit = is_weakly_s_permutable(lat, sub(lat, "(1 2)"))
+    ok, t = is_weakly_s_permutable(lat, sub(lat, "(1 2)"))
     assert ok
-    assert wit.T.order == 3
+    assert t.order == 3
     g4, lat4 = make(4, "(1 2)", "(1 2 3 4)")
     bad = sub(lat4, "(1 2)", "(3 4)")
     ok, _ = is_weakly_s_permutable(lat4, bad)
@@ -373,10 +374,10 @@ def test_section_quotient_s4_by_v4():
     section = (lat.top(), v4)
     d8 = sub(lat, "(1 2 3 4)", "(1 3)")
     a4 = sub(lat, "(1 2 3)", "(1 2)(3 4)")
-    ok, wit = is_weakly_s_supplemented(lat, d8, section)
+    ok, t = is_weakly_s_supplemented(lat, d8, section)
     assert ok
-    assert wit.T.members == a4.members
-    assert wit.intersection.members == v4.members
+    assert t.members == a4.members
+    assert t.members & d8.members == v4.members
     # Sylow subgroups of S3, as preimages: the three D8 and A4.
     family = sylow_family(lat, section)
     assert [(p, [s.order for s in c]) for p, c in family] == [(2, [8, 8, 8]), (3, [12])]
@@ -412,9 +413,9 @@ def test_section_bottom_normal_in_k_but_not_in_g():
         h = lat.subgroups[i]
         if n.members & ~h.members:
             continue
-        ok, wit = is_weakly_s_supplemented(lat, h, section)
+        ok, t = is_weakly_s_supplemented(lat, h, section)
         assert ok == oracle(h)
-        got.append((i, h.order, ok, wit.T.order, h_sG(lat, h, section).order))
+        got.append((i, h.order, ok, t.order, h_sG(lat, h, section).order))
     assert got == [
         (7, 2, True, 8, 2),
         (15, 4, True, 4, 4),
@@ -450,16 +451,18 @@ def _scan_cases(lat):
     return cases
 
 
-def _same_answer(got, want):
-    ok, wit = got
+def _same_answer(lat, h, section, got, want):
+    """The scan's (ok, T) against the oracle's (ok, (T, H meet T, H_sG)),
+    with T the lattice's own entry."""
+    ok, t = got
     if ok != want[0]:
         return False
     if not ok:
-        return wit is None and want[1] is None
-    t, inter, bound = want[1]
-    return (wit.T.members, wit.intersection.members, wit.bound.members) == (
-        t.members, inter.members, bound.members
-    )
+        return t is None and want[1] is None
+    want_t, inter, bound = want[1]
+    return t is lat.subgroups[lat.index_of(t)] and (
+        t.members, t.members & h.members, h_sG(lat, h, section).members
+    ) == (want_t.members, inter.members, bound.members)
 
 
 def test_scan_matches_full_list_oracle():
@@ -478,13 +481,13 @@ def test_scan_matches_full_list_oracle():
             for h in subs:
                 got = is_weakly_s_supplemented(lat, h, section)
                 want = supplement_scan_oracle(lat, h, section=section)
-                assert _same_answer(got, want), (name, section, h)
+                assert _same_answer(lat, h, section, got, want), (name, section, h)
                 answers["wss"] += 1
                 false["wss"] += not got[0]
         for h in lat.subgroups:
             got = is_weakly_s_permutable(lat, h)
             want = supplement_scan_oracle(lat, h, require_subnormal=True)
-            assert _same_answer(got, want), (name, h)
+            assert _same_answer(lat, h, None, got, want), (name, h)
             answers["wsp"] += 1
             false["wsp"] += not got[0]
             wss_not_wsp += is_weakly_s_supplemented(lat, h)[0] and not got[0]
