@@ -32,9 +32,6 @@ from .groups import (
 )
 from .perms import parse_cycle_string
 
-PRODUCT_ORDER_LIMIT = 200
-PRODUCT_BUDGET = 40
-
 
 class GroupSpecFile(NamedTuple):
     name: str
@@ -285,15 +282,23 @@ _G324_GENERATORS = (
 )
 
 
-def example_pair(cap: int = DEFAULT_GROUP_CAP) -> tuple[Group, Group]:
-    """The order-324 control example: B648 = S3 wr C3 on 9 points and its
-    2-residual G324 = O^2(B648), closed from the residual's five
-    generators, so B648 builds no Cayley table. Fresh groups on every
-    call; a ``cap`` below 648 raises before anything is closed."""
+def _b648(cap: int = DEFAULT_GROUP_CAP) -> Group:
     b = wreath_regular(_symmetric(3, "S3"), 3, cap=cap)
     b.name = "B648"
-    gens = [parse_cycle_string(text, b.degree) for text in _G324_GENERATORS]
-    return b, close_generators(b.degree, gens, cap=cap, name="G324")
+    return b
+
+
+def _g324(cap: int = DEFAULT_GROUP_CAP) -> Group:
+    gens = [parse_cycle_string(text, 9) for text in _G324_GENERATORS]
+    return close_generators(9, gens, cap=cap, name="G324")
+
+
+def example_pair(cap: int = DEFAULT_GROUP_CAP) -> tuple[Group, Group]:
+    """The order-324 control example: B648 = S3 wr C3 on 9 points and its
+    2-residual G324 = O^2(B648). G324 is closed from the residual's
+    generators, so B648 builds no Cayley table. Fresh groups on every
+    call; a ``cap`` below 648 raises before anything is closed."""
+    return _b648(cap), _g324(cap)
 
 
 def _product(name: str, a: Group, b: Group) -> Group:
@@ -302,7 +307,7 @@ def _product(name: str, a: Group, b: Group) -> Group:
     return prod
 
 
-# Name -> builder of every builtin entry except the budgeted products, in
+# Name -> builder of every builtin entry except those in _PRODUCTS, in
 # corpus order. Each builder returns a fresh group of that name.
 _BUILDERS: dict = {
     **{f"C{n}": functools.partial(_cyclic, n) for n in range(2, 25)},
@@ -321,39 +326,30 @@ _BUILDERS: dict = {
     "Q8xC3": lambda: _product("Q8xC3", _dicyclic(2, "Q8"), _cyclic(3)),
     "S3xS3": lambda: _product("S3xS3", _symmetric(3, "S3"), _symmetric(3, "S3")),
     "C3:C4": functools.partial(_dicyclic, 3, "C3:C4"),
-    "B648": lambda: example_pair()[0],
-    "G324": lambda: example_pair()[1],
+    "B648": _b648,
+    "G324": _g324,
 }
 
-# Explicitly listed products; the budgeted scan skips these combinations.
-_EXPLICIT_PAIRS = {("C3", "D8"), ("C3", "Q8"), ("S3", "S3")}
+# The direct products that follow _BUILDERS, in corpus order; the factors
+# of each are the two names either side of its "x". They are the 40
+# smallest products, of order at most 200, of two entries above that are
+# not products themselves, besides the three that _BUILDERS lists.
+_PRODUCTS = tuple(
+    """C2xC2 C2xC3 C2xC4 C3xC3 C2xC5 C2xC6 C2xD6 C2xS3 C3xC4 C2xC7 C3xC5 C2xC8
+    C2xD8 C2xEA8 C2xQ8 C4xC4 C2xC9 C3xC6 C3xD6 C3xS3 C2xC10 C2xD10 C4xC5 C3xC7
+    C2xC11 C2xA4 C2xC12 C2xC3:C4 C2xD12 C3xC8 C3xEA8 C4xC6 C4xD6 C4xS3 C5xC5
+    C2xC13 C3xC9 C2xC14 C2xD14 C4xC7""".split()
+)
 
 
 @functools.lru_cache(maxsize=1)
 def _builtin() -> tuple:
-    # B648 and G324 come from one example_pair() call.
-    pair = dict(zip(("B648", "G324"), example_pair()))
-    base = [
-        (name, pair[name] if name in pair else build())
-        for name, build in _BUILDERS.items()
+    base = {name: build() for name, build in _BUILDERS.items()}
+    products = [
+        (name, _product(name, *(base[f] for f in name.split("x"))))
+        for name in _PRODUCTS
     ]
-
-    candidates = []
-    for i, (na, ga) in enumerate(base):
-        for nb, gb in base[i:]:
-            if ga.order * gb.order > PRODUCT_ORDER_LIMIT:
-                continue
-            if (na, nb) in _EXPLICIT_PAIRS or (nb, na) in _EXPLICIT_PAIRS:
-                continue
-            if "x" in na or "x" in nb:
-                continue
-            candidates.append((ga.order * gb.order, na, nb, ga, gb))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    out = list(base)
-    for _, na, nb, ga, gb in candidates[:PRODUCT_BUDGET]:
-        name = f"{na}x{nb}"
-        out.append((name, _product(name, ga, gb)))
-    return tuple(out)
+    return (*base.items(), *products)
 
 
 def builtin_corpus() -> list:
@@ -362,16 +358,9 @@ def builtin_corpus() -> list:
 
 
 def builtin_group(name: str) -> Optional[Group]:
-    """The builtin entry called name, or None.
-
-    Every entry but the budgeted products is built alone, as a fresh
-    group. Only a name ``AxB`` with both factors listed can be a budgeted
-    product, and only such a name is looked up in the whole corpus.
-    """
+    """The builtin entry called name, built alone as a fresh group (a
+    listed product from two fresh factors), or None."""
+    if name in _PRODUCTS:
+        return _product(name, *(_BUILDERS[f]() for f in name.split("x")))
     build = _BUILDERS.get(name)
-    if build is not None:
-        return build()
-    factors = name.split("x")
-    if len(factors) != 2 or not all(f in _BUILDERS for f in factors):
-        return None
-    return dict(builtin_corpus()).get(name)
+    return None if build is None else build()

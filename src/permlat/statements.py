@@ -31,7 +31,6 @@ from .groups import (
     _conjugate_bits,
     _factorize,
     _memo,
-    _normal_bits,
     close_generators,
     p_residual,
 )
@@ -600,18 +599,15 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     contained in the accumulated product A, M meet A is a proper normal
     subgroup of M, hence trivial, so M extends the direct product.
     """
-    minimal, normals = ga.lat.minimal_normal_subgroups(), _normal_bits(ga.group)
-    acc, chosen = 1, []
-    for m in minimal:
-        if m.members & ~n_sub.members or m.members & acc != 1:
+    acc, chosen = ga.lat.bottom(), []
+    for m in ga.lat.minimal_normal_subgroups():
+        if m.members & ~n_sub.members or m.members & acc.members != 1:
             continue
-        # A*M is the normal entry of order |A||M| that holds both.
-        size, both = acc.bit_count() * m.order, acc | m.members
-        acc = next((b for b in normals if b.bit_count() == size and both & ~b == 0), None)
+        acc = ga.lat.product(acc, m)
         if acc is None:
             raise PermlatError("normal product with trivial meet is not direct")
         chosen.append(m)
-    if acc != n_sub.members:
+    if acc.members != n_sub.members:
         return None
     return chosen
 

@@ -307,7 +307,6 @@ def fitting_subgroup(group: Group) -> Subgroup:
 
 class ChiefFactor(NamedTuple):
     order: int
-    is_prime_order: bool
 
 
 class ChiefSeries(NamedTuple):
@@ -327,7 +326,7 @@ def chief_series(group: Group) -> ChiefSeries:
             n = chain[-1]
             m = _minimal_over(group, n)[0]
             index = m.order // n.order
-            factors.append(ChiefFactor(index, _is_prime(index)))
+            factors.append(ChiefFactor(index))
             chain.append(m)
         return ChiefSeries(chain, factors)
 
@@ -335,16 +334,8 @@ def chief_series(group: Group) -> ChiefSeries:
 
 
 def is_supersolvable(group: Group) -> bool:
-    """Solvable with every chief factor of prime order."""
-
-    def compute():
-        if group.is_abelian() or is_nilpotent(group):
-            return True
-        if not is_solvable(group):
-            return False
-        return all(f.is_prime_order for f in chief_series(group).factors)
-
-    return _memo(group, "supersolvable", compute)
+    """Every chief factor has prime order: Z_U(G) = G."""
+    return _memo(group, "supersolvable", lambda: u_hypercenter(group).is_full())
 
 
 def is_p_solvable(group: Group, p: int) -> bool:

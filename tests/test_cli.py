@@ -7,6 +7,9 @@ error, 3 = cap exceeded.
 import hashlib
 import json
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 import time
@@ -63,8 +66,8 @@ def test_analyze_group_file(tmp_path, capsys):
 
 
 def test_analyze_unknown_group(monkeypatch, capsys):
-    """A name that cannot be a budgeted product exits 2 without building
-    the corpus; a budgeted product still resolves through it."""
+    """An unknown name exits 2 and a listed product resolves, neither by
+    building the corpus."""
 
     def refuse():
         raise AssertionError("builtin corpus built")
@@ -73,7 +76,7 @@ def test_analyze_unknown_group(monkeypatch, capsys):
         m.setattr(corpus, "_builtin", refuse)
         for name in ("NoSuchGroup", "C2xNoSuch", "C2xC3xC5"):
             assert main(["analyze", name]) == 2, name
-    assert main(["analyze", "C2xS3", "--props", "order"]) == 0
+        assert main(["analyze", "C2xS3", "--props", "order"]) == 0
     assert capsys.readouterr().out.strip().split("\n") == ["group: C2xS3", "order: 12"]
 
 
@@ -633,3 +636,37 @@ def test_readme_quick_start_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True <order 12: (2 3 4), (1 2)(3 4)>\n"
+
+
+def _readme_cli_blocks():
+    """(argv, shown output lines) of each README block that runs permlat."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in readme.split("```\n$ permlat ")[1:]]
+    return [(shlex.split(b.split("\n")[0]), b.split("\n")[1:-1]) for b in blocks]
+
+
+def _shown_pattern(lines):
+    """A line that is just ``...`` stands for any number of lines, and
+    ``...`` inside a line for any text; every other line matches in order."""
+    parts = []
+    for line in lines:
+        if line == "...":
+            parts.append(r"(?:[^\n]*\n)*?")
+        else:
+            parts.append(re.escape(line).replace(re.escape("..."), r"[^\n]*") + r"\n")
+    return re.compile("".join(parts))
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Each README block that starts with ``$ permlat`` exits 0 and prints
+    what it shows, run from a directory that holds tests/data."""
+    data = tmp_path / "tests" / "data"
+    data.mkdir(parents=True)
+    shutil.copy(Path(__file__).parent / "data" / "c2_4_c3.group", data)
+    monkeypatch.chdir(tmp_path)
+    blocks = _readme_cli_blocks()
+    assert len(blocks) == 6
+    for argv, shown in blocks:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        assert _shown_pattern(shown).fullmatch(out), (argv, out)

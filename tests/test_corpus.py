@@ -140,13 +140,48 @@ def test_builtin_products_respect_limit():
             assert g.order <= 200
 
 
-def test_builtin_group_matches_corpus_entry():
-    for name, g in builtin_corpus():
+def test_products_table_matches_the_product_rule():
+    """``_PRODUCTS`` is the value of the rule it replaced: of the entries
+    before it, pairs (A, B) with A not after B, neither a product, |A||B|
+    <= 200 and not one of the three products listed with the builders,
+    the 40 smallest by (order, A, B)."""
+    base = [(name, g.order) for name, g in builtin_corpus()[:49]]
+    listed = {("C3", "D8"), ("C3", "Q8"), ("S3", "S3")}
+    pairs = sorted(
+        (oa * ob, a, b)
+        for i, (a, oa) in enumerate(base)
+        for b, ob in base[i:]
+        if oa * ob <= 200
+        and "x" not in a + b
+        and (a, b) not in listed
+        and (b, a) not in listed
+    )
+    assert corpus._PRODUCTS == tuple(f"{a}x{b}" for _, a, b in pairs[:40])
+    assert [n for n, _ in builtin_corpus()[49:]] == list(corpus._PRODUCTS)
+
+
+def test_builtin_group_matches_corpus_entry(monkeypatch):
+    """Every entry, the listed products included, builds alone."""
+    entries = builtin_corpus()
+
+    def refuse():
+        raise AssertionError("builtin corpus built")
+
+    monkeypatch.setattr(corpus, "_builtin", refuse)
+    for name, g in entries:
         h = builtin_group(name)
         assert h.name == name
         assert h.degree == g.degree
         assert h.generators == g.generators, name
         assert h.elements == g.elements, name
+
+
+def test_builtin_g324_closes_no_b648(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("B648 closed")
+
+    monkeypatch.setattr(corpus, "wreath_regular", refuse)
+    assert builtin_group("G324").order == 324
 
 
 def test_example_pair_builds_no_table_of_b648():

@@ -3,11 +3,13 @@ independent supersolvability and hypercenter oracles on small groups, the
 walks above a normal subgroup against the quotient-tower oracle, and the
 same answers read off the normal-subgroup list a lattice hands over."""
 
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permlat import embedding, groups, lattice, statements, structure
-from permlat.corpus import builtin_corpus, builtin_group
+from permlat.corpus import builtin_corpus, builtin_group, load_group, parse_group_file
 from permlat.embedding import h_sG, is_permutable, is_s_permutable, is_weakly_s_supplemented
 from permlat.groups import Group, Subgroup, _normal_bits, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
@@ -204,6 +206,10 @@ def test_hypercenter_values():
 
 
 def test_supersolvable_matches_chain_oracle():
+    """The Z_U(G) = G decision against the chain oracle, which shares no
+    code with it, also on every builtin group of order <= 100 and on
+    C2^4:C3."""
+    data = Path(__file__).parent / "data" / "c2_4_c3.group"
     samples = [
         s3(),
         s4(),
@@ -213,9 +219,14 @@ def test_supersolvable_matches_chain_oracle():
         direct_product(s3(), s3()),
         direct_product(a4(), cyc(2)),
         direct_product(d8(), cyc(3)),
+        *(g for _, g in builtin_corpus() if g.order <= 100),
+        load_group(parse_group_file(data)),
     ]
+    assert len(samples) == 94
     for g in samples:
         assert is_supersolvable(g) == brute_supersolvable(g)
+    # S4, A4 and C2xA4, each twice, A5 and C2^4:C3 are not supersolvable.
+    assert sum(not is_supersolvable(g) for g in samples) == 8
 
 
 def test_u_hypercenter_matches_chain_oracle():

@@ -1,14 +1,23 @@
 """sympy's PermutationGroup as an oracle that shares no code with permlat
 or with tests/oracles.py: on every builtin group of order <= 400, the
-basic invariants agree. B648 is left out, as its conjugacy classes would
-need its Cayley table, which the corpus never builds."""
+basic invariants agree, as do the composition factors of the solvable ones
+and the normality of each Sylow subgroup. B648 is left out, as its
+conjugacy classes would need its Cayley table, which the corpus never
+builds."""
 
 import pytest
 
 sympy_perm = pytest.importorskip("sympy.combinatorics")
 
 from permlat.corpus import builtin_corpus
-from permlat.structure import center, derived_series, is_nilpotent, is_solvable
+from permlat.structure import (
+    center,
+    chief_series,
+    derived_series,
+    is_nilpotent,
+    is_solvable,
+    sylow_normal,
+)
 
 MAX_ORDER = 400
 
@@ -55,3 +64,41 @@ def test_invariants_match_sympy():
     nonabelian = sum(not g.is_abelian() for _, g in groups)
     unsolvable = sum(not is_solvable(g) for _, g in groups)
     assert 0 < unsolvable < nonabelian < len(groups)
+
+
+def _prime_factors(n):
+    out, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out
+
+
+def test_composition_factors_and_sylow_normality_match_sympy():
+    """A chief factor of order p^k of a solvable group gives k composition
+    factors of order p. sympy's composition series raises on a
+    nonsolvable group, so those are left out of that comparison."""
+    groups = [(name, g) for name, g in builtin_corpus() if g.order <= MAX_ORDER]
+    mismatches, solvable, unnormal = [], 0, 0
+    for name, g in groups:
+        sg = _sympy_group(g)
+        primes = sorted(set(_prime_factors(g.order)))
+        mine = {p: sylow_normal(g, p) for p in primes}
+        theirs = {p: sg.sylow_subgroup(p).is_normal(sg) for p in primes}
+        if mine != theirs:
+            mismatches.append((name, "sylow", mine, theirs))
+        unnormal += not all(mine.values())
+        if not is_solvable(g):
+            continue
+        solvable += 1
+        mine = sorted(q for f in chief_series(g).factors for q in _prime_factors(f.order))
+        series = [h.order() for h in sg.composition_series()]
+        theirs = sorted(a // b for a, b in zip(series, series[1:]))
+        if mine != theirs:
+            mismatches.append((name, "composition", mine, theirs))
+    assert mismatches == []
+    assert (len(groups), solvable) == (88, 85)
+    # Some Sylow subgroups are not normal, so both answers are compared.
+    assert 0 < unnormal < len(groups)
