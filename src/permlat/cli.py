@@ -76,7 +76,7 @@ def _within_cap(name: str, group, group_cap: int):
 
 def _resolve_group(token: str, group_cap: int):
     path = Path(token)
-    if path.exists():
+    if path.is_file():
         return load_group(parse_group_file(path), cap=group_cap)
     group = builtin_group(token)
     if group is not None:
@@ -114,9 +114,7 @@ _PROPS = {
     "hypercenter": lambda g, lat: hypercenter(g).order,
     "u-hypercenter": lambda g, lat: u_hypercenter(g).order,
     "derived-series": lambda g, lat: _series_orders(derived_series(g)),
-    "chief-factors": lambda g, lat: " ".join(
-        str(f.order) for f in chief_series(g).factors
-    ),
+    "chief-factors": lambda g, lat: " ".join(map(str, chief_series(g).factors)),
     "nilpotent": lambda g, lat: is_nilpotent(g),
     "solvable": lambda g, lat: is_solvable(g),
     "supersolvable": lambda g, lat: is_supersolvable(g),
@@ -214,10 +212,7 @@ def _pred_witnessed(fn, prop=None):
 
 
 _PREDICATES = {
-    "normal": lambda lat, sub: (
-        lat.normal_flags[lat.index_of(sub)],
-        None,
-    ),
+    "normal": lambda lat, sub: (lat.is_normal(sub), None),
     "subnormal": _pred_plain(subnormal_in),
     "s-permutable": _pred_plain(is_s_permutable),
     "permutable": _pred_plain(is_permutable),

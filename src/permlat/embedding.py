@@ -70,7 +70,7 @@ def _section(lat: SubgroupLattice, key: tuple) -> tuple:
         k_bits, n_bits = key
         k, n = lat.entry(k_bits), lat.entry(n_bits)
         # N normal in G (trivial N included) is normal in K.
-        if not lat.normal_flags[lat.index_by_bits[n_bits]]:
+        if not lat.is_normal(n):
             t, inv = lat.group.table(), lat.group.inverse_table()
             if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
                 raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
@@ -114,7 +114,7 @@ def is_s_permutable(
     h = _resolve(lat, h, key)
 
     def compute():
-        if lat.normal_flags[lat.index_of(h)]:
+        if lat.is_normal(h):
             return True
         for _p, conjugates in sylow_family(lat, section):
             for q in conjugates:
@@ -151,9 +151,7 @@ def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
     h = _resolve(lat, h)
 
     def compute():
-        if lat.normal_flags[lat.index_of(h)]:
-            return True
-        return is_subnormal(h)
+        return lat.is_normal(h) or is_subnormal(h)
 
     return _memo(lat, ("subn", h.members), compute)
 

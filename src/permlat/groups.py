@@ -309,27 +309,22 @@ class Group:
 
     @property
     def prime_factorization(self) -> dict[int, int]:
-        memo = self._memo.get("primefac")
-        if memo is None:
-            memo = _factorize(self.order)
-            self._memo["primefac"] = memo
-        return memo
+        return _memo(self, "primefac", lambda: _factorize(self.order))
 
     def is_abelian(self) -> bool:
-        memo = self._memo.get("abelian")
-        if memo is None:
-            memo = all(
+        def compute():
+            return all(
                 (a * b).images == (b * a).images
                 for i, a in enumerate(self.generators)
                 for b in self.generators[i + 1:]
             )
-            self._memo["abelian"] = memo
-        return memo
+
+        return _memo(self, "abelian", compute)
 
     def conjugacy_classes(self) -> tuple[list[list[int]], list[int]]:
         """Element conjugacy classes (sorted index lists) and class index map."""
-        memo = self._memo.get("conjclasses")
-        if memo is None:
+
+        def compute():
             t = self.table()
             inv = self.inverse_table()
             gidx = self.generator_indices()
@@ -351,9 +346,9 @@ class Group:
                             orbit.append(z)
                             stack.append(z)
                 classes.append(sorted(orbit))
-            memo = (classes, class_of)
-            self._memo["conjclasses"] = memo
-        return memo
+            return classes, class_of
+
+        return _memo(self, "conjclasses", compute)
 
     # -- subgroup handles -------------------------------------------------
 

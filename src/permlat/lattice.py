@@ -31,7 +31,6 @@ from .groups import (
     _close_bits,
     _factorize,
     _iter_bits,
-    _memo,
     _minimal_bits,
     _set_normal_bits,
 )
@@ -139,12 +138,8 @@ class SubgroupLattice:
                 return self.subgroups[i]
         return None
 
-    def minimal_normal_subgroups(self) -> list[Subgroup]:
-        def compute():
-            normal = [s.members for s in self.normal_subgroups()[1:]]
-            return [self.entry(b) for b in _minimal_bits(normal)]
-
-        return _memo(self, "minnorm", compute)
+    def is_normal(self, sub: Subgroup) -> bool:
+        return self.normal_flags[self.index_of(sub)]
 
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
@@ -158,10 +153,11 @@ class SubgroupLattice:
 
     def socle(self) -> Subgroup:
         """The smallest normal entry holding every minimal normal one."""
+        normal = [s.members for s in self.normal_subgroups()]
         want = 0
-        for m in self.minimal_normal_subgroups():
-            want |= m.members
-        return next(s for s in self.normal_subgroups() if s.members & want == want)
+        for b in _minimal_bits(normal[1:]):
+            want |= b
+        return self.entry(next(b for b in normal if b & want == want))
 
     def sylow(self, p: int) -> tuple[Subgroup, list[Subgroup]]:
         """A Sylow p-subgroup (lowest-index) and the list of its conjugates.
@@ -370,8 +366,9 @@ def lattice_dot(lat: SubgroupLattice, title: str = "lattice") -> str:
         return False
 
     le = [[contained(i, j) for j in range(n)] for i in range(n)]
+    quoted = title.replace("\\", "\\\\").replace('"', '\\"')
     lines = [
-        f'digraph "{title}" {{',
+        f'digraph "{quoted}" {{',
         "  rankdir=BT;",
         "  node [shape=box];",
     ]

@@ -53,6 +53,7 @@ from .structure import (
     is_p_solvable,
     is_solvable,
     is_supersolvable,
+    minimal_normal_subgroups,
     p_core,
     p_length,
     p_prime_core,
@@ -197,7 +198,7 @@ class GroupAnalysis:
     def u_hypercenter_mod(self, n: Subgroup) -> int:
         """Bits of the preimage of the supersolvable hypercenter of G/N
         (``structure.u_hypercenter``'s walk started at N)."""
-        if not self.lat.normal_flags[self.lat.index_of(n)]:
+        if not self.lat.is_normal(n):
             raise NotNormalError("quotient by a subgroup that is not normal")
         return _u_hypercenter_bits(self.group, n)
 
@@ -283,9 +284,8 @@ def thmB_hypothesis(
     if mode not in ("supplemented", "permutable"):
         raise PermlatError(f"unknown mode {mode!r}")
     lat = ga.lat
-    i = lat.index_of(e)
-    e = lat.subgroups[i]
-    if not lat.normal_flags[i]:
+    e = lat.subgroups[lat.index_of(e)]
+    if not lat.is_normal(e):
         raise NotNormalError(f"E = {e.describe()} is not normal")
     per_prime = []
     hyp = True
@@ -600,7 +600,7 @@ def _direct_minimal_decomposition(ga: GroupAnalysis, n_sub: Subgroup):
     subgroup of M, hence trivial, so M extends the direct product.
     """
     acc, chosen = ga.lat.bottom(), []
-    for m in ga.lat.minimal_normal_subgroups():
+    for m in minimal_normal_subgroups(ga.group):
         if m.members & ~n_sub.members or m.members & acc.members != 1:
             continue
         acc = ga.lat.product(acc, m)
@@ -803,28 +803,35 @@ def check_L2_9(ga: GroupAnalysis) -> list:
     return _min_prime_clause(ga, "L2.9", orders, "failing")
 
 
-def _order_d_walk(ga: GroupAnalysis, statement_id: str, covers, conclude) -> list:
-    """Verdicts of an order-|D| statement on the normal p-subgroups P of G
-    with iota(P) >= 2, one per |D| = p^k the statement covers.
+def _order_d_walk(
+    ga: GroupAnalysis, statement_id: str, covers, conclude, targets=None
+) -> list:
+    """Verdicts of an order-|D| statement on p-subgroups P with
+    iota(P) >= 2, one per |D| = p^k the statement covers.
 
+    ``targets`` are (label, P) pairs; by default the normal subgroups of
+    G, labelled "P=#…" once they pass the p-group filter.
     ``covers(P, p, iota(P), P meet Phi(G))`` runs once per P and lists
     (k, clause orders). Where the clause holds, ``conclude(P, p, k)``
     gives (conclusion, witnesses)."""
     lat = ga.lat
     phi = lat.frattini().members
+    if targets is None:
+        targets = [(None, n) for n in lat.normal_subgroups()]
     verdicts = []
-    for p_sub in lat.normal_subgroups():
+    for label, p_sub in targets:
         pe = _is_p_group_entry(p_sub)
         if pe is None or pe[1] < 2:
             continue
         p, ip = pe
+        label = label or f"P={ga.label(p_sub)}"
         for k, orders in covers(p_sub, p, ip, p_sub.members & phi):
             holds, failing = _order_clause(ga, p_sub, orders)
             if holds:
                 concl, witnesses = conclude(p_sub, p, k)
             else:
                 concl, witnesses = None, (f"clause fails at H = {failing}",)
-            instance = f"P={ga.label(p_sub)} |D|={p**k}"
+            instance = f"{label} |D|={p**k}"
             verdicts.append(_verdict(statement_id, ga.name, instance, holds, concl, witnesses))
     return verdicts
 
@@ -910,28 +917,18 @@ def check_L3_5(ga: GroupAnalysis) -> list:
     if ps is None:
         return []
     p, rep = ps
-    ip = iota(rep.order, p)
-    if ip < 2:
-        return []
-    two_d = p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1
-    verdicts = []
-    for k in range(1, ip):
-        d = p**k
-        holds, failing = _order_clause(ga, rep, (d, 2 * d) if two_d else (d,))
-        concl = None
-        witnesses = ()
-        if not holds:
-            witnesses = (f"clause fails at H = {failing}",)
-        else:
-            pl = p_length(ga.group, p)
-            concl = pl.is_p_solvable and pl.p_length <= 1
-            if not concl:
-                witnesses = (
-                    f"p-solvable {pl.is_p_solvable}, p-length {pl.p_length}",
-                )
-        instance = f"p={p} |D|={d}"
-        verdicts.append(_verdict("L3.5", ga.name, instance, holds, concl, witnesses))
-    return verdicts
+
+    def covers(p_sub, p, ip, meet_phi):
+        two_d = p == 2 and _derived_bits(ga.group, p_sub.generator_indices)[0] != 1
+        return [(k, (p**k, 2 * p**k) if two_d else (p**k,)) for k in range(1, ip)]
+
+    def conclude(p_sub, p, k):
+        pl = p_length(ga.group, p)
+        if pl.is_p_solvable and pl.p_length <= 1:
+            return True, ()
+        return False, (f"p-solvable {pl.is_p_solvable}, p-length {pl.p_length}",)
+
+    return _order_d_walk(ga, "L3.5", covers, conclude, [(f"p={p}", rep)])
 
 
 # -- C-series checkers -------------------------------------------------------
@@ -952,10 +949,6 @@ def _first_failure(ga: GroupAnalysis, targets, ok, what: str) -> tuple:
         if not ok(lat, sub):
             return False, [f"{tag}{what} H = {ga.label(sub)}"]
     return True, []
-
-
-def _is_normal_entry(lat: SubgroupLattice, sub: Subgroup) -> bool:
-    return lat.normal_flags[lat.index_of(sub)]
 
 
 def _minimal_targets(ga: GroupAnalysis, inside: Subgroup, order_four: str = "") -> list:
@@ -999,13 +992,15 @@ def check_C4_3(ga: GroupAnalysis) -> list:
         hyp, wit = False, ["group has even order"]
     else:
         targets = _minimal_targets(ga, ga.lat.top())
-        hyp, wit = _first_failure(ga, targets, _is_normal_entry, "nonnormal")
+        hyp, wit = _first_failure(ga, targets, SubgroupLattice.is_normal, "nonnormal")
     return [_supersolvable_verdict("C4.3", ga, "group", hyp, wit)]
 
 
 def check_C4_4(ga: GroupAnalysis) -> list:
     """Maximal subgroups of the Sylow subgroups all normal: supersolvable."""
-    hyp, wit = _first_failure(ga, _sylow_maximals(ga), _is_normal_entry, "failing maximal")
+    hyp, wit = _first_failure(
+        ga, _sylow_maximals(ga), SubgroupLattice.is_normal, "failing maximal"
+    )
     return [_supersolvable_verdict("C4.4", ga, "group", hyp, wit)]
 
 
@@ -1029,7 +1024,7 @@ def check_C4_7(ga: GroupAnalysis) -> list:
         ga,
         _sylow_maximals(ga),
         lambda lat, sub: has_supersolvable_supplement(lat, sub)[0]
-        or _is_normal_entry(lat, sub),
+        or lat.is_normal(sub),
         "failing maximal",
     )
     return [_supersolvable_verdict("C4.7", ga, "group", hyp, wit)]
@@ -1102,7 +1097,7 @@ def check_C4_11(ga: GroupAnalysis) -> list:
     else:
         primes = sorted(_factorize(fitting_subgroup(ga.group).order))
         targets = _maximal_targets(ga, [(p, p_core(ga.group, p)) for p in primes])
-        hyp, wit = _first_failure(ga, targets, _is_normal_entry, "nonnormal maximal")
+        hyp, wit = _first_failure(ga, targets, SubgroupLattice.is_normal, "nonnormal maximal")
     return [_supersolvable_verdict("C4.11", ga, "group", hyp, wit)]
 
 

@@ -305,13 +305,9 @@ def fitting_subgroup(group: Group) -> Subgroup:
     return _memo(group, "fitting", compute)
 
 
-class ChiefFactor(NamedTuple):
-    order: int
-
-
 class ChiefSeries(NamedTuple):
     chain: list[Subgroup]
-    factors: list[ChiefFactor]
+    factors: list[int]
 
 
 def chief_series(group: Group) -> ChiefSeries:
@@ -321,12 +317,11 @@ def chief_series(group: Group) -> ChiefSeries:
 
     def compute():
         chain = [group.trivial_subgroup()]
-        factors: list[ChiefFactor] = []
+        factors: list[int] = []
         while chain[-1].order < group.order:
             n = chain[-1]
             m = _minimal_over(group, n)[0]
-            index = m.order // n.order
-            factors.append(ChiefFactor(index))
+            factors.append(m.order // n.order)
             chain.append(m)
         return ChiefSeries(chain, factors)
 
@@ -341,8 +336,7 @@ def is_supersolvable(group: Group) -> bool:
 def is_p_solvable(group: Group, p: int) -> bool:
     def compute():
         return all(
-            _is_p_power(f.order, p) or f.order % p != 0
-            for f in chief_series(group).factors
+            _is_p_power(f, p) or f % p != 0 for f in chief_series(group).factors
         )
 
     return _memo(group, ("psolvable", p), compute)

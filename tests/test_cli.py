@@ -296,6 +296,21 @@ def test_lattice_dot_output(tmp_path, capsys):
     assert "30 subgroups" in msg
 
 
+def test_lattice_dot_quotes_the_group_name(tmp_path, capsys):
+    group = tmp_path / "odd.group"
+    group.write_text('name: my "odd" group\ndegree: 3\ngens: (1 2 3)\n')
+    out = tmp_path / "odd.dot"
+    assert main(["lattice", str(group), "--dot", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == 'digraph "my \\"odd\\" group" {'
+
+
+def test_directory_does_not_shadow_a_builtin_name(tmp_path, capsys, monkeypatch):
+    (tmp_path / "S4").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "S4", "--props", "order"]) == 0
+    assert capsys.readouterr().out == "group: S4\norder: 24\n"
+
+
 def test_scan_q13(capsys):
     assert main(["scan-q13", "--max-order", "24"]) == 0
     out = capsys.readouterr().out
@@ -582,7 +597,7 @@ def test_errors_without_a_file_position(tmp_path, capsys):
         ),
         (
             ["analyze", str(empty)],
-            f"cannot read {empty}: [Errno 21] Is a directory: '{empty}'",
+            f"unknown group {str(empty)!r}: not a file and not a builtin corpus name",
         ),
         (
             ["verify", "--statement", "C4.3", "--corpus", str(plain)],

@@ -23,6 +23,7 @@ from permlat.lattice import (
     is_subnormal,
 )
 from permlat.perms import Perm, parse_cycle_string
+from permlat.structure import minimal_normal_subgroups
 
 from oracles import (
     agl23,
@@ -101,6 +102,7 @@ def test_normal_flags_match_brute_force():
     lat = enumerate_subgroups(g)
     for i, sub in enumerate(lat.subgroups):
         assert lat.normal_flags[i] == brute_is_normal(g, bits_to_set(sub.members))
+        assert lat.is_normal(sub) == lat.normal_flags[i]
 
 
 def test_conjugation_closure():
@@ -246,7 +248,9 @@ def test_within_and_of_order():
 def test_maximal_and_minimal_normal():
     g = s4()
     lat = enumerate_subgroups(g)
-    mins = lat.minimal_normal_subgroups()
+    mins = minimal_normal_subgroups(g)
+    walked = minimal_normal_subgroups(s4())
+    assert [m.members for m in mins] == [m.members for m in walked]
     assert len(mins) == 1
     assert mins[0].order == 4
     orders = sorted(m.order for m, f in zip(lat.subgroups, lat.maximal_flags) if f)

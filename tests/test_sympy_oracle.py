@@ -1,21 +1,27 @@
 """sympy's PermutationGroup as an oracle that shares no code with permlat
 or with tests/oracles.py: on every builtin group of order <= 400, the
-basic invariants agree, as do the composition factors of the solvable ones
-and the normality of each Sylow subgroup. B648 is left out, as its
-conjugacy classes would need its Cayley table, which the corpus never
-builds."""
+basic invariants agree, as do the composition factors of the solvable ones,
+the normality of each Sylow subgroup, the abelian invariants, the normal
+closure of each element class and the minimal normal subgroups. B648 is
+left out, as its conjugacy classes would need its Cayley table, which the
+corpus never builds."""
 
 import pytest
 
 sympy_perm = pytest.importorskip("sympy.combinatorics")
+sympy_random = pytest.importorskip("sympy.core.random")
 
 from permlat.corpus import builtin_corpus
+from permlat.groups import _close_bits, _iter_bits
+from permlat.lattice import _normal_closure_bits
 from permlat.structure import (
+    abelian_invariants,
     center,
     chief_series,
     derived_series,
     is_nilpotent,
     is_solvable,
+    minimal_normal_subgroups,
     sylow_normal,
 )
 
@@ -93,7 +99,7 @@ def test_composition_factors_and_sylow_normality_match_sympy():
         if not is_solvable(g):
             continue
         solvable += 1
-        mine = sorted(q for f in chief_series(g).factors for q in _prime_factors(f.order))
+        mine = sorted(q for f in chief_series(g).factors for q in _prime_factors(f))
         series = [h.order() for h in sg.composition_series()]
         theirs = sorted(a // b for a, b in zip(series, series[1:]))
         if mine != theirs:
@@ -102,3 +108,59 @@ def test_composition_factors_and_sylow_normality_match_sympy():
     assert (len(groups), solvable) == (88, 85)
     # Some Sylow subgroups are not normal, so both answers are compared.
     assert 0 < unnormal < len(groups)
+
+
+def _prime_powers(n):
+    """The prime-power factors of n, one per prime."""
+    out = {}
+    for p in _prime_factors(n):
+        out[p] = out.get(p, 1) * p
+    return list(out.values())
+
+
+def test_abelian_invariants_match_sympy():
+    """sympy lists the prime-power (primary) invariants; permlat the
+    invariant factors, each of which splits into its prime powers."""
+    groups = [
+        (name, g) for name, g in builtin_corpus() if g.order <= MAX_ORDER and g.is_abelian()
+    ]
+    assert len(groups) == 52
+    mismatches = []
+    for name, g in groups:
+        mine = sorted(q for d in abelian_invariants(g) for q in _prime_powers(d))
+        theirs = sorted(_sympy_group(g).abelian_invariants())
+        if mine != theirs:
+            mismatches.append((name, mine, theirs))
+    assert mismatches == []
+
+
+def test_normal_closures_and_minimal_normals_match_sympy():
+    """The normal closure of each element class representative x != 1 has
+    the order sympy gives it. Every minimal normal subgroup is the normal
+    closure of each of its elements but 1, so the minimal ones among
+    sympy's closures, as element sets, are the minimal normal subgroups."""
+    sympy_random.seed(0)
+    groups = [(name, g) for name, g in builtin_corpus() if g.order <= MAX_ORDER]
+    mismatches, closures, minimal = [], 0, 0
+    for name, g in groups:
+        sg = _sympy_group(g)
+        index = {tuple(x - 1 for x in p.images): i for i, p in enumerate(g.elements)}
+        t, gens = g.table(), g.generator_indices()
+        theirs = set()
+        for cls in g.conjugacy_classes()[0][1:]:
+            x = cls[0]
+            bits, _ = _normal_closure_bits(g, gens, _close_bits(t, 1, (), (x,)), (x,))
+            closure = sg.normal_closure(
+                sympy_perm.Permutation([v - 1 for v in g.elements[x].images])
+            )
+            if bits.bit_count() != closure.order():
+                mismatches.append((name, "closure", x, bits.bit_count(), closure.order()))
+            theirs.add(frozenset(index[tuple(e.array_form)] for e in closure.elements))
+            closures += 1
+        theirs = {n for n in theirs if not any(m < n for m in theirs)}
+        mine = {frozenset(_iter_bits(m.members)) for m in minimal_normal_subgroups(g)}
+        if mine != theirs:
+            mismatches.append((name, "minimal normal", mine, theirs))
+        minimal += len(mine)
+    assert mismatches == []
+    assert (len(groups), closures, minimal) == (88, 1017, 213)
