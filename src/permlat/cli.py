@@ -326,7 +326,7 @@ def _run_report(args, ids, show_flags: bool) -> int:
         if not path:
             continue
         try:
-            Path(path).write_text(render())
+            Path(path).write_text(render(), encoding="utf-8")
         except OSError as exc:
             return _cannot_write(path, exc)
         print(f"wrote {what} to {path}")

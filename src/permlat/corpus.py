@@ -141,9 +141,10 @@ def parse_group_text(text: str) -> GroupSpecFile:
 
 
 def parse_group_file(path) -> GroupSpecFile:
+    """Parse a group file, which is UTF-8 whatever the locale."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read {path}: {exc}") from None
     return parse_group_text(text)
 

@@ -390,6 +390,6 @@ def emit_lattice_dot(
 ) -> SubgroupLattice:
     lat = enumerate_subgroups(group, cap=lattice_cap)
     text = lattice_dot(lat, title=group.name or f"order{group.order}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return lat

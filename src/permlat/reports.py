@@ -51,36 +51,34 @@ class VerificationReport:
     def sorted_verdicts(self) -> list:
         return sorted(self.verdicts, key=_verdict_key)
 
-    def to_dict(self) -> dict:
-        out = {
-            "schema_version": SCHEMA_VERSION,
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "corpus": self.corpus_description,
-            "caps": dict(sorted(self.caps.items())),
-            "statements": self.statements,
-            "consistent": self.consistent,
-            "verdicts": [v.as_dict() for v in self.sorted_verdicts()],
-            "flags": [v.as_dict() for v in self.flags],
-            "truncations": sorted(self.truncations),
-        }
-        if self.timings is not None:
-            out["timings"] = self.timings
-        return out
-
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for byte.
-        With an indent json.dumps runs its pure-Python encoder, so the
-        verdict and flag rows, nearly all of the text, are written here
-        and json.dumps keeps only the small header fields."""
-        fields = []
-        for key, value in self.to_dict().items():
-            if key in ("verdicts", "flags"):
-                text = _rows_json(value)
-            else:
-                text = _nested_json(value, "  ")
-            fields.append(f"  {_encode_str(key)}: {text}")
-        return "{\n" + ",\n".join(fields) + "\n}\n"
+        """The report as ``json.dumps(indent=2)`` writes its schema, plus a
+        newline. With an indent json.dumps runs its pure-Python encoder,
+        so it keeps only the small header fields; the verdict and flag
+        rows, nearly all of the text, are written here straight from the
+        Verdicts, a block of rows at a time, and every piece is joined
+        once at the end."""
+        pieces = ["{\n"]
+        header = (
+            ("schema_version", SCHEMA_VERSION),
+            ("tool", TOOL_NAME),
+            ("version", __version__),
+            ("corpus", self.corpus_description),
+            ("caps", dict(sorted(self.caps.items()))),
+            ("statements", self.statements),
+            ("consistent", self.consistent),
+        )
+        for key, value in header:
+            pieces.append(f"  {_encode_str(key)}: {_nested_json(value, '  ')},\n")
+        pieces.append('  "verdicts": ')
+        _write_rows(pieces, self.sorted_verdicts())
+        pieces.append(',\n  "flags": ')
+        _write_rows(pieces, self.flags)
+        pieces.append(f',\n  "truncations": {_nested_json(sorted(self.truncations), "  ")}')
+        if self.timings is not None:
+            pieces.append(f',\n  "timings": {_nested_json(self.timings, "  ")}')
+        pieces.append("\n}\n")
+        return "".join(pieces)
 
     def to_csv(self) -> str:
         cols = (
@@ -123,34 +121,56 @@ _LITERAL = {True: "true", False: "false", None: "null"}
 _FLAG_TYPES = (bool, type(None))
 
 
-def _rows_json(rows: list) -> str:
-    """A top-level field's list of verdict rows, each a ``Verdict.as_dict``,
-    as json.dumps(indent=2) writes it, one template per row. A row with a
-    flag that is not a bool (or None for the conclusion), or a text that
-    is not a string, goes to json.dumps instead."""
-    if not rows:
-        return "[]"
+# Rows are joined this many at a time: the writer holds one block of row
+# strings beside the joined blocks, never one string per row to the end.
+_ROWS_PER_BLOCK = 256
+
+
+def _write_rows(pieces: list, verdicts) -> None:
+    """Append a top-level list of verdict rows, as json.dumps(indent=2)
+    writes it, to ``pieces``, one joined block of rows at a time."""
+    if not verdicts:
+        pieces.append("[]")
+        return
+    pieces.append("[\n")
+    for start in range(0, len(verdicts), _ROWS_PER_BLOCK):
+        if start:
+            pieces.append(",\n")
+        pieces.append(",\n".join(map(_row_json, verdicts[start : start + _ROWS_PER_BLOCK])))
+    pieces.append("\n  ]")
+
+
+def _row_json(v) -> str:
+    """One verdict row, read off the Verdict's fields into one template.
+    A row with a flag that is not a bool (or None for the conclusion), or
+    a text that is not a string, goes to json.dumps instead."""
+    hyp, concl, ok = v.hypothesis_satisfied, v.conclusion_holds, v.consistent
     enc = _encode_str
-    items = []
-    for row in rows:
-        hyp, concl, ok = row["hypothesis_satisfied"], row["conclusion_holds"], row["consistent"]
-        try:
-            if type(hyp) is not bool or type(ok) is not bool or type(concl) not in _FLAG_TYPES:
-                raise TypeError
-            w = ",\n        ".join(map(enc, row["witnesses"]))
-            w = f"[\n        {w}\n      ]" if w else "[]"
-            items.append(
-                f'    {{\n      "statement": {enc(row["statement"])},\n'
-                f'      "group": {enc(row["group"])},\n'
-                f'      "instance": {enc(row["instance"])},\n'
-                f'      "hypothesis_satisfied": {_LITERAL[hyp]},\n'
-                f'      "conclusion_holds": {_LITERAL[concl]},\n'
-                f'      "consistent": {_LITERAL[ok]},\n'
-                f'      "witnesses": {w}\n    }}'
-            )
-        except TypeError:
-            items.append("    " + _nested_json(row, "    "))
-    return "[\n" + ",\n".join(items) + "\n  ]"
+    try:
+        if type(hyp) is not bool or type(ok) is not bool or type(concl) not in _FLAG_TYPES:
+            raise TypeError
+        w = ",\n        ".join(map(enc, v.witnesses))
+        w = f"[\n        {w}\n      ]" if w else "[]"
+        return (
+            f'    {{\n      "statement": {enc(v.statement_id)},\n'
+            f'      "group": {enc(v.group_id)},\n'
+            f'      "instance": {enc(v.instance)},\n'
+            f'      "hypothesis_satisfied": {_LITERAL[hyp]},\n'
+            f'      "conclusion_holds": {_LITERAL[concl]},\n'
+            f'      "consistent": {_LITERAL[ok]},\n'
+            f'      "witnesses": {w}\n    }}'
+        )
+    except TypeError:
+        row = {
+            "statement": v.statement_id,
+            "group": v.group_id,
+            "instance": v.instance,
+            "hypothesis_satisfied": hyp,
+            "conclusion_holds": concl,
+            "consistent": ok,
+            "witnesses": list(v.witnesses),
+        }
+        return "    " + _nested_json(row, "    ")
 
 
 def _csv_quote(cell: str) -> str:

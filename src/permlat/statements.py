@@ -70,7 +70,7 @@ from .embedding import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """One checked instance of a statement on a group."""
 
@@ -81,17 +81,6 @@ class Verdict:
     conclusion_holds: Optional[bool]
     consistent: bool
     witnesses: tuple = ()
-
-    def as_dict(self) -> dict:
-        return {
-            "statement": self.statement_id,
-            "group": self.group_id,
-            "instance": self.instance,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "conclusion_holds": self.conclusion_holds,
-            "consistent": self.consistent,
-            "witnesses": list(self.witnesses),
-        }
 
 
 def _verdict(statement_id, group_id, instance, hypothesis, conclusion, witnesses=()):

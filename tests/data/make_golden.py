@@ -18,7 +18,7 @@ def main():
     rep = run_verification(["remark1"], corpus, "golden slice", max_order=20)
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.path.join(here, "golden_remark1.json")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(rep.to_json())
     print("wrote", path)
 

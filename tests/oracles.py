@@ -25,7 +25,10 @@ s-permutable subgroup inside H (Kegel). ``supersolvable_supplement_oracle``
 walks the same list with each supplement built as a group of its own.
 ``compose`` and ``naive_closure`` work below the table, on image tuples:
 they pin the package's gathered products and closures to the definition
-of left-to-right composition.
+of left-to-right composition. ``report_dict`` and ``verdict_dict`` give
+the JSON report as plain dicts, from the schema's key lists, so that
+``json.dumps`` can be the reference the package's writer is checked
+against.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import weakref
 
 from typing import NamedTuple
 
+from permlat import __version__
 from permlat.embedding import is_weakly_s_supplemented, subnormal_in
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import (
@@ -48,6 +52,7 @@ from permlat.groups import (
 )
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import Perm
+from permlat.reports import SCHEMA_VERSION, TOOL_NAME
 from permlat.statements import _implication
 from permlat.structure import is_supersolvable, u_hypercenter
 
@@ -795,3 +800,67 @@ def agl23():
         ],
         name="AGL(2,3)",
     )
+
+
+# The JSON report's schema: its top-level keys, then ``timings`` when
+# timed, and each verdict row's keys, in order.
+REPORT_KEYS = (
+    "schema_version",
+    "tool",
+    "version",
+    "corpus",
+    "caps",
+    "statements",
+    "consistent",
+    "verdicts",
+    "flags",
+    "truncations",
+)
+VERDICT_KEYS = (
+    "statement",
+    "group",
+    "instance",
+    "hypothesis_satisfied",
+    "conclusion_holds",
+    "consistent",
+    "witnesses",
+)
+
+
+def verdict_dict(v):
+    """A verdict row of the JSON report, one value per schema key."""
+    values = (
+        v.statement_id,
+        v.group_id,
+        v.instance,
+        v.hypothesis_satisfied,
+        v.conclusion_holds,
+        v.consistent,
+        list(v.witnesses),
+    )
+    return dict(zip(VERDICT_KEYS, values, strict=True))
+
+
+def report_dict(rep):
+    """The JSON report of a VerificationReport as a dict: json.dumps of
+    it with indent 2, plus a newline, is the report's text."""
+    values = (
+        SCHEMA_VERSION,
+        TOOL_NAME,
+        __version__,
+        rep.corpus_description,
+        dict(sorted(rep.caps.items())),
+        rep.statements,
+        all(v.consistent for v in rep.verdicts),
+        [verdict_dict(v) for v in sorted(rep.verdicts, key=_verdict_order)],
+        [verdict_dict(v) for v in rep.flags],
+        sorted(rep.truncations),
+    )
+    out = dict(zip(REPORT_KEYS, values, strict=True))
+    if rep.timings is not None:
+        out["timings"] = rep.timings
+    return out
+
+
+def _verdict_order(v):
+    return (v.group_id, v.statement_id, v.instance)

@@ -4,6 +4,7 @@
 error, 3 = cap exceeded.
 """
 
+import codecs
 import hashlib
 import json
 import os
@@ -234,6 +235,50 @@ def test_verify_missing_corpus_dir():
     assert main(["verify", "--statement", "L2.2", "--corpus", "/no/such"]) == 2
 
 
+def test_group_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    """Group files are UTF-8; bytes that do not decode are a usage error,
+    not an inconsistency, for one file and for a corpus directory."""
+    bad = tmp_path / "bad.group"
+    bad.write_bytes(b"name: bad\xff name\ndegree: 3\ngens: (1 2 3)\n")
+    assert main(["analyze", str(bad), "--props", "order"]) == 2
+    assert f"error: cannot read {bad}" in capsys.readouterr().err
+    assert main(["verify", "--statement", "all", "--corpus", str(tmp_path)]) == 2
+    assert f"error: cannot read {bad}" in capsys.readouterr().err
+
+
+def test_non_ascii_group_name_under_an_ascii_locale(tmp_path):
+    """Group files are read, and CSV and DOT files written, as UTF-8 where
+    the locale's encoding is ASCII."""
+    name = "Größe ψ"
+    (tmp_path / "corpus").mkdir()
+    group_file = tmp_path / "corpus" / "g.group"
+    group_file.write_text(f"name: {name}\ndegree: 3\ngens: (1 2 3)\n", encoding="utf-8")
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(permlat.__file__).parents[1]),
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+    )
+    env.pop("PYTHONIOENCODING", None)
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, *args], env=env, cwd=tmp_path, capture_output=True, text=True
+        )
+
+    proc = run("-c", "import locale; print(locale.getpreferredencoding(False))")
+    assert codecs.lookup(proc.stdout.strip()).name == "ascii"
+    for argv in (
+        ["verify", "--statement", "L2.2", "--corpus", "corpus", "--csv", "out.csv"],
+        ["lattice", str(group_file), "--dot", "out.dot"],
+    ):
+        proc = run("-m", "permlat.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+    for out in ("out.csv", "out.dot"):
+        assert name in (tmp_path / out).read_bytes().decode("utf-8")
+
+
 def test_lattice_cap_exit_code(tmp_path):
     code = main(
         ["lattice", "A6", "--dot", str(tmp_path / "a6.dot"),
@@ -402,6 +447,7 @@ def _rig(monkeypatch, sid, *verdicts):
 
 
 def test_scan_q13_lists_flags(tmp_path, capsys, monkeypatch):
+    from oracles import verdict_dict
     from permlat.statements import Verdict
 
     flag = Verdict("q13", "S3", "E=rigged", True, False, True, ("wit one", "wit two"))
@@ -419,8 +465,8 @@ def test_scan_q13_lists_flags(tmp_path, capsys, monkeypatch):
     assert f"counterexample candidates: 1\n{witness_lines}" in out
     assert out.endswith("all consistent\nwrote JSON report to q13.json\n")
     report = json.loads((tmp_path / "q13.json").read_text())
-    assert report["flags"] == [flag.as_dict()]
-    assert report["verdicts"] == [v.as_dict() for v in (held, flag, unmet)]
+    assert report["flags"] == [verdict_dict(flag)]
+    assert report["verdicts"] == [verdict_dict(v) for v in (held, flag, unmet)]
 
     argv = ["verify", "--statement", "all", "--max-order", "6", "--report", "all.json"]
     assert main(argv) == 1

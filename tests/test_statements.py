@@ -6,6 +6,7 @@ test_acceptance.py.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import Subgroup, _factorize, close_generators, direct_product
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import parse_cycle_string
+from permlat.reports import VerificationReport
 from permlat.statements import (
     STATEMENT_IDS,
     STATEMENTS,
@@ -187,9 +189,11 @@ def test_question13_scan_clean_on_controls():
 
 
 def test_verdict_as_dict_shape():
+    """A verdict's row in the JSON report, keys in schema order."""
     ga = analysis("S3")
     verdict = check_thmB(ga, ga.lat.top())
-    d = verdict.as_dict()
+    rep = VerificationReport("S3", {}, verdicts=[verdict])
+    (d,) = json.loads(rep.to_json())["verdicts"]
     assert list(d) == [
         "statement",
         "group",

@@ -1,8 +1,9 @@
 """sympy's PermutationGroup as an oracle that shares no code with permlat
 or with tests/oracles.py: on every builtin group of order <= 400, the
 basic invariants agree, as do the composition factors of the solvable ones,
-the normality of each Sylow subgroup, the abelian invariants, the normal
-closure of each element class and the minimal normal subgroups. B648 is
+the normality of each Sylow subgroup, the Sylow counts n_p, the lower
+central series, the abelian invariants, the normal closure of each element
+class and the minimal normal subgroups. B648 is
 left out, as its conjugacy classes would need its Cayley table, which the
 corpus never builds."""
 
@@ -13,7 +14,7 @@ sympy_random = pytest.importorskip("sympy.core.random")
 
 from permlat.corpus import builtin_corpus
 from permlat.groups import _close_bits, _iter_bits
-from permlat.lattice import _normal_closure_bits
+from permlat.lattice import _normal_closure_bits, enumerate_subgroups
 from permlat.structure import (
     abelian_invariants,
     center,
@@ -111,11 +112,11 @@ def test_composition_factors_and_sylow_normality_match_sympy():
 
 
 def _prime_powers(n):
-    """The prime-power factors of n, one per prime."""
+    """{p: |n|_p} for each prime p dividing n."""
     out = {}
     for p in _prime_factors(n):
         out[p] = out.get(p, 1) * p
-    return list(out.values())
+    return out
 
 
 def test_abelian_invariants_match_sympy():
@@ -127,7 +128,7 @@ def test_abelian_invariants_match_sympy():
     assert len(groups) == 52
     mismatches = []
     for name, g in groups:
-        mine = sorted(q for d in abelian_invariants(g) for q in _prime_powers(d))
+        mine = sorted(q for d in abelian_invariants(g) for q in _prime_powers(d).values())
         theirs = sorted(_sympy_group(g).abelian_invariants())
         if mine != theirs:
             mismatches.append((name, mine, theirs))
@@ -164,3 +165,81 @@ def test_normal_closures_and_minimal_normals_match_sympy():
         minimal += len(mine)
     assert mismatches == []
     assert (len(groups), closures, minimal) == (88, 1017, 213)
+
+
+def _conjugacy_class_size(gens, elems):
+    """Size of the conjugacy class of the subgroup with array forms
+    ``elems``, by closing it under conjugation by the array forms
+    ``gens``: x^g maps g(i) to g(x(i))."""
+    start = frozenset(elems)
+    seen, stack = {start}, [start]
+    while stack:
+        sub = stack.pop()
+        for g in gens:
+            conj = []
+            for x in sub:
+                c = [0] * len(g)
+                for i, xi in enumerate(x):
+                    c[g[i]] = g[xi]
+                conj.append(tuple(c))
+            conj = frozenset(conj)
+            if conj not in seen:
+                seen.add(conj)
+                stack.append(conj)
+    return len(seen)
+
+
+def test_sylow_counts_match_sympy():
+    """n_p, the number of Sylow p-subgroups, is the number of lattice
+    entries of order |G|_p; sympy's side is the class of its Sylow
+    subgroup under conjugation by the generators."""
+    sympy_random.seed(0)
+    groups = [(name, g) for name, g in builtin_corpus() if g.order <= MAX_ORDER]
+    mismatches, primes, unnormal = [], 0, 0
+    for name, g in groups:
+        lat = enumerate_subgroups(g)
+        sg = _sympy_group(g)
+        gens = [tuple(p.array_form) for p in sg.generators]
+        for p, sylow_order in _prime_powers(g.order).items():
+            mine = len(lat.of_order(sylow_order))
+            sylow = sg.sylow_subgroup(p)
+            theirs = _conjugacy_class_size(gens, (tuple(e.array_form) for e in sylow.elements))
+            if mine != theirs:
+                mismatches.append((name, p, mine, theirs))
+            primes += 1
+            unnormal += mine > 1
+    assert mismatches == []
+    # Not every count is 1: some Sylow subgroups are not normal.
+    assert (len(groups), primes, unnormal) == (88, 150, 36)
+
+
+def _lower_central_orders(g):
+    """|G| = |γ_1| >= |γ_2| >= ... down to the stable term, where
+    γ_{i+1} = [γ_i, G] is the normal closure of the commutators of γ_i's
+    generators with G's generators."""
+    t, inv, gens = g.table(), g.inverse_table(), g.generator_indices()
+    bits, cur = (1 << g.order) - 1, gens
+    orders = [g.order]
+    while True:
+        comms = tuple({t[t[t[inv[x]][inv[y]]][x]][y] for x in cur for y in gens})
+        nbits, cur = _normal_closure_bits(g, gens, _close_bits(t, 1, (), comms), comms)
+        if nbits == bits:
+            return orders
+        bits = nbits
+        orders.append(bits.bit_count())
+
+
+def test_lower_central_series_matches_sympy():
+    sympy_random.seed(0)
+    groups = [(name, g) for name, g in builtin_corpus() if g.order <= MAX_ORDER]
+    mismatches, nilpotent = [], 0
+    for name, g in groups:
+        mine = _lower_central_orders(g)
+        theirs = [h.order() for h in _sympy_group(g).lower_central_series()]
+        if mine != theirs:
+            mismatches.append((name, mine, theirs))
+        nilpotent += mine[-1] == 1
+    assert mismatches == []
+    # The series reaches 1 exactly on the nilpotent groups.
+    assert nilpotent == sum(is_nilpotent(g) for _, g in groups)
+    assert 0 < nilpotent < len(groups)
