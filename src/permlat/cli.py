@@ -483,7 +483,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _escape_unencodable_output() -> None:
+    """Let stdout and stderr write a character their encoding lacks (a
+    group name under an ASCII locale) as a backslash escape, not raise."""
+    for stream in (sys.stdout, sys.stderr):
+        reconfigure = getattr(stream, "reconfigure", None)
+        if reconfigure is not None:
+            reconfigure(errors="backslashreplace")
+
+
 def main(argv=None) -> int:
+    _escape_unencodable_output()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -2,8 +2,10 @@
 
 A Group owns a canonically sorted element table (lexicographic on image
 tuples, so the identity is always index 0) and, lazily, an index-level
-multiplication table. All heavier algorithms in the package work on element
-indices and bitsets over them; permutations are the construction layer.
+multiplication table, inverses, element orders and memos, which
+``Group.release_caches`` drops and the next read rebuilds. All heavier
+algorithms in the package work on element indices and bitsets over them;
+permutations are the construction layer.
 """
 
 from __future__ import annotations
@@ -306,6 +308,17 @@ class Group:
                 orders[x] = k
             self._orders = orders
         return self._orders
+
+    def release_caches(self) -> None:
+        """Drop the data built on demand: the multiplication and inverse
+        tables, the element orders and every memo. The elements, their
+        index and the generators stay, so a later call rebuilds what it
+        reads from the generators, with the same values; a table given
+        at construction is rebuilt the same way."""
+        self._table = None
+        self._inv = None
+        self._orders = None
+        self._memo.clear()
 
     @property
     def prime_factorization(self) -> dict[int, int]:

@@ -8,7 +8,10 @@ U-hypercenter, also of G/N) build no quotient: the normal subgroups of G/N
 are those of G above N, so each answer is a preimage in G. Each step scans
 the list of G's normal subgroups once a lattice of G has made it, and
 otherwise joins normal closures of N and one element per conjugacy class:
-the list can be exponentially long (C2^n). Results are memoized on G.
+the list can be exponentially long (C2^n). Results are memoized on G
+until G releases its derived data (``Group.release_caches``, which the
+registry runner calls once a group's entries have run); a later call
+recomputes them.
 """
 
 from __future__ import annotations

@@ -248,7 +248,7 @@ def test_group_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
 
 def test_non_ascii_group_name_under_an_ascii_locale(tmp_path):
     """Group files are read, and CSV and DOT files written, as UTF-8 where
-    the locale's encoding is ASCII."""
+    the locale's encoding is ASCII; a name printed to stdout is escaped."""
     name = "Größe ψ"
     (tmp_path / "corpus").mkdir()
     group_file = tmp_path / "corpus" / "g.group"
@@ -277,6 +277,13 @@ def test_non_ascii_group_name_under_an_ascii_locale(tmp_path):
         assert proc.returncode == 0, (argv, proc.stderr)
     for out in ("out.csv", "out.dot"):
         assert name in (tmp_path / out).read_bytes().decode("utf-8")
+    for argv in (
+        ["analyze", str(group_file), "--props", "order"],
+        ["check-subgroup", str(group_file), "--gens", "", "--predicate", "normal"],
+    ):
+        proc = run("-m", "permlat.cli", *argv)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert proc.stdout.splitlines()[0] == r"group: Gr\xf6\xdfe \u03c8"
 
 
 def test_lattice_cap_exit_code(tmp_path):

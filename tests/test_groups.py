@@ -13,6 +13,7 @@ from permlat.groups import (
     _iter_bits,
     close_generators,
     direct_product,
+    group_from_cayley,
     p_residual,
     wreath_regular,
 )
@@ -98,6 +99,30 @@ def test_direct_product_with_trivial():
     assert sorted(p.order() for p in g.elements) == sorted(
         p.order() for p in s3.elements
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: builtin_group("C2xQ8"),
+        lambda: builtin_group("S3xS3"),
+        lambda: builtin_group("C3:C4"),
+        lambda: group_from_cayley(CayleyTable(builtin_group("S4").table())),
+    ],
+    ids=["C2xQ8", "S3xS3", "C3:C4", "regular S4"],
+)
+def test_release_caches_rebuilds_a_supplied_table(build):
+    """A table given at construction (a direct product's, a regular
+    representation's) is dropped by release_caches and rebuilt from the
+    generators: the table, inverses and element orders come back equal."""
+    g = build()
+    before = (g.table(), g.inverse_table(), g.element_orders())
+    g.release_caches()
+    assert g._table is None and g._inv is None and g._orders is None
+    assert not g._memo
+    after = (g.table(), g.inverse_table(), g.element_orders())
+    assert after == before
+    assert after[0] is not before[0]
 
 
 def test_wreath_orders():
