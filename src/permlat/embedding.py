@@ -4,7 +4,8 @@ c-normality, supersolvable supplements, permutability, complements.
 
 Existential searches scan lattice entries in canonical order, so the first
 witness found is deterministic. Predicates and witnesses are memoized on
-the lattice keyed by subgroup bitset.
+the lattice by ``_per_section`` and ``_per_subgroup``, under the
+function's name, H's bitset and the section's bitsets.
 
 The weak s-supplementation family (``sylow_family``, ``is_s_permutable``,
 ``h_sG``, ``is_weakly_s_supplemented``) also evaluates in a section K/N of
@@ -36,10 +37,11 @@ A section is passed as ``section=(K, N)``; the default is the whole group
 
 from __future__ import annotations
 
+import functools
 from typing import Optional
 
 from .errors import NotNormalError, PermlatError
-from .groups import Subgroup, _conjugate_bits, _factorize, _memo
+from .groups import Subgroup, _conjugate_bits, _factorize
 from .lattice import SubgroupLattice, is_subnormal
 from .structure import _is_prime
 
@@ -61,70 +63,91 @@ def _section_key(lat: SubgroupLattice, section: Optional[tuple]) -> tuple:
     return (k.members, n.members)
 
 
-def _section(lat: SubgroupLattice, key: tuple) -> tuple:
+def _per_section(fn):
+    """Memoize ``fn(lat, section=None)`` on the lattice per section. The
+    whole group, however given, reaches ``fn`` as None."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(lat, section=None):
+        skey = _section_key(lat, section)
+        key = (name, *skey)
+        store = lat._memo
+        if key not in store:
+            store[key] = fn(lat, section if skey else None)
+        return store[key]
+
+    return wrapper
+
+
+def _per_subgroup(fn):
+    """Memoize ``fn(lat, h, section=None)`` on the lattice per H and
+    section. ``fn`` gets H's lattice entry, and a section only when it is
+    not the whole group; an H outside the lattice or the section raises
+    PermlatError."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(lat, h, section=None):
+        skey = _section_key(lat, section)
+        key = (name, h.members, *skey)
+        store = lat._memo
+        if key not in store:
+            h = lat.subgroups[lat.index_of(h)]
+            if skey and (skey[1] & ~h.members or h.members & ~skey[0]):
+                raise PermlatError(f"{h.describe()} does not lie in the section")
+            store[key] = fn(lat, h, section) if skey else fn(lat, h)
+        return store[key]
+
+    return wrapper
+
+
+@_per_section
+def _section(lat: SubgroupLattice, section: Optional[tuple] = None) -> tuple:
     """(K, N, the entries X with N <= X <= K in canonical order)."""
-    if not key:
+    if section is None:
         return lat.top(), lat.bottom(), lat.subgroups
-
-    def compute():
-        k_bits, n_bits = key
-        k, n = lat.entry(k_bits), lat.entry(n_bits)
-        # N normal in G (trivial N included) is normal in K.
-        if not lat.is_normal(n):
-            t, inv = lat.group.table(), lat.group.inverse_table()
-            if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
-                raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
-        entries = [
-            e for e in lat.subgroups
-            if e.members & ~k_bits == 0 and n_bits & ~e.members == 0
-        ]
-        return k, n, entries
-
-    return _memo(lat, ("section",) + key, compute)
+    k, n = lat.entry(section[0].members), lat.entry(section[1].members)
+    k_bits, n_bits = k.members, n.members
+    # N normal in G (trivial N included) is normal in K.
+    if not lat.is_normal(n):
+        t, inv = lat.group.table(), lat.group.inverse_table()
+        if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
+            raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
+    entries = [
+        e for e in lat.subgroups
+        if e.members & ~k_bits == 0 and n_bits & ~e.members == 0
+    ]
+    return k, n, entries
 
 
-def _resolve(lat: SubgroupLattice, h: Subgroup, key: tuple = ()) -> Subgroup:
-    h = lat.subgroups[lat.index_of(h)]
-    if key and (key[1] & ~h.members or h.members & ~key[0]):
-        raise PermlatError(f"{h.describe()} does not lie in the section")
-    return h
-
-
+@_per_section
 def sylow_family(lat: SubgroupLattice, section: Optional[tuple] = None) -> list:
     """All Sylow subgroups of the group, or of the section K/N as their
     preimages: (p, list of conjugates) per prime."""
-    key = _section_key(lat, section)
-
-    def compute():
-        k, n, entries = _section(lat, key)
-        return [
-            (p, [e for e in entries if e.order == n.order * p**a])
-            for p, a in sorted(_factorize(k.order // n.order).items())
-        ]
-
-    return _memo(lat, ("sylow_family",) + key, compute)
+    k, n, entries = _section(lat, section)
+    return [
+        (p, [e for e in entries if e.order == n.order * p**a])
+        for p, a in sorted(_factorize(k.order // n.order).items())
+    ]
 
 
+@_per_subgroup
 def is_s_permutable(
     lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
 ) -> bool:
     """Whether H permutes with every Sylow subgroup of the group (of the
     section: H/N with every Sylow S/N of K/N, decided as HS = SH in G)."""
-    key = _section_key(lat, section)
-    h = _resolve(lat, h, key)
-
-    def compute():
-        if lat.is_normal(h):
-            return True
-        for _p, conjugates in sylow_family(lat, section):
-            for q in conjugates:
-                if lat.product(h, q) is None:
-                    return False
+    if lat.is_normal(h):
         return True
+    for _p, conjugates in sylow_family(lat, section):
+        for q in conjugates:
+            if lat.product(h, q) is None:
+                return False
+    return True
 
-    return _memo(lat, ("sperm", h.members) + key, compute)
 
-
+@_per_subgroup
 def h_sG(
     lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
 ) -> Subgroup:
@@ -133,27 +156,17 @@ def h_sG(
     subgroups of H/N). By Kegel the join is itself s-permutable, so it is
     the first entry of the section, in reverse canonical order, that lies
     in H and is s-permutable; N/N always is."""
-    key = _section_key(lat, section)
-    h = _resolve(lat, h, key)
-
-    def compute():
-        _k, _n, entries = _section(lat, key)
-        return next(
-            e
-            for e in reversed(entries)
-            if e.members & ~h.members == 0 and is_s_permutable(lat, e, section)
-        )
-
-    return _memo(lat, ("hsg", h.members) + key, compute)
+    _k, _n, entries = _section(lat, section)
+    return next(
+        e
+        for e in reversed(entries)
+        if e.members & ~h.members == 0 and is_s_permutable(lat, e, section)
+    )
 
 
+@_per_subgroup
 def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
-    h = _resolve(lat, h)
-
-    def compute():
-        return lat.is_normal(h) or is_subnormal(h)
-
-    return _memo(lat, ("subn", h.members), compute)
+    return lat.is_normal(h) or is_subnormal(h)
 
 
 def _supplement_scan(lat, h, require_subnormal, section=None):
@@ -162,7 +175,7 @@ def _supplement_scan(lat, h, require_subnormal, section=None):
     to N or inside H_sG; (False, None) if there is none. H_sG contains N,
     and is computed at most once, when a supplement first meets H in more
     than N."""
-    k, n, entries = _section(lat, _section_key(lat, section))
+    k, n, entries = _section(lat, section)
     k_order, h_order, h_bits, n_bits = k.order, h.order, h.members, n.members
     hsg = None
     for t in entries:
@@ -182,6 +195,7 @@ def _supplement_scan(lat, h, require_subnormal, section=None):
     return False, None
 
 
+@_per_subgroup
 def is_weakly_s_supplemented(
     lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
 ) -> tuple[bool, Optional[Subgroup]]:
@@ -189,109 +203,78 @@ def is_weakly_s_supplemented(
     with the first such T, an entry of the lattice, or None. In the
     section K/N, whether H/N is weakly s-supplemented in K/N, with T/N the
     supplement, given as its preimage T."""
-    key = _section_key(lat, section)
-    h = _resolve(lat, h, key)
-    return _memo(
-        lat,
-        ("wss", h.members) + key,
-        lambda: _supplement_scan(lat, h, False, section),
-    )
+    return _supplement_scan(lat, h, False, section)
 
 
+@_per_subgroup
 def is_weakly_s_permutable(
     lat: SubgroupLattice, h: Subgroup
 ) -> tuple[bool, Optional[Subgroup]]:
     """(ok, T) as for weak s-supplementation, but T must be subnormal."""
-    h = _resolve(lat, h)
-    return _memo(
-        lat,
-        ("wsp", h.members),
-        lambda: _supplement_scan(lat, h, True),
-    )
+    return _supplement_scan(lat, h, True)
 
 
+@_per_subgroup
 def core_of(lat: SubgroupLattice, h: Subgroup) -> Subgroup:
     """Largest normal subgroup inside H: intersection of H's conjugates."""
-    h = _resolve(lat, h)
-
-    def compute():
-        bits = (1 << lat.group.order) - 1
-        for i in lat.conjugacy_classes[lat.class_of[lat.index_of(h)]]:
-            bits &= lat.subgroups[i].members
-        return lat.entry(bits)
-
-    return _memo(lat, ("core", h.members), compute)
+    bits = (1 << lat.group.order) - 1
+    for i in lat.conjugacy_classes[lat.class_of[lat.index_of(h)]]:
+        bits &= lat.subgroups[i].members
+    return lat.entry(bits)
 
 
+@_per_subgroup
 def is_c_normal(lat: SubgroupLattice, h: Subgroup) -> bool:
     """Whether some normal T has HT = G and H meet T inside the core of H."""
-    h = _resolve(lat, h)
-
-    def compute():
-        g_order = lat.group.order
-        bound = core_of(lat, h).members
-        for t in lat.normal_subgroups():
-            if t.order * h.order < g_order:
-                continue
-            inter = h.members & t.members
-            if t.order * h.order != g_order * inter.bit_count():
-                continue
-            if inter & ~bound == 0:
-                return True
-        return False
-
-    return _memo(lat, ("cnorm", h.members), compute)
+    g_order = lat.group.order
+    bound = core_of(lat, h).members
+    for t in lat.normal_subgroups():
+        if t.order * h.order < g_order:
+            continue
+        inter = h.members & t.members
+        if t.order * h.order != g_order * inter.bit_count():
+            continue
+        if inter & ~bound == 0:
+            return True
+    return False
 
 
+@_per_section
 def is_supersolvable_section(
     lat: SubgroupLattice, section: Optional[tuple] = None
 ) -> bool:
     """Whether the group, or the section K/N, is supersolvable: by Huppert
     (1954) iff every maximal subgroup has prime index, so iff every proper
     entry of the section lies in an entry of prime index in K."""
-    key = _section_key(lat, section)
-
-    def compute():
-        k, _n, entries = _section(lat, key)
-        prime = [e.members for e in entries if _is_prime(k.order // e.order)]
-        return all(
-            any(e.members & ~m == 0 for m in prime)
-            for e in reversed(entries)
-            if e.order < k.order
-        )
-
-    return _memo(lat, ("ssolv",) + key, compute)
+    k, _n, entries = _section(lat, section)
+    prime = [e.members for e in entries if _is_prime(k.order // e.order)]
+    return all(
+        any(e.members & ~m == 0 for m in prime)
+        for e in reversed(entries)
+        if e.order < k.order
+    )
 
 
+@_per_subgroup
 def has_supersolvable_supplement(
     lat: SubgroupLattice, h: Subgroup
 ) -> tuple[bool, Optional[Subgroup]]:
     """The first T in canonical order with H*T = G, i.e.
     |H||T| = |G||H meet T|, that is supersolvable."""
-    h = _resolve(lat, h)
-
-    def compute():
-        g_order, h_order, h_bits = lat.group.order, h.order, h.members
-        for t in lat.subgroups:
-            if t.order * h_order != g_order * (t.members & h_bits).bit_count():
-                continue
-            if is_supersolvable_section(lat, (t, lat.bottom())):
-                return True, t
-        return False, None
-
-    return _memo(lat, ("sss", h.members), compute)
+    g_order, h_order, h_bits = lat.group.order, h.order, h.members
+    for t in lat.subgroups:
+        if t.order * h_order != g_order * (t.members & h_bits).bit_count():
+            continue
+        if is_supersolvable_section(lat, (t, lat.bottom())):
+            return True, t
+    return False, None
 
 
 def is_complemented(lat: SubgroupLattice, h: Subgroup) -> bool:
-    h = _resolve(lat, h)
-    return bool(lat.complements(h))
+    return bool(lat.complements(lat.subgroups[lat.index_of(h)]))
 
 
+@_per_subgroup
 def is_permutable(lat: SubgroupLattice, h: Subgroup) -> bool:
     """Whether H permutes with every subgroup of the group."""
-    h = _resolve(lat, h)
-
-    def compute():
-        return all(lat.product(h, e) is not None for e in lat.subgroups)
-
-    return _memo(lat, ("perm", h.members), compute)
+    return all(lat.product(h, e) is not None for e in lat.subgroups)

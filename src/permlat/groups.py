@@ -10,6 +10,7 @@ permutations are the construction layer.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -24,13 +25,26 @@ from .perms import Perm
 DEFAULT_GROUP_CAP = 2000
 
 
-def _memo(owner, key, compute):
-    """``owner._memo[key]``, computed by ``compute()`` on first use. Groups
-    and lattices keep their memos this way."""
-    store = owner._memo
-    if key not in store:
-        store[key] = compute()
-    return store[key]
+def _memoized(fn):
+    """Memoize ``fn(owner, *args)`` in ``owner._memo``, a group's or a
+    lattice's, under ``(fn.__name__, *args)`` with each Subgroup argument
+    keyed by its bitset; a keyword argument adds its (name, value) pair.
+    ``Group.release_caches`` drops every entry."""
+    name = fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(owner, *args, **kwargs):
+        key = (name, *[a.members if isinstance(a, Subgroup) else a for a in args])
+        if kwargs:
+            key += tuple(
+                (k, v.members if isinstance(v, Subgroup) else v) for k, v in kwargs.items()
+            )
+        store = owner._memo
+        if key not in store:
+            store[key] = fn(owner, *args, **kwargs)
+        return store[key]
+
+    return wrapper
 
 
 def _normal_bits(group) -> Optional[list[int]]:
@@ -321,47 +335,43 @@ class Group:
         self._memo.clear()
 
     @property
+    @_memoized
     def prime_factorization(self) -> dict[int, int]:
-        return _memo(self, "primefac", lambda: _factorize(self.order))
+        return _factorize(self.order)
 
+    @_memoized
     def is_abelian(self) -> bool:
-        def compute():
-            return all(
-                (a * b).images == (b * a).images
-                for i, a in enumerate(self.generators)
-                for b in self.generators[i + 1:]
-            )
+        return all(
+            (a * b).images == (b * a).images
+            for i, a in enumerate(self.generators)
+            for b in self.generators[i + 1:]
+        )
 
-        return _memo(self, "abelian", compute)
-
+    @_memoized
     def conjugacy_classes(self) -> tuple[list[list[int]], list[int]]:
         """Element conjugacy classes (sorted index lists) and class index map."""
-
-        def compute():
-            t = self.table()
-            inv = self.inverse_table()
-            gidx = self.generator_indices()
-            class_of = [-1] * self.order
-            classes: list[list[int]] = []
-            for x in range(self.order):
-                if class_of[x] != -1:
-                    continue
-                cid = len(classes)
-                class_of[x] = cid
-                orbit = [x]
-                stack = [x]
-                while stack:
-                    y = stack.pop()
-                    for g in gidx:
-                        z = t[t[inv[g]][y]][g]
-                        if class_of[z] == -1:
-                            class_of[z] = cid
-                            orbit.append(z)
-                            stack.append(z)
-                classes.append(sorted(orbit))
-            return classes, class_of
-
-        return _memo(self, "conjclasses", compute)
+        t = self.table()
+        inv = self.inverse_table()
+        gidx = self.generator_indices()
+        class_of = [-1] * self.order
+        classes: list[list[int]] = []
+        for x in range(self.order):
+            if class_of[x] != -1:
+                continue
+            cid = len(classes)
+            class_of[x] = cid
+            orbit = [x]
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for g in gidx:
+                    z = t[t[inv[g]][y]][g]
+                    if class_of[z] == -1:
+                        class_of[z] = cid
+                        orbit.append(z)
+                        stack.append(z)
+            classes.append(sorted(orbit))
+        return classes, class_of
 
     # -- subgroup handles -------------------------------------------------
 
@@ -425,6 +435,12 @@ class Subgroup:
     def is_cyclic(self) -> bool:
         orders = self.parent.element_orders()
         return any(orders[i] == self.order for i in _iter_bits(self.members))
+
+    def is_abelian(self) -> bool:
+        """Whether the generators commute pairwise on the parent's table."""
+        t = self.parent.table()
+        gens = self.generator_indices
+        return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def as_group(self) -> Group:
         """Materialize as a standalone Group (table derived from the parent)."""

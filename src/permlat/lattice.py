@@ -205,13 +205,10 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
     gmaps = [[t[t[inv[g]][x]][g] for x in range(n)] for g in gidx]
 
     # The prime-power cyclic subgroups, numbered in the order of their
-    # lowest generating element: cyc_gen[c] is that element, cyc_bits[c]
-    # the subgroup, cyc_members[c] its elements, and cyc_of[x] the number
-    # of the cyclic subgroup that x generates (-1 if x has no prime-power
-    # order).
+    # lowest generating element: cyc_gen[c] is that element, and cyc_of[x]
+    # the number of the cyclic subgroup that x generates (-1 if x has no
+    # prime-power order).
     cyc_gen: list[int] = []
-    cyc_bits: list[int] = []
-    cyc_members: list[list[int]] = []
     cyc_of = [-1] * n
     for i in range(1, n):
         if cyc_of[i] != -1:
@@ -221,18 +218,14 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
             continue
         (p,) = fac
         c = len(cyc_gen)
-        members = [0]
         x = i
         k = 1
         while x != 0:
-            members.append(x)
             if k % p:
                 cyc_of[x] = c
             x = t[x][i]
             k += 1
         cyc_gen.append(i)
-        cyc_bits.append(sum(1 << x for x in members))
-        cyc_members.append(members)
 
     orbits = [[1]]
     seen = {1}
@@ -264,11 +257,7 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
             cg = cyc_gen[c]
             if (hb >> cg) & 1:
                 continue
-            cmem = cyc_members[c]
-            if len(hmem) >= len(cmem):
-                jb = _close_bits(t, hb, hgens, (cg,), hmem)
-            else:
-                jb = _close_bits(t, cyc_bits[c], (cg,), hgens, cmem)
+            jb = _close_bits(t, hb, hgens, (cg,), hmem)
             if jb not in seen:
                 orbit = _conjugation_orbit(gmaps, jb)
                 seen.update(orbit)

@@ -193,7 +193,7 @@ def _row_json(v) -> str:
 
 
 def _csv_quote(cell: str) -> str:
-    if any(ch in cell for ch in ",\"\n"):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 

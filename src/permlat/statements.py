@@ -19,6 +19,7 @@ largest normal subgroups E, at most ``max_normal_e`` of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -30,7 +31,7 @@ from .groups import (
     Subgroup,
     _conjugate_bits,
     _factorize,
-    _memo,
+    _memoized,
     close_generators,
     p_residual,
 )
@@ -153,14 +154,11 @@ class GroupAnalysis:
         self.name = name or group.name or f"order{group.order}"
         self.lattice_cap = lattice_cap
         self.max_normal_e = max_normal_e
-        self._lat: Optional[SubgroupLattice] = None
         self._normal_e: Optional[list] = None
 
-    @property
+    @functools.cached_property
     def lat(self) -> SubgroupLattice:
-        if self._lat is None:
-            self._lat = enumerate_subgroups(self.group, cap=self.lattice_cap)
-        return self._lat
+        return enumerate_subgroups(self.group, cap=self.lattice_cap)
 
     def label(self, sub: Subgroup) -> str:
         return f"#{self.lat.index_of(sub):03d}(order {sub.order})"
@@ -224,13 +222,12 @@ def _is_p_nilpotent_entry(lat: SubgroupLattice, t: Subgroup, p: int) -> bool:
 
 
 def _order_clause(
-    ga: GroupAnalysis, p_sub: Subgroup, orders: tuple, mode: str = "supplemented"
+    lat: SubgroupLattice, p_sub: Subgroup, orders: tuple, mode: str = "supplemented"
 ):
     """Whether every subgroup of p_sub of each given order that lacks a
     supersolvable supplement in G satisfies the mode's weak property in G.
     The orders are taken in turn, |D| before its 2|D| companion. Returns
     (holds, first failing subgroup description or None)."""
-    lat = ga.lat
     pred = (
         is_weakly_s_supplemented
         if mode == "supplemented"
@@ -280,45 +277,42 @@ def thmB_hypothesis(
     hyp = True
     hyp_cond = True
     for p in sorted(_factorize(e.order)):
-        syl, with_cond = _sylow_clause(ga, sylow_of(ga, e, p), p, mode)
+        syl, with_cond = _sylow_clause(lat, sylow_of(ga, e, p), p, mode)
         per_prime.append(syl)
         hyp = hyp and syl.satisfied
         hyp_cond = hyp_cond and with_cond
     return HypothesisReport(per_prime, hyp, hyp_cond)
 
 
-def _sylow_clause(ga: GroupAnalysis, rep: Subgroup, p: int, mode: str) -> tuple:
+@_memoized
+def _sylow_clause(lat: SubgroupLattice, rep: Subgroup, p: int, mode: str) -> tuple:
     """A Sylow P's report, and whether some |D| has the clause and a
     condition. Memoized on the lattice per (P, mode): E plays no part."""
-
-    def compute():
-        if rep.is_cyclic():
-            return SylowReport(p, rep.order, True, [], True), True
-        i_p = iota(rep.order, p)
-        derived_bits = _derived_bits(ga.group, rep.generator_indices)[0]
-        derived_order = derived_bits.bit_count()
-        i_pprime = iota(derived_order, p)
-        cond_i = _frattini_bits(ga.lat, rep, p) != derived_bits
-        entries = []
-        any_clause = False
-        any_with_cond = False
-        for k in range(1, i_p):
-            d = p**k
-            two_d = p == 2 and derived_order > 1 and rep.order // d > 2
-            holds, failing = _order_clause(ga, rep, (d, 2 * d) if two_d else (d,), mode)
-            cond_ii = d <= derived_order
-            cond_iii = derived_order < d and (
-                math.gcd(i_p - i_pprime, k - i_pprime) == 1
-                or math.gcd(i_p, i_p - k) == 1
-            )
-            entries.append(DOrderEntry(d, holds, failing, cond_i, cond_ii, cond_iii))
-            if holds:
-                any_clause = True
-                if cond_i or cond_ii or cond_iii:
-                    any_with_cond = True
-        return SylowReport(p, rep.order, False, entries, any_clause), any_with_cond
-
-    return _memo(ga.lat, ("sylow_clause", rep.members, mode), compute)
+    if rep.is_cyclic():
+        return SylowReport(p, rep.order, True, [], True), True
+    i_p = iota(rep.order, p)
+    derived_bits = _derived_bits(lat.group, rep.generator_indices)[0]
+    derived_order = derived_bits.bit_count()
+    i_pprime = iota(derived_order, p)
+    cond_i = _frattini_bits(lat, rep, p) != derived_bits
+    entries = []
+    any_clause = False
+    any_with_cond = False
+    for k in range(1, i_p):
+        d = p**k
+        two_d = p == 2 and derived_order > 1 and rep.order // d > 2
+        holds, failing = _order_clause(lat, rep, (d, 2 * d) if two_d else (d,), mode)
+        cond_ii = d <= derived_order
+        cond_iii = derived_order < d and (
+            math.gcd(i_p - i_pprime, k - i_pprime) == 1
+            or math.gcd(i_p, i_p - k) == 1
+        )
+        entries.append(DOrderEntry(d, holds, failing, cond_i, cond_ii, cond_iii))
+        if holds:
+            any_clause = True
+            if cond_i or cond_ii or cond_iii:
+                any_with_cond = True
+    return SylowReport(p, rep.order, False, entries, any_clause), any_with_cond
 
 
 def _hyp_witnesses(rep: HypothesisReport, flag: bool = False) -> list:
@@ -711,7 +705,7 @@ def _min_prime_clause(ga: GroupAnalysis, statement_id: str, orders, what: str) -
     if ps is None:
         return []
     p, rep = ps
-    hyp, witness = _order_clause(ga, rep, orders(p, rep))
+    hyp, witness = _order_clause(ga.lat, rep, orders(p, rep))
     concl = _is_p_nilpotent_entry(ga.lat, ga.lat.top(), p) if hyp else None
     witnesses = (f"{what} H = {witness}",) if witness else ()
     return [_verdict(statement_id, ga.name, f"p={p}", hyp, concl, witnesses)]
@@ -770,7 +764,7 @@ def check_L2_8(ga: GroupAnalysis) -> list:
             if len(between) != 2:
                 fails.append("P mod Phi(P) is not minimal normal")
         exp = exponent(g, rep)
-        if _derived_bits(g, rep.generator_indices)[0] == 1 or p > 2:
+        if rep.is_abelian() or p > 2:
             if exp != p:
                 fails.append(f"exponent {exp} != {p}")
         elif exp != 4:
@@ -785,7 +779,7 @@ def check_L2_9(ga: GroupAnalysis) -> list:
     supplemented: then p-nilpotent."""
 
     def orders(p, rep):
-        if p == 2 and _derived_bits(ga.group, rep.generator_indices)[0] != 1:
+        if p == 2 and not rep.is_abelian():
             return (2, 4)
         return (p,)
 
@@ -815,7 +809,7 @@ def _order_d_walk(
         p, ip = pe
         label = label or f"P={ga.label(p_sub)}"
         for k, orders in covers(p_sub, p, ip, p_sub.members & phi):
-            holds, failing = _order_clause(ga, p_sub, orders)
+            holds, failing = _order_clause(lat, p_sub, orders)
             if holds:
                 concl, witnesses = conclude(p_sub, p, k)
             else:
@@ -908,7 +902,7 @@ def check_L3_5(ga: GroupAnalysis) -> list:
     p, rep = ps
 
     def covers(p_sub, p, ip, meet_phi):
-        two_d = p == 2 and _derived_bits(ga.group, p_sub.generator_indices)[0] != 1
+        two_d = p == 2 and not p_sub.is_abelian()
         return [(k, (p**k, 2 * p**k) if two_d else (p**k,)) for k in range(1, ip)]
 
     def conclude(p_sub, p, k):
@@ -1065,7 +1059,7 @@ def check_C4_10(ga: GroupAnalysis) -> list:
     supersolvable."""
     lat = ga.lat
     syl2 = lat.sylow(2)[0] if ga.group.order % 2 == 0 else None
-    syl2_abelian = syl2 is None or _derived_bits(ga.group, syl2.generator_indices)[0] == 1
+    syl2_abelian = syl2 is None or syl2.is_abelian()
     verdicts = []
     for e in ga.normal_e():
         hyp = ga.supersolvable_mod(e) and syl2_abelian
@@ -1179,8 +1173,7 @@ def build_example42(
     lat = ga.lat
     o3 = lat.entry(p_core(g, 3).members)
     _require(o3.order == 27, f"O_3 order {o3.order} != 27")
-    abelian = _derived_bits(g, o3.generator_indices)[0] == 1
-    _require(abelian and exponent(g, o3) == 3, "O_3 is not elementary abelian")
+    _require(o3.is_abelian() and exponent(g, o3) == 3, "O_3 is not elementary abelian")
     rep = lat.sylow(3)[0]
     _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
     maximal_idxs = lat.within(rep.members, order=rep.order // 3)

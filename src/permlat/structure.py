@@ -9,7 +9,8 @@ are those of G above N, so each answer is a preimage in G. Each step scans
 the list of G's normal subgroups once a lattice of G has made it, and
 otherwise joins normal closures of N and one element per conjugacy class:
 the list can be exponentially long (C2^n). Results are memoized on G
-until G releases its derived data (``Group.release_caches``, which the
+by ``groups._memoized``, under the function's name and arguments, until
+G releases its derived data (``Group.release_caches``, which the
 registry runner calls once a group's entries have run); a later call
 recomputes them.
 """
@@ -20,7 +21,7 @@ import math
 from typing import NamedTuple, Optional
 
 from .errors import PermlatError
-from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits, _memo
+from .groups import Group, Subgroup, _close_bits, _factorize, _iter_bits, _memoized
 from .groups import _minimal_bits, _normal_bits
 from .lattice import _normal_closure_bits
 
@@ -80,40 +81,35 @@ def _derived_bits(group: Group, gens) -> tuple[int, tuple[int, ...]]:
     return _normal_closure_bits(group, gens, bits, tuple(cgens))
 
 
+@_memoized
 def derived_series(group: Group, top: Optional[Subgroup] = None) -> list[Subgroup]:
     """H >= H' >= H'' >= ... down to the stable term, where H is the
     subgroup ``top`` of G (G itself by default), on G's own table."""
     top = top or group.full_subgroup()
-
-    def compute():
-        series = [top]
-        bits, gens = top.members, top.generator_indices
-        while True:
-            nbits, ngens = _derived_bits(group, gens)
-            if nbits == bits:
-                break
-            series.append(Subgroup(group, nbits, ngens))
-            bits, gens = nbits, ngens
-        return series
-
-    return _memo(group, ("derived_series", top.members), compute)
+    series = [top]
+    bits, gens = top.members, top.generator_indices
+    while True:
+        nbits, ngens = _derived_bits(group, gens)
+        if nbits == bits:
+            return series
+        series.append(Subgroup(group, nbits, ngens))
+        bits, gens = nbits, ngens
 
 
+@_memoized
 def is_solvable(group: Group) -> bool:
-    return _memo(group, "solvable", lambda: derived_series(group)[-1].order == 1)
+    return derived_series(group)[-1].order == 1
 
 
+@_memoized
 def center(group: Group) -> Subgroup:
-    def compute():
-        t = group.table()
-        gens = group.generator_indices()
-        bits = 0
-        for x in range(group.order):
-            if all(t[x][g] == t[g][x] for g in gens):
-                bits |= 1 << x
-        return Subgroup(group, bits)
-
-    return _memo(group, "center", compute)
+    t = group.table()
+    gens = group.generator_indices()
+    bits = 0
+    for x in range(group.order):
+        if all(t[x][g] == t[g][x] for g in gens):
+            bits |= 1 << x
+    return Subgroup(group, bits)
 
 
 def _order_mod(t, x: int, n_bits: int) -> int:
@@ -178,27 +174,24 @@ def _core_over(group: Group, n: Subgroup, keep) -> Subgroup:
     return Subgroup(group, bits, gens)
 
 
+@_memoized
 def hypercenter(group: Group) -> Subgroup:
     """The ordinary Z-infinity: Z_{i+1} holds the x with [x, g] in Z_i for
     every generator g, until the series stops growing."""
-
-    def compute():
-        t = group.table()
-        inv = group.inverse_table()
-        gens = group.generator_indices()
-        bits = 1
-        while True:
-            grown = bits
-            for x in range(group.order):
-                if not (bits >> x) & 1 and all(
-                    (bits >> t[inv[t[g][x]]][t[x][g]]) & 1 for g in gens
-                ):
-                    grown |= 1 << x
-            if grown == bits:
-                return Subgroup(group, bits)
-            bits = grown
-
-    return _memo(group, "hypercenter", compute)
+    t = group.table()
+    inv = group.inverse_table()
+    gens = group.generator_indices()
+    bits = 1
+    while True:
+        grown = bits
+        for x in range(group.order):
+            if not (bits >> x) & 1 and all(
+                (bits >> t[inv[t[g][x]]][t[x][g]]) & 1 for g in gens
+            ):
+                grown |= 1 << x
+        if grown == bits:
+            return Subgroup(group, bits)
+        bits = grown
 
 
 # -- nilpotency, Sylow towers --------------------------------------------
@@ -220,10 +213,9 @@ def _is_nilpotent_bits(group: Group, bits: int) -> bool:
     )
 
 
+@_memoized
 def is_nilpotent(group: Group) -> bool:
-    return _memo(
-        group, "nilpotent", lambda: _is_nilpotent_bits(group, (1 << group.order) - 1)
-    )
+    return _is_nilpotent_bits(group, (1 << group.order) - 1)
 
 
 def sylow_normal(group: Group, p: int) -> bool:
@@ -231,31 +223,29 @@ def sylow_normal(group: Group, p: int) -> bool:
     return _p_element_count(group, p, (1 << group.order) - 1) == p**e
 
 
+@_memoized
 def has_sylow_tower(group: Group) -> bool:
     """Sylow tower of supersolvable type: for each k a normal Hall
     subgroup for the k largest primes. Given one for the k - 1 largest,
     the next exists iff the elements whose order divides its order h
     number exactly h (the p-element count test of ``sylow_normal``, read
     in the quotient by the previous one)."""
-
-    def compute():
-        orders = group.element_orders()
-        hall = 1
-        for q in sorted(group.prime_factorization, reverse=True):
-            hall *= q ** group.prime_factorization[q]
-            if sum(1 for o in orders if hall % o == 0) != hall:
-                return False
-        return True
-
-    return _memo(group, "sylow_tower", compute)
+    orders = group.element_orders()
+    hall = 1
+    for q in sorted(group.prime_factorization, reverse=True):
+        hall *= q ** group.prime_factorization[q]
+        if sum(1 for o in orders if hall % o == 0) != hall:
+            return False
+    return True
 
 
 # -- minimal normal subgroups, cores, chief series ------------------------
 
 
+@_memoized
 def minimal_normal_subgroups(group: Group) -> list[Subgroup]:
     """All minimal normal subgroups, by (order, bitset)."""
-    return _memo(group, "minnorm", lambda: _minimal_over(group, group.trivial_subgroup()))
+    return _minimal_over(group, group.trivial_subgroup())
 
 
 def is_simple(group: Group) -> bool:
@@ -267,45 +257,36 @@ def is_simple(group: Group) -> bool:
     return len(mins) == 1 and mins[0].order == group.order
 
 
+@_memoized
 def p_core(group: Group, p: int) -> Subgroup:
     """O_p(G), the largest normal p-subgroup."""
-
-    def compute():
-        sub = _core_over(group, group.trivial_subgroup(), lambda n: _is_p_power(n, p))
-        if not _is_p_power(sub.order, p):
-            raise PermlatError("join of normal p-subgroups is not a p-group")
-        return sub
-
-    return _memo(group, ("opcore", p), compute)
+    sub = _core_over(group, group.trivial_subgroup(), lambda n: _is_p_power(n, p))
+    if not _is_p_power(sub.order, p):
+        raise PermlatError("join of normal p-subgroups is not a p-group")
+    return sub
 
 
+@_memoized
 def p_prime_core(group: Group, p: int) -> Subgroup:
     """O_{p'}(G), the largest normal subgroup of order coprime to p."""
-
-    def compute():
-        sub = _core_over(group, group.trivial_subgroup(), lambda n: n % p != 0)
-        if sub.order % p == 0:
-            raise PermlatError("join of normal p'-subgroups is not a p'-group")
-        return sub
-
-    return _memo(group, ("oppcore", p), compute)
+    sub = _core_over(group, group.trivial_subgroup(), lambda n: n % p != 0)
+    if sub.order % p == 0:
+        raise PermlatError("join of normal p'-subgroups is not a p'-group")
+    return sub
 
 
+@_memoized
 def fitting_subgroup(group: Group) -> Subgroup:
     """The product of the O_p(G), normal of coprime orders."""
-
-    def compute():
-        t = group.table()
-        members = [0]
-        for p in group.prime_factorization:
-            o_p = list(_iter_bits(p_core(group, p).members))
-            members = [t[a][b] for a in members for b in o_p]
-        bits = sum(1 << i for i in members)
-        if not _is_nilpotent_bits(group, bits):
-            raise PermlatError("Fitting subgroup failed its nilpotency check")
-        return Subgroup(group, bits)
-
-    return _memo(group, "fitting", compute)
+    t = group.table()
+    members = [0]
+    for p in group.prime_factorization:
+        o_p = list(_iter_bits(p_core(group, p).members))
+        members = [t[a][b] for a in members for b in o_p]
+    bits = sum(1 << i for i in members)
+    if not _is_nilpotent_bits(group, bits):
+        raise PermlatError("Fitting subgroup failed its nilpotency check")
+    return Subgroup(group, bits)
 
 
 class ChiefSeries(NamedTuple):
@@ -313,36 +294,30 @@ class ChiefSeries(NamedTuple):
     factors: list[int]
 
 
+@_memoized
 def chief_series(group: Group) -> ChiefSeries:
     """A chief series 1 = N0 < N1 < ... < Nk = G as subgroups of G, where
     N_{i+1} is the normal subgroup minimal over N_i with lowest (order,
     bitset)."""
-
-    def compute():
-        chain = [group.trivial_subgroup()]
-        factors: list[int] = []
-        while chain[-1].order < group.order:
-            n = chain[-1]
-            m = _minimal_over(group, n)[0]
-            factors.append(m.order // n.order)
-            chain.append(m)
-        return ChiefSeries(chain, factors)
-
-    return _memo(group, "chief", compute)
+    chain = [group.trivial_subgroup()]
+    factors: list[int] = []
+    while chain[-1].order < group.order:
+        n = chain[-1]
+        m = _minimal_over(group, n)[0]
+        factors.append(m.order // n.order)
+        chain.append(m)
+    return ChiefSeries(chain, factors)
 
 
+@_memoized
 def is_supersolvable(group: Group) -> bool:
     """Every chief factor has prime order: Z_U(G) = G."""
-    return _memo(group, "supersolvable", lambda: u_hypercenter(group).is_full())
+    return u_hypercenter(group).is_full()
 
 
+@_memoized
 def is_p_solvable(group: Group, p: int) -> bool:
-    def compute():
-        return all(
-            _is_p_power(f, p) or f % p != 0 for f in chief_series(group).factors
-        )
-
-    return _memo(group, ("psolvable", p), compute)
+    return all(_is_p_power(f, p) or f % p != 0 for f in chief_series(group).factors)
 
 
 class PLengthResult(NamedTuple):
@@ -352,36 +327,34 @@ class PLengthResult(NamedTuple):
     upper_p_series: list[Subgroup]
 
 
+@_memoized
 def p_length(group: Group, p: int) -> PLengthResult:
     """Upper p-series 1 <= O_{p'} <= O_{p'p} <= ... with the count of
     p-layers; undefined (p_length None) when G is not p-solvable."""
-
-    def compute():
-        if not is_p_solvable(group, p):
-            return PLengthResult(p, False, None, [])
-        # One flag per step, True for a p-layer. O_p' of G/O_p'(G) is
-        # trivial, so a p'-step is always followed by a p-step.
-        layers: list[bool] = []
-        series = [group.trivial_subgroup()]
-        while series[-1].order < group.order:
-            n = grown = series[-1]
-            if not layers or layers[-1]:
-                grown = _core_over(group, n, lambda k: k % p != 0)
-            p_layer = grown.members == n.members
-            if p_layer:
-                grown = _core_over(group, n, lambda k: _is_p_power(k, p))
-                if grown.members == n.members:
-                    raise PermlatError("upper p-series stalled on a p-solvable group")
-            layers.append(p_layer)
-            series.append(grown)
-        return PLengthResult(p, True, sum(layers), series)
-
-    return _memo(group, ("plength", p), compute)
+    if not is_p_solvable(group, p):
+        return PLengthResult(p, False, None, [])
+    # One flag per step, True for a p-layer. O_p' of G/O_p'(G) is
+    # trivial, so a p'-step is always followed by a p-step.
+    layers: list[bool] = []
+    series = [group.trivial_subgroup()]
+    while series[-1].order < group.order:
+        n = grown = series[-1]
+        if not layers or layers[-1]:
+            grown = _core_over(group, n, lambda k: k % p != 0)
+        p_layer = grown.members == n.members
+        if p_layer:
+            grown = _core_over(group, n, lambda k: _is_p_power(k, p))
+            if grown.members == n.members:
+                raise PermlatError("upper p-series stalled on a p-solvable group")
+        layers.append(p_layer)
+        series.append(grown)
+    return PLengthResult(p, True, sum(layers), series)
 
 
 # -- hypercenter for the supersolvable formation ---------------------------
 
 
+@_memoized
 def u_hypercenter(group: Group) -> Subgroup:
     """Largest normal subgroup all of whose chief factors (as G-chief
     factors) have prime order.
@@ -391,26 +364,19 @@ def u_hypercenter(group: Group) -> Subgroup:
     subgroups of G/Z) until there is none. G/Z then has no prime-order
     minimal normal subgroup, which certifies maximality.
     """
-    return _memo(
-        group,
-        "uhypercenter",
-        lambda: Subgroup(group, _u_hypercenter_bits(group, group.trivial_subgroup())),
-    )
+    return Subgroup(group, _u_hypercenter_bits(group, group.trivial_subgroup()))
 
 
+@_memoized
 def _u_hypercenter_bits(group: Group, n: Subgroup) -> int:
     """Bits of the preimage of the U-hypercenter of G/N, for N normal:
     ``u_hypercenter``'s walk started at N."""
-
-    def compute():
-        z = n
-        while True:
-            grown = _core_over(group, z, _is_prime)
-            if grown.members == z.members:
-                return z.members
-            z = grown
-
-    return _memo(group, ("uhypercenter", n.members), compute)
+    z = n
+    while True:
+        grown = _core_over(group, z, _is_prime)
+        if grown.members == z.members:
+            return z.members
+        z = grown
 
 
 # -- exponent ---------------------------------------------------------------
@@ -426,39 +392,36 @@ def exponent(group: Group, sub: Optional[Subgroup] = None) -> int:
 # -- fingerprints ------------------------------------------------------------
 
 
+@_memoized
 def abelian_invariants(group: Group) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... of an abelian group, ascending."""
     if not group.is_abelian():
         raise PermlatError("abelian invariants of a non-abelian group")
-
-    def compute():
-        if group.order == 1:
-            return ()
-        orders = group.element_orders()
-        primary: dict[int, list[int]] = {}
-        for p, e in sorted(group.prime_factorization.items()):
-            m = []
-            for k in range(e + 1):
-                pk = p**k
-                cnt = sum(1 for o in orders if pk % o == 0)
-                m.append(iota(cnt, p))
-            counts = [m[k] - m[k - 1] for k in range(1, e + 1)]
-            lam = []
-            for i in range(1, counts[0] + 1):
-                lam.append(max(k for k in range(1, e + 1) if counts[k - 1] >= i))
-            primary[p] = lam
-        width = max(len(lam) for lam in primary.values())
-        factors = []
-        for j in range(width):
-            d = 1
-            for p, lam in primary.items():
-                if j < len(lam):
-                    d *= p ** lam[j]
-            factors.append(d)
-        factors.sort()
-        return tuple(factors)
-
-    return _memo(group, "abinv", compute)
+    if group.order == 1:
+        return ()
+    orders = group.element_orders()
+    primary: dict[int, list[int]] = {}
+    for p, e in sorted(group.prime_factorization.items()):
+        m = []
+        for k in range(e + 1):
+            pk = p**k
+            cnt = sum(1 for o in orders if pk % o == 0)
+            m.append(iota(cnt, p))
+        counts = [m[k] - m[k - 1] for k in range(1, e + 1)]
+        lam = []
+        for i in range(1, counts[0] + 1):
+            lam.append(max(k for k in range(1, e + 1) if counts[k - 1] >= i))
+        primary[p] = lam
+    width = max(len(lam) for lam in primary.values())
+    factors = []
+    for j in range(width):
+        d = 1
+        for p, lam in primary.items():
+            if j < len(lam):
+                d *= p ** lam[j]
+        factors.append(d)
+    factors.sort()
+    return tuple(factors)
 
 
 class Fingerprint(NamedTuple):
@@ -483,29 +446,27 @@ class Fingerprint(NamedTuple):
         return _recognize(self)
 
 
+@_memoized
 def fingerprint(group: Group) -> Fingerprint:
-    def compute():
-        orders = group.element_orders()
-        hist: dict[int, int] = {}
-        for o in orders:
-            hist[o] = hist.get(o, 0) + 1
-        return Fingerprint(
-            order=group.order,
-            abelian=group.is_abelian(),
-            invariants=abelian_invariants(group) if group.is_abelian() else None,
-            order_histogram=tuple(sorted(hist.items())),
-            center_order=center(group).order,
-            derived_orders=tuple(s.order for s in derived_series(group)),
-            sylow_normal=tuple(
-                (p, sylow_normal(group, p))
-                for p in sorted(group.prime_factorization)
-            ),
-            nilpotent=is_nilpotent(group),
-            solvable=is_solvable(group),
-            supersolvable=is_supersolvable(group),
-        )
-
-    return _memo(group, "fingerprint", compute)
+    orders = group.element_orders()
+    hist: dict[int, int] = {}
+    for o in orders:
+        hist[o] = hist.get(o, 0) + 1
+    return Fingerprint(
+        order=group.order,
+        abelian=group.is_abelian(),
+        invariants=abelian_invariants(group) if group.is_abelian() else None,
+        order_histogram=tuple(sorted(hist.items())),
+        center_order=center(group).order,
+        derived_orders=tuple(s.order for s in derived_series(group)),
+        sylow_normal=tuple(
+            (p, sylow_normal(group, p))
+            for p in sorted(group.prime_factorization)
+        ),
+        nilpotent=is_nilpotent(group),
+        solvable=is_solvable(group),
+        supersolvable=is_supersolvable(group),
+    )
 
 
 def _recognize(fp: Fingerprint) -> str:

@@ -549,8 +549,8 @@ def test_l2_1_computes_few_h_sG():
             continue
         ga = GroupAnalysis(g, name)
         check_L2_1(ga)
-        kinds = [key[0] for key in ga.lat._memo if isinstance(key, tuple)]
-        scans += kinds.count("wss")
-        joins += kinds.count("hsg")
+        kinds = [key[0] for key in ga.lat._memo]
+        scans += kinds.count(is_weakly_s_supplemented.__name__)
+        joins += kinds.count(h_sG.__name__)
     assert scans > 1000
     assert 4 * joins < scans

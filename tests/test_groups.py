@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import permlat.groups
 from permlat.errors import BadTableError, GroupOrderCapError, PermlatError
-from permlat.corpus import builtin_group, example_pair
+from permlat.corpus import builtin_corpus, builtin_group, example_pair
 from permlat.groups import (
     CayleyTable,
     Subgroup,
@@ -310,6 +310,23 @@ def test_derived_subgroup_matches_commutator_oracle():
         bits, _ = _derived_bits(g, g.generator_indices())
         want = commutator_closure(g)
         assert {i for i in range(g.order) if (bits >> i) & 1} == want
+
+
+def test_subgroup_is_abelian_matches_trivial_derived_subgroup():
+    """Pairwise commuting generators on the parent's table, against a
+    trivial derived subgroup, on every lattice entry of the builtin
+    groups of order <= 100."""
+    checked = abelian = 0
+    for _name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        for h in enumerate_subgroups(g).subgroups:
+            want = _derived_bits(g, h.generator_indices)[0] == 1
+            assert h.is_abelian() == want, (g, h)
+            checked += 1
+            abelian += want
+    assert checked > 1000
+    assert 0 < abelian < checked
 
 
 def test_naive_closure_agrees_with_library_closure():

@@ -4,7 +4,8 @@ runs over the builtin corpus at the default caps. A mutant that turns a
 hypothesis on where it should be off, or a conclusion off where it should
 be on, must give at least one inconsistent verdict; a check the corpus
 cannot fail shows nothing. Mutants that cannot give an inconsistency on
-this corpus must at least change the registry's golden digest."""
+this corpus must at least change the registry's golden digest, and the
+``is_c_normal := wss(…)[0]`` mutant is also run row by row."""
 
 import hashlib
 
@@ -23,6 +24,12 @@ def _wss_as_wsp(lat, h, section=None):
     if section is None:
         return embedding.is_weakly_s_permutable(lat, h)
     return embedding.is_weakly_s_supplemented(lat, h, section)
+
+
+def _c_normal_as_wss(lat, h):
+    # A c-normal subgroup is weakly s-supplemented; the mutant drops the
+    # difference.
+    return embedding.is_weakly_s_supplemented(lat, h)[0]
 
 
 # name in statements -> false variant, inconsistent verdicts at the
@@ -48,10 +55,21 @@ SURVIVING = {
         embedding.is_weakly_s_supplemented,
         "8caea1a1",
     ),
-    "is_c_normal": (
-        lambda lat, h: embedding.is_weakly_s_supplemented(lat, h)[0],
-        "3b11ebdf",
-    ),
+    "is_c_normal": (_c_normal_as_wss, "3b11ebdf"),
+}
+
+# The rows that read is_c_normal, under _c_normal_as_wss: (kind, digest
+# prefix of the row's report, or None where it stays byte-identical).
+# With wss in place of c-normality the hypotheses of C4.5, C4.6 and C4.8
+# become instances of Theorem B's clause at E = G (|D| = p for C4.5, D
+# maximal in P for C4.6 and C4.8), so only a failure of Theorem B itself
+# could kill them. C4.9 asks only for the cyclic subgroups of order 4 of
+# the U-residual, which Theorem B's companion order does not cover.
+C_NORMAL_ROWS = {
+    "C4.5": ("unkillable", "8d5f535f"),
+    "C4.6": ("unkillable", "e10b4b64"),
+    "C4.8": ("unkillable", None),
+    "C4.9": ("search target", None),
 }
 
 
@@ -77,3 +95,29 @@ def test_surviving_mutant_changes_the_digest(monkeypatch, name):
     digest = hashlib.sha256(rep.to_json().encode()).hexdigest()
     assert digest != REGISTRY_DIGEST
     assert digest.startswith(prefix)
+
+
+def _row(statement_id):
+    rep = run_verification([statement_id], builtin_corpus(), "builtin corpus")
+    return rep, hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
+def _satisfied(rep) -> int:
+    return sum(v.hypothesis_satisfied for v in rep.verdicts)
+
+
+@pytest.mark.parametrize("statement_id", sorted(C_NORMAL_ROWS))
+def test_c_normal_as_wss_by_row(monkeypatch, statement_id):
+    """No row gives an inconsistency. C4.5 and C4.6 satisfy one more
+    hypothesis each; C4.8 and C4.9 come out byte-identical, so the
+    builtin corpus cannot even see the mutant there."""
+    _kind, prefix = C_NORMAL_ROWS[statement_id]
+    plain, plain_digest = _row(statement_id)
+    monkeypatch.setattr(statements, "is_c_normal", _c_normal_as_wss)
+    mutant, digest = _row(statement_id)
+    assert not mutant.inconsistencies()
+    if prefix is None:
+        assert digest == plain_digest
+    else:
+        assert digest.startswith(prefix)
+        assert _satisfied(mutant) == _satisfied(plain) + 1

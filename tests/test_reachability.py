@@ -5,9 +5,11 @@ In process and under ``sys.setprofile``, the test runs the five commands
 of the benchmark's cold_cli workload, each check-subgroup predicate, a
 registry pass at max order 60 that writes its JSON and CSV, the q13 scan,
 and a corpus directory holding one group file. A function counts as
-reached when its code object, or one nested in it (a ``compute`` closure,
-a lambda), runs. What the commands never reach is either on the short
-allowlist below, with its reason, or should leave the package.
+reached when its code object, or one nested in it (a lambda, a generator
+expression), runs; a memoized function counts by its own body, not by
+the memo wrapper that all of them share. What the commands never reach
+is either on the short allowlist below, with its reason, or should
+leave the package.
 """
 
 import importlib
@@ -35,7 +37,7 @@ ALLOWED = {
 
 def _defined_functions():
     """{code object: qualified name} of every function and method defined
-    in the package's modules."""
+    in the package's modules, memoized ones by their unwrapped body."""
     out = {}
     for info in pkgutil.iter_modules(permlat.__path__):
         mod = importlib.import_module(f"permlat.{info.name}")
@@ -43,12 +45,16 @@ def _defined_functions():
             if getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
-                out[obj.__code__] = f"{info.name}.{name}"
+                out[inspect.unwrap(obj).__code__] = f"{info.name}.{name}"
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    fn = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    fn = (
+                        getattr(member, "fget", None)  # property
+                        or getattr(member, "func", None)  # cached_property
+                        or getattr(member, "__func__", member)
+                    )
                     if inspect.isfunction(fn):
-                        out[fn.__code__] = f"{info.name}.{name}.{attr}"
+                        out[inspect.unwrap(fn).__code__] = f"{info.name}.{name}.{attr}"
     # Dataclasses and named tuples generate methods with no package source.
     return {
         code: name
