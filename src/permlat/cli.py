@@ -268,6 +268,8 @@ def _print_report(report, show_flags: bool) -> int:
         )
     for line in report.truncations:
         print(f"truncated: {line}")
+    for line in report.skipped:
+        print(f"skipped: {line}")
     if show_flags:
         if report.flags:
             print(f"counterexample candidates: {len(report.flags)}")
@@ -288,6 +290,12 @@ def _print_report(report, show_flags: bool) -> int:
             for w in v.witnesses:
                 print(f"    | {w}", file=sys.stderr)
         return 1
+    if report.skipped:
+        print(
+            f"cap exceeded: {len(report.skipped)} statement-group pairs skipped",
+            file=sys.stderr,
+        )
+        return 3
     print("all consistent")
     return 0
 

@@ -22,12 +22,10 @@ from typing import NamedTuple, Optional
 from .errors import GroupFileError, InvalidPermutationError
 from .groups import (
     DEFAULT_GROUP_CAP,
-    CayleyTable,
     Group,
     Perm,
     close_generators,
     direct_product,
-    group_from_cayley,
     wreath_regular,
 )
 from .perms import parse_cycle_string
@@ -213,32 +211,17 @@ def _dihedral(order: int) -> Group:
 
 
 def _dicyclic(m: int, name: str) -> Group:
-    """Order 4m: a of order 2m, b^2 = a^m, b inverts a. Built from the
-    multiplication rule on normal forms a^i b^j and realized by the
-    regular representation."""
-    n = 4 * m
+    """Order 4m: a of order 2m, b^2 = a^m, b inverts a. Closed from the
+    right-regular images of a and b on the normal forms a^i b^j, with
+    a^i b^j the point j*2m + i + 1: right multiplication by a sends a^i
+    to a^(i+1) and a^i b to a^(i-1) b, and by b sends a^i to a^i b and
+    a^i b to a^(i+m)."""
     two_m = 2 * m
-
-    def pack(i: int, j: int) -> int:
-        return j * two_m + i
-
-    table = [[0] * n for _ in range(n)]
-    for i1 in range(two_m):
-        for j1 in (0, 1):
-            row = table[pack(i1, j1)]
-            for i2 in range(two_m):
-                for j2 in (0, 1):
-                    if j1 == 0:
-                        r = pack((i1 + i2) % two_m, j2)
-                    elif j2 == 0:
-                        r = pack((i1 - i2) % two_m, 1)
-                    else:
-                        r = pack((i1 - i2 + m) % two_m, 0)
-                    row[pack(i2, j2)] = r
-    cay = CayleyTable(table)
-    return group_from_cayley(
-        cay, name=name, generator_indices=[pack(1, 0), pack(0, 1)]
-    )
+    a = [(i + 1) % two_m + 1 for i in range(two_m)]
+    a += [two_m + (i - 1) % two_m + 1 for i in range(two_m)]
+    b = [two_m + i + 1 for i in range(two_m)]
+    b += [(i + m) % two_m + 1 for i in range(two_m)]
+    return close_generators(2 * two_m, [Perm(a), Perm(b)], name=name)
 
 
 def _symmetric(n: int, name: str) -> Group:

@@ -443,20 +443,13 @@ class Subgroup:
         return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def as_group(self) -> Group:
-        """Materialize as a standalone Group (table derived from the parent)."""
+        """Materialize as a standalone Group, whose table is built from the
+        subgroup's generators on first use."""
         cache = self.parent._memo.setdefault("subgroup_groups", {})
         got = cache.get(self.members)
         if got is None:
-            pt = self.parent.table()
-            idxs = self.element_indices()
-            pos = {old: new for new, old in enumerate(idxs)}
-            table = [[pos[pt[a][b]] for b in idxs] for a in idxs]
-            got = Group(
-                self.parent.degree,
-                self.generators,
-                tuple(self.parent.elements[i] for i in idxs),
-                table=table,
-            )
+            elements = tuple(self.parent.elements[i] for i in self.element_indices())
+            got = Group(self.parent.degree, self.generators, elements)
             cache[self.members] = got
         return got
 
@@ -539,27 +532,20 @@ def group_from_cayley(
     """Permutation group of degree ``order`` via the regular representation.
 
     Element g becomes the permutation x -> x*g of the index set, which makes
-    the representation a homomorphism under left-to-right composition.
+    the representation a homomorphism under left-to-right composition. The
+    group is closed from the images of ``generator_indices``, by default the
+    generators that ``CayleyTable.validate`` checks; PermlatError unless
+    they generate the table's whole group.
     """
     n = cay.order
     t = cay.table
-    perms = [
-        Perm._unchecked(tuple(t[x][g] + 1 for x in range(n))) for g in range(n)
-    ]
-    order_idx = sorted(range(n), key=lambda g: perms[g].images)
-    pos = [0] * n
-    for new, old in enumerate(order_idx):
-        pos[old] = new
-    elements = tuple(perms[old] for old in order_idx)
-    table = [
-        [pos[t[order_idx[a]][order_idx[b]]] for b in range(n)] for a in range(n)
-    ]
     if generator_indices is None:
-        gen_pos = _extract_generators(table, (1 << n) - 1)
-    else:
-        gen_pos = tuple(pos[g] for g in generator_indices)
-    gens = tuple(elements[i] for i in gen_pos)
-    return Group(n, gens, elements, name=name, table=table)
+        generator_indices = _right_generators(t, cay.identity_index)
+    gens = [Perm._unchecked(tuple(row[g] + 1 for row in t)) for g in generator_indices]
+    group = close_generators(n, gens, cap=n, name=name)
+    if group.order != n:
+        raise PermlatError(f"the generators give order {group.order}, not {n}")
+    return group
 
 
 def direct_product(a: Group, b: Group, cap: int = DEFAULT_GROUP_CAP) -> Group:

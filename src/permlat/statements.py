@@ -71,8 +71,7 @@ from .embedding import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Verdict:
+class Verdict(NamedTuple):
     """One checked instance of a statement on a group."""
 
     statement_id: str
@@ -446,15 +445,15 @@ def check_L2_1(ga: GroupAnalysis) -> list:
 
     fails = []
     count = 0
+    in_groups = [is_weakly_s_supplemented(lat, k)[0] for k in class_reps]
     for h in lat.normal_subgroups():
         if h.is_full():
             continue
-        for k in class_reps:
+        for k, in_group in zip(class_reps, in_groups):
             if h.members & ~k.members:
                 continue
             count += 1
             in_quotient = is_weakly_s_supplemented(lat, k, (top, h))[0]
-            in_group = is_weakly_s_supplemented(lat, k)[0]
             if in_quotient != in_group:
                 fails.append(
                     f"H={ga.label(h)} K={ga.label(k)}: "

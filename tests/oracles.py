@@ -12,7 +12,9 @@ quotient G/N the long way, by building it as a group of its own with
 in-table and in-lattice answers against an independent construction. In
 the same way
 ``wreath_by_semidirect`` builds a wreath product from its multiplication
-rule rather than from permutations of blocks, and ``l2_1_all_entries``
+rule rather than from permutations of blocks, ``dicyclic_table`` writes
+a dicyclic group's full table from the rule on normal forms rather than
+from two generators, and ``l2_1_all_entries``
 runs Lemma 2.1's loops over every lattice entry with the library's own
 predicates, to cross-check the checker's one-entry-per-class loops; it
 closes each product NE itself rather than reading it off the lattice.
@@ -461,6 +463,27 @@ def wreath_by_semidirect(bottom, k):
     return group_from_cayley(CayleyTable(table))
 
 
+def dicyclic_table(m):
+    """The Cayley table of the dicyclic group of order 4m (a of order 2m,
+    b^2 = a^m, b inverts a) on its normal forms a^i b^j, with a^i b^j the
+    index j*2m + i, and the indices of a and b."""
+    two_m = 2 * m
+
+    def pack(i, j):
+        return j * two_m + i
+
+    table = [[0] * (4 * m) for _ in range(4 * m)]
+    for i1, j1, i2, j2 in itertools.product(range(two_m), (0, 1), range(two_m), (0, 1)):
+        if j1 == 0:
+            r = pack((i1 + i2) % two_m, j2)
+        elif j2 == 0:
+            r = pack((i1 - i2) % two_m, 1)
+        else:
+            r = pack((i1 - i2 + m) % two_m, 0)
+        table[pack(i1, j1)][pack(i2, j2)] = r
+    return table, (pack(1, 0), pack(0, 1))
+
+
 def l2_1_all_entries(ga):
     """Lemma 2.1's three verdicts with K, and E, running over every entry
     of G's lattice rather than one per conjugacy class."""
@@ -857,6 +880,8 @@ def report_dict(rep):
         sorted(rep.truncations),
     )
     out = dict(zip(REPORT_KEYS, values, strict=True))
+    if rep.skipped:
+        out["skipped"] = rep.skipped
     if rep.timings is not None:
         out["timings"] = rep.timings
     return out

@@ -294,6 +294,46 @@ def test_lattice_cap_exit_code(tmp_path):
     assert code == 3
 
 
+def test_verify_skips_groups_over_the_lattice_cap(tmp_path, capsys):
+    """A group over --lattice-cap is a skipped row: every verdict already
+    computed is still printed and written, and the run exits 3."""
+    rp, cp = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ["verify", "--statement", "all", "--lattice-cap", "100",
+            "--report", str(rp), "--csv", str(cp)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    data = json.loads(rp.read_text())
+    assert [ln.split(":")[0] for ln in lines[:26]] == [
+        row["statement"] for row in data["statements"]
+    ]
+    skipped = [ln.removeprefix("skipped: ") for ln in lines if ln.startswith("skipped: ")]
+    assert skipped == data["skipped"]
+    assert "L2.6: A6 (group order 360 exceeds lattice cap 100)" in skipped
+    assert "thmB: PSL(2,7) (group order 168 exceeds lattice cap 100)" in skipped
+    assert "all consistent" not in out
+    assert err == f"cap exceeded: {len(skipped)} statement-group pairs skipped\n"
+    assert len(cp.read_text().splitlines()) == len(data["verdicts"]) + 1
+
+
+def test_verify_inconsistency_outranks_skipped_rows(capsys, monkeypatch):
+    from permlat.statements import Verdict
+
+    real = reports.run_verification
+
+    def rigged(*a, **kw):
+        rep = real(*a, **kw)
+        rep.verdicts.append(Verdict("L2.2", "S3", "rigged", True, False, False))
+        return rep
+
+    monkeypatch.setattr(reports, "run_verification", rigged)
+    argv = ["verify", "--statement", "L2.2", "--max-order", "24", "--lattice-cap", "10"]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "skipped: L2.2: S4 (group order 24 exceeds lattice cap 10)" in out
+    assert "rigged" in err
+
+
 def test_group_cap_exit_code(tmp_path, capsys):
     f = tmp_path / "s5.group"
     f.write_text(S5_FILE)

@@ -11,6 +11,9 @@ from permlat.corpus import (
     serialize_group,
 )
 from permlat.errors import GroupFileError
+from permlat.groups import CayleyTable, group_from_cayley
+
+from oracles import dicyclic_table
 
 
 S4_TEXT = """name: S4
@@ -158,6 +161,26 @@ def test_products_table_matches_the_product_rule():
     )
     assert corpus._PRODUCTS == tuple(f"{a}x{b}" for _, a, b in pairs[:40])
     assert [n for n, _ in builtin_corpus()[49:]] == list(corpus._PRODUCTS)
+
+
+@pytest.mark.parametrize("name,m", [("Q8", 2), ("Q16", 4), ("C3:C4", 3)])
+def test_dicyclic_entries_match_their_normal_form_table(name, m):
+    """The entries closed from the right-regular images of a and b are the
+    regular representation of the table written from the normal forms."""
+    table, ab = dicyclic_table(m)
+    want = group_from_cayley(CayleyTable(table), generator_indices=ab)
+    got = builtin_group(name)
+    assert got.order == 4 * m
+    assert got.elements == want.elements
+    assert got.generators == want.generators
+    assert got.table() == want.table()
+
+
+def test_only_direct_products_supply_a_table():
+    """Every other builtin entry is closed from its generators and builds
+    its table on first use."""
+    for name, _ in builtin_corpus():
+        assert (builtin_group(name)._table is not None) == ("x" in name), name
 
 
 def test_builtin_group_matches_corpus_entry(monkeypatch):

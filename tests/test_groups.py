@@ -104,17 +104,20 @@ def test_direct_product_with_trivial():
 @pytest.mark.parametrize(
     "build",
     [
+        # direct products: the table is supplied at construction
         lambda: builtin_group("C2xQ8"),
         lambda: builtin_group("S3xS3"),
+        # closed from generators: the table is built on first use
         lambda: builtin_group("C3:C4"),
         lambda: group_from_cayley(CayleyTable(builtin_group("S4").table())),
     ],
     ids=["C2xQ8", "S3xS3", "C3:C4", "regular S4"],
 )
 def test_release_caches_rebuilds_a_supplied_table(build):
-    """A table given at construction (a direct product's, a regular
-    representation's) is dropped by release_caches and rebuilt from the
-    generators: the table, inverses and element orders come back equal."""
+    """A direct product's table, given at construction, is dropped by
+    release_caches and rebuilt from the generators, like the table of a
+    group closed from its generators (C3:C4, a regular representation):
+    the table, inverses and element orders come back equal."""
     g = build()
     before = (g.table(), g.inverse_table(), g.element_orders())
     g.release_caches()
@@ -284,6 +287,25 @@ def test_cayley_table_rejects_order_800_loop(a, b):
         t[r][b], t[r][b + half] = t[r][b + half], t[r][b]
     with pytest.raises(BadTableError, match="associativity"):
         CayleyTable(t)
+
+
+def test_group_from_cayley_closes_the_given_generators():
+    s4 = builtin_group("S4")
+    cay = CayleyTable(s4.table())
+    a4 = [i for i in range(s4.order) if s4.elements[i].order() == 3]
+    with pytest.raises(PermlatError, match="order 12, not 24"):
+        group_from_cayley(cay, generator_indices=a4)
+    with pytest.raises(PermlatError, match="order 1, not 24"):
+        group_from_cayley(cay, generator_indices=[0])
+    regular = group_from_cayley(cay, generator_indices=s4.generator_indices())
+    assert regular.order == 24 and regular.degree == 24
+    # With no indices, the generators are those CayleyTable.validate checks.
+    default = group_from_cayley(cay)
+    assert default.elements == regular.elements
+    assert default.generators == tuple(
+        Perm(tuple(row[g] + 1 for row in cay.table))
+        for g in permlat.groups._right_generators(cay.table, 0)
+    )
 
 
 def test_cayley_table_accepts_order_648_semidirect(s3_wreath_pair):

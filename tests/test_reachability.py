@@ -32,6 +32,13 @@ ALLOWED = {
     "groups.Subgroup.element_indices": "the element list of as_group and the test oracles",
     "cli._cannot_write": "error path: an output path that cannot be written",
     "corpus.serialize_group": "writes the group file format the loaders read",
+    # Regular representations: the tests build them, and the benchmark's
+    # tracer wraps CayleyTable.validate and group_from_cayley.
+    "groups.group_from_cayley": "regular representations in the tests; the benchmark's tracer",
+    "groups.CayleyTable.__init__": "the table that group_from_cayley takes",
+    "groups.CayleyTable._find_identity": "called by CayleyTable.__init__",
+    "groups.CayleyTable.validate": "called by CayleyTable.__init__; the benchmark's tracer",
+    "groups._right_generators": "called by CayleyTable.validate and group_from_cayley",
 }
 
 

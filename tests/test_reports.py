@@ -14,7 +14,7 @@ import oracles
 from permlat import reports
 from permlat.corpus import builtin_corpus
 from permlat.reports import SCHEMA_VERSION, VerificationReport, run_verification
-from permlat.errors import LatticeCapError, PermlatError
+from permlat.errors import PermlatError
 from permlat.lattice import emit_lattice_dot, enumerate_subgroups, lattice_dot
 from permlat.statements import (
     STATEMENT_IDS,
@@ -162,16 +162,31 @@ def test_timings_optional():
     assert "timings" not in oracles.report_dict(small_run())
 
 
-def test_unknown_statement_raises():
+def test_unknown_statement_raises(monkeypatch):
     with pytest.raises(PermlatError, match="known"):
         run_verification(["L99"], slice_of("S3"), "x")
-    # Every id is resolved before any group is analysed: S4 is over the
-    # lattice cap, so analysing it would raise LatticeCapError.
-    with pytest.raises(LatticeCapError):
-        run_verification(["L2.2"], slice_of("S4"), "x", lattice_cap=10)
-    with pytest.raises(PermlatError, match="bogus") as info:
-        run_verification(["L2.2", "bogus"], slice_of("S4"), "x", lattice_cap=10)
-    assert not isinstance(info.value, LatticeCapError)
+    # Every id is resolved before any group is analysed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was analysed")
+
+    monkeypatch.setattr(reports, "GroupAnalysis", refuse)
+    with pytest.raises(PermlatError, match="bogus"):
+        run_verification(["L2.2", "bogus"], slice_of("S4"), "x")
+
+
+def test_lattice_over_the_cap_is_a_skipped_row():
+    """A group whose lattice is over the cap is skipped by every entry that
+    needs it, and the pass goes on; remark1 needs no lattice."""
+    ids = ["L2.2", "remark1"]
+    rep = run_verification(ids, slice_of("S3", "S4", "Q8"), "x", lattice_cap=10)
+    assert rep.skipped == ["L2.2: S4 (group order 24 exceeds lattice cap 10)"]
+    assert [row["groups_checked"] for row in rep.statements] == [2, 3]
+    full = run_verification(ids, slice_of("S3", "S4", "Q8"), "x")
+    assert full.skipped == []
+    assert "skipped" not in full.to_json()
+    kept = [v for v in full.verdicts if (v.statement_id, v.group_id) != ("L2.2", "S4")]
+    assert rep.verdicts == kept
+    assert json.loads(rep.to_json())["skipped"] == rep.skipped
 
 
 def test_repeated_group_names_keep_their_own_verdicts():
@@ -370,6 +385,8 @@ def test_to_json_matches_json_dumps(registry_report, monkeypatch):
     )
     assert len(reports["q13 with flags"].flags) == 1
     reports["timings"] = small_run(with_timings=True)
+    reports["skipped"] = small_run(lattice_cap=10, with_timings=True)
+    assert reports["skipped"].skipped
     reports["no verdicts"] = run_verification(["L2.2"], [], "empty corpus")
     odd = Verdict(
         "L2.2",
