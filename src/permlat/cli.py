@@ -125,7 +125,7 @@ _PROPS = {
         for p in sorted(g.prime_factorization)
         if p_length(g, p).is_p_solvable
     )
-    or "not p-solvable for any p",
+    or ("not p-solvable for any p" if g.order > 1 else ""),
     "fingerprint": lambda g, lat: fingerprint(g).name,
     "subgroups": lambda g, lat: len(lat()),
     "conjugacy-classes": lambda g, lat: len(lat().conjugacy_classes),

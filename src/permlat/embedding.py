@@ -93,7 +93,7 @@ def _per_subgroup(fn):
         key = (name, h.members, *skey)
         store = lat._memo
         if key not in store:
-            h = lat.subgroups[lat.index_of(h)]
+            h = lat.entry(h.members)
             if skey and (skey[1] & ~h.members or h.members & ~skey[0]):
                 raise PermlatError(f"{h.describe()} does not lie in the section")
             store[key] = fn(lat, h, section) if skey else fn(lat, h)
@@ -114,11 +114,7 @@ def _section(lat: SubgroupLattice, section: Optional[tuple] = None) -> tuple:
         t, inv = lat.group.table(), lat.group.inverse_table()
         if any(_conjugate_bits(t, inv, n_bits, g) != n_bits for g in k.generator_indices):
             raise NotNormalError(f"{n.describe()} is not normal in {k.describe()}")
-    entries = [
-        e for e in lat.subgroups
-        if e.members & ~k_bits == 0 and n_bits & ~e.members == 0
-    ]
-    return k, n, entries
+    return k, n, [e for e in lat.within(k_bits) if n_bits & ~e.members == 0]
 
 
 @_per_section
@@ -217,10 +213,8 @@ def is_weakly_s_permutable(
 @_per_subgroup
 def core_of(lat: SubgroupLattice, h: Subgroup) -> Subgroup:
     """Largest normal subgroup inside H: intersection of H's conjugates."""
-    bits = (1 << lat.group.order) - 1
-    for i in lat.conjugacy_classes[lat.class_of[lat.index_of(h)]]:
-        bits &= lat.subgroups[i].members
-    return lat.entry(bits)
+    cls = lat.conjugacy_classes[lat.class_of[lat.index_of(h)]]
+    return lat.meet(lat.subgroups[i] for i in cls)
 
 
 @_per_subgroup
@@ -271,7 +265,7 @@ def has_supersolvable_supplement(
 
 
 def is_complemented(lat: SubgroupLattice, h: Subgroup) -> bool:
-    return bool(lat.complements(lat.subgroups[lat.index_of(h)]))
+    return bool(lat.complements(lat.entry(h.members)))
 
 
 @_per_subgroup

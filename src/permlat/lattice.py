@@ -18,6 +18,11 @@ order |G| over the size of H's class, which fixes when its generators
 are all found. Joins stop as soon as they pass half the group (see
 ``groups._close_bits``), since such a join is the group. Equivalence
 with a brute-force oracle is part of the test suite.
+
+Queries answer in entries, the lattice's own ``Subgroup`` objects:
+``within``, ``of_order``, ``sylow`` and ``complements`` return them in
+canonical (order, bitset) order, ``entry`` looks one up by its bitset, and
+``meet`` intersects them.
 """
 
 from __future__ import annotations
@@ -53,9 +58,9 @@ class SubgroupLattice:
         )
         self.subgroups = [Subgroup(group, b) for b in entries]
         self.index_by_bits = {b: i for i, b in enumerate(entries)}
-        self._by_order: dict[int, list[int]] = {}
-        for i, sub in enumerate(self.subgroups):
-            self._by_order.setdefault(sub.order, []).append(i)
+        self._by_order: dict[int, list[Subgroup]] = {}
+        for sub in self.subgroups:
+            self._by_order.setdefault(sub.order, []).append(sub)
         self._memo: dict = {}
         # Classes are numbered by their lowest entry, members ascending.
         classes = sorted(
@@ -107,15 +112,20 @@ class SubgroupLattice:
             raise PermlatError("subgroup not found in lattice") from None
 
     def entry(self, bits: int) -> Subgroup:
-        return self.subgroups[self.index_by_bits[bits]]
+        """The entry with the given bitset; raises as ``index_of`` does."""
+        i = self.index_by_bits.get(bits)
+        if i is None:
+            raise PermlatError("subgroup not found in lattice")
+        return self.subgroups[i]
 
-    def of_order(self, order: int) -> list[int]:
+    def of_order(self, order: int) -> list[Subgroup]:
+        """The entries of the given order, in canonical order."""
         return self._by_order.get(order, [])
 
-    def within(self, bits: int, order: Optional[int] = None) -> list[int]:
-        """Indices of entries contained in the given bitset."""
-        idxs = self.of_order(order) if order is not None else range(len(self.subgroups))
-        return [i for i in idxs if self.subgroups[i].members & ~bits == 0]
+    def within(self, bits: int, order: Optional[int] = None) -> list[Subgroup]:
+        """The entries contained in the given bitset, in canonical order."""
+        subs = self.of_order(order) if order is not None else self.subgroups
+        return [s for s in subs if s.members & ~bits == 0]
 
     def top(self) -> Subgroup:
         return self.subgroups[-1]
@@ -133,9 +143,9 @@ class SubgroupLattice:
         if size == a.order or size == b.order:
             return a if size == a.order else b
         both = a.members | b.members
-        for i in self._by_order.get(size, ()):
-            if both & ~self.subgroups[i].members == 0:
-                return self.subgroups[i]
+        for c in self._by_order.get(size, ()):
+            if both & ~c.members == 0:
+                return c
         return None
 
     def is_normal(self, sub: Subgroup) -> bool:
@@ -144,12 +154,15 @@ class SubgroupLattice:
     def normal_subgroups(self) -> list[Subgroup]:
         return [s for s, f in zip(self.subgroups, self.normal_flags) if f]
 
-    def frattini(self) -> Subgroup:
-        bits = (1 << self.group.order) - 1
-        for s, f in zip(self.subgroups, self.maximal_flags):
-            if f:
-                bits &= s.members
+    def meet(self, entries) -> Subgroup:
+        """The entry equal to the intersection of the entries; G for none."""
+        bits = self.top().members
+        for s in entries:
+            bits &= s.members
         return self.entry(bits)
+
+    def frattini(self) -> Subgroup:
+        return self.meet(s for s, f in zip(self.subgroups, self.maximal_flags) if f)
 
     def socle(self) -> Subgroup:
         """The smallest normal entry holding every minimal normal one."""
@@ -166,28 +179,23 @@ class SubgroupLattice:
         """
         e = self.group.prime_factorization.get(p, 0)
         target = p**e
-        idxs = self.of_order(target)
-        if not idxs:
+        subs = self.of_order(target)
+        if not subs:
             raise PermlatError(f"no subgroup of order {target} found")
-        rep = idxs[0]
-        cls = self.conjugacy_classes[self.class_of[rep]]
-        if set(cls) != set(idxs):
+        # The members of a class share one order, so the first entry's
+        # class holds every entry of that order iff it is as large.
+        count = len(subs)
+        cls = self.conjugacy_classes[self.class_of[self.index_of(subs[0])]]
+        if len(cls) != count:
             raise PermlatError(f"Sylow {p}-subgroups are not all conjugate")
-        count = len(cls)
         if count % p != 1 % p or self.group.order % count:
             raise PermlatError(f"Sylow count {count} violates Sylow's theorems")
-        return self.subgroups[rep], [self.subgroups[i] for i in cls]
+        return subs[0], list(subs)
 
     def complements(self, h: Subgroup) -> list[Subgroup]:
         """All T with H*T = G and trivial intersection, in canonical order."""
-        g_order = self.group.order
-        want = g_order // h.order
-        out = []
-        for i in self.of_order(want):
-            t = self.subgroups[i]
-            if h.members & t.members == 1:
-                out.append(t)
-        return out
+        want = self.group.order // h.order
+        return [t for t in self.of_order(want) if h.members & t.members == 1]
 
 
 def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> SubgroupLattice:
@@ -336,23 +344,17 @@ def is_subnormal(h: Subgroup) -> bool:
 def lattice_dot(lat: SubgroupLattice, title: str = "lattice") -> str:
     """DOT digraph of the subgroup lattice up to conjugacy: one node per
     conjugacy class labeled with the order and class size, edges for
-    covering containments between classes."""
-    classes = []
-    for members in lat.conjugacy_classes:
-        reps = [lat.subgroups[i] for i in members]
-        order = reps[0].order
-        classes.append((order, min(r.members for r in reps), reps))
-    classes.sort(key=lambda c: (c[0], c[1]))
+    covering containments between classes, taken in the lattice's order."""
+    classes = [[lat.subgroups[i] for i in cls] for cls in lat.conjugacy_classes]
     n = len(classes)
 
     def contained(i: int, j: int) -> bool:
-        if classes[i][0] >= classes[j][0]:
-            return False
-        for a in classes[i][2]:
-            for b in classes[j][2]:
-                if a.members & ~b.members == 0:
-                    return True
-        return False
+        # Some entry of class i lies in one of class j iff the lowest
+        # does: a conjugation carries the one containment to the other.
+        low = classes[i][0]
+        return low.order < classes[j][0].order and any(
+            low.members & ~b.members == 0 for b in classes[j]
+        )
 
     le = [[contained(i, j) for j in range(n)] for i in range(n)]
     quoted = title.replace("\\", "\\\\").replace('"', '\\"')
@@ -361,8 +363,8 @@ def lattice_dot(lat: SubgroupLattice, title: str = "lattice") -> str:
         "  rankdir=BT;",
         "  node [shape=box];",
     ]
-    for i, (order, _, reps) in enumerate(classes):
-        lines.append(f'  c{i} [label="order {order} x{len(reps)}"];')
+    for i, reps in enumerate(classes):
+        lines.append(f'  c{i} [label="order {reps[0].order} x{len(reps)}"];')
     for i in range(n):
         for j in range(n):
             if not le[i][j]:

@@ -192,21 +192,15 @@ class GroupAnalysis:
 def _frattini_bits(lat: SubgroupLattice, p_sub: Subgroup, p: int) -> int:
     """Bits of Phi(P) for a p-subgroup entry P: by Burnside's basis theorem
     the meet of P's index-p subgroups, read off G's lattice."""
-    bits = p_sub.members
-    for i in lat.within(p_sub.members, order=p_sub.order // p):
-        bits &= lat.subgroups[i].members
-    return bits
+    return lat.meet(lat.within(p_sub.members, order=p_sub.order // p)).members
 
 
 def _hall_meet_bits(lat: SubgroupLattice, h: Subgroup, p: int) -> int:
     """Bits of O_p'(H) for a p-solvable entry H: the meet of H's entries
     of order |H|_p'. These are its Hall p'-subgroups, all conjugate in H
     (Hall), so their meet is the largest normal p'-subgroup of H."""
-    bits = h.members
     order = h.order // p ** _factorize(h.order).get(p, 0)
-    for i in lat.within(h.members, order=order):
-        bits &= lat.subgroups[i].members
-    return bits
+    return lat.meet(lat.within(h.members, order=order)).members
 
 
 def _is_p_nilpotent_entry(lat: SubgroupLattice, t: Subgroup, p: int) -> bool:
@@ -233,8 +227,7 @@ def _order_clause(
         else is_weakly_s_permutable
     )
     for order in orders:
-        for i in lat.within(p_sub.members, order=order):
-            h = lat.subgroups[i]
+        for h in lat.within(p_sub.members, order=order):
             if has_supersolvable_supplement(lat, h)[0]:
                 continue
             if pred(lat, h)[0]:
@@ -246,10 +239,10 @@ def _order_clause(
 def sylow_of(ga: GroupAnalysis, e: Subgroup, p: int) -> Subgroup:
     """Lowest-index Sylow p-subgroup of the subgroup e."""
     target = p ** _factorize(e.order).get(p, 0)
-    idxs = ga.lat.within(e.members, order=target)
-    if not idxs:
+    subs = ga.lat.within(e.members, order=target)
+    if not subs:
         raise PermlatError(f"no order-{target} subgroup inside {e.describe()}")
-    return ga.lat.subgroups[idxs[0]]
+    return subs[0]
 
 
 def thmB_hypothesis(
@@ -269,7 +262,7 @@ def thmB_hypothesis(
     if mode not in ("supplemented", "permutable"):
         raise PermlatError(f"unknown mode {mode!r}")
     lat = ga.lat
-    e = lat.subgroups[lat.index_of(e)]
+    e = lat.entry(e.members)
     if not lat.is_normal(e):
         raise NotNormalError(f"E = {e.describe()} is not normal")
     per_prime = []
@@ -467,8 +460,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
     for k in class_reps:
         if k.is_full() or k.order == 1:
             continue
-        for i in lat.within(k.members):
-            h = lat.subgroups[i]
+        for h in lat.within(k.members):
             if not is_weakly_s_supplemented(lat, h)[0]:
                 continue
             count += 1
@@ -755,12 +747,8 @@ def check_L2_8(ga: GroupAnalysis) -> list:
             phi = _frattini_bits(lat, rep, p)
             # P/Phi(P) is minimal normal in G/Phi(P) iff Phi(P) < P are
             # the only normal entries from Phi(P) up to P.
-            between = [
-                m
-                for m in lat.normal_subgroups()
-                if phi & ~m.members == 0 and m.members & ~rep.members == 0
-            ]
-            if len(between) != 2:
+            between = [m for m in lat.within(rep.members) if phi & ~m.members == 0]
+            if sum(lat.is_normal(m) for m in between) != 2:
                 fails.append("P mod Phi(P) is not minimal normal")
         exp = exponent(g, rep)
         if rep.is_abelian() or p > 2:
@@ -939,10 +927,9 @@ def _minimal_targets(ga: GroupAnalysis, inside: Subgroup, order_four: str = "") 
     lat = ga.lat
     out = []
     for p in sorted(ga.group.prime_factorization):
-        out += [("", lat.subgroups[i]) for i in lat.within(inside.members, order=p)]
+        out += [("", sub) for sub in lat.within(inside.members, order=p)]
     if order_four:
-        for i in lat.within(inside.members, order=4):
-            sub = lat.subgroups[i]
+        for sub in lat.within(inside.members, order=4):
             if order_four == "all" or sub.is_cyclic():
                 out.append(("", sub))
     return out
@@ -954,8 +941,7 @@ def _maximal_targets(ga: GroupAnalysis, p_subs) -> list:
     lat = ga.lat
     out = []
     for p, sub in p_subs:
-        idxs = lat.within(sub.members, order=sub.order // p)
-        out += [(f"p={p} ", lat.subgroups[i]) for i in idxs]
+        out += [(f"p={p} ", h) for h in lat.within(sub.members, order=sub.order // p)]
     return out
 
 
@@ -1175,10 +1161,9 @@ def build_example42(
     _require(o3.is_abelian() and exponent(g, o3) == 3, "O_3 is not elementary abelian")
     rep = lat.sylow(3)[0]
     _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
-    maximal_idxs = lat.within(rep.members, order=rep.order // 3)
-    _require(maximal_idxs, "Sylow 3-subgroup has no maximal subgroups")
-    for i in maximal_idxs:
-        h = lat.subgroups[i]
+    maximals = lat.within(rep.members, order=rep.order // 3)
+    _require(maximals, "Sylow 3-subgroup has no maximal subgroups")
+    for h in maximals:
         _require(
             is_complemented(lat, h), f"maximal {ga.label(h)} not complemented"
         )
@@ -1205,7 +1190,7 @@ def build_example42(
         ("O_3 elementary abelian", True),
         ("quotient by O_3", qname),
         ("Sylow 3-subgroup order", rep.order),
-        ("maximal subgroups of Sylow 3", len(maximal_idxs)),
+        ("maximal subgroups of Sylow 3", len(maximals)),
         ("each complemented in G", True),
         ("each weakly s-supplemented in G", True),
         ("3-length of G", pl.p_length),

@@ -484,7 +484,7 @@ def _recognize(fp: Fingerprint) -> str:
       18 -> D18 if h[9]>0 and h[2]=9; (C3xC3):C2 if h[2]=9; else C3 x S3
       20 -> D20 if h[2]=11; Dic5 if h[2]=1; C5:C4 if h[4]=10
       24 -> S4 if z=1; C3 x Q8 if h[2]=1 and nilpotent;
-            SL(2,3) if h[2]=1,h[4]=6; Dic6 if h[2]=1;
+            SL(2,3) if h[2]=1,h[4]=6; Dic6 if h[2]=1,h[4]=14;
             D24 if h[2]=13; C2 x A4 if h[2]=7,h[6]=8;
             C3 x D8 if h[2]=5,h[12]=4
     Perfect groups of order 60, 168 and 360 are A5, PSL(2,7) and A6;
@@ -535,7 +535,10 @@ def _recognize(fp: Fingerprint) -> str:
         if h.get(2) == 1:
             if fp.nilpotent:
                 return "C3 x Q8"
-            return "SL(2,3)" if h.get(4) == 6 else "Dic6"
+            if h.get(4) == 6:
+                return "SL(2,3)"
+            if h.get(4) == 14:
+                return "Dic6"
         if h.get(2) == 13:
             return "D24"
         if h.get(2) == 7 and h.get(6) == 8:

@@ -513,8 +513,7 @@ def l2_1_all_entries(ga):
     for k in lat.subgroups:
         if k.is_full() or k.order == 1:
             continue
-        for i in lat.within(k.members):
-            h = lat.subgroups[i]
+        for h in lat.within(k.members):
             if not wss(lat, h)[0]:
                 continue
             count += 1

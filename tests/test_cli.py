@@ -66,6 +66,20 @@ def test_analyze_group_file(tmp_path, capsys):
     assert "fingerprint: S4" in out
 
 
+def test_analyze_trivial_and_c3_c8_group_files(tmp_path, capsys):
+    """No prime divides 1, so C1's p-length is empty, as its chief factors
+    are; C3:C8 has one involution but is not Dic6."""
+    c1 = tmp_path / "c1.group"
+    c1.write_text("name: C1\ndegree: 1\ngens:\n")
+    assert main(["analyze", str(c1)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "p-length: " in out and "chief-factors: " in out
+    c3_c8 = tmp_path / "c3c8.group"
+    c3_c8.write_text("name: C3:C8\ndegree: 11\ngens: (1 2 3), (1 2)(4 5 6 7 8 9 10 11)\n")
+    assert main(["analyze", str(c3_c8), "--props", "order,fingerprint"]) == 0
+    assert "fingerprint: unrecognized" in capsys.readouterr().out
+
+
 def test_analyze_unknown_group(monkeypatch, capsys):
     """An unknown name exits 2 and a listed product resolves, neither by
     building the corpus."""

@@ -83,8 +83,7 @@ def test_h_sG_join_coherent():
     for s in lat.subgroups:
         h = h_sG(lat, s)
         # contains every s-permutable subgroup inside s
-        for i in lat.within(s.members):
-            k = lat.subgroups[i]
+        for k in lat.within(s.members):
             if is_s_permutable(lat, k):
                 assert k.members & ~h.members == 0
         assert h_sG(lat, h).members == h.members
@@ -311,7 +310,7 @@ def test_section_wss_matches_rebuild_oracle():
             if not n.is_full()
         ]
         cases += [
-            ("subgroup", (k, lat.bottom()), [lat.subgroups[i] for i in lat.within(k.members)])
+            ("subgroup", (k, lat.bottom()), lat.within(k.members))
             for k in lat.subgroups
             if 1 < k.order < g.order
         ]
@@ -340,13 +339,11 @@ def test_general_section_matches_rebuild_oracle():
         lat = enumerate_subgroups(g)
         for k in lat.subgroups:
             k_elems = k.element_indices()
-            for j in lat.within(k.members):
-                n = lat.subgroups[j]
+            for n in lat.within(k.members):
                 if not brute_is_normal(g, set(n.element_indices()), over=k_elems):
                     continue
                 oracle = section_wss_oracle(k, n)
-                for i in lat.within(k.members):
-                    h = lat.subgroups[i]
+                for h in lat.within(k.members):
                     if n.members & ~h.members:
                         continue
                     got = is_weakly_s_supplemented(lat, h, (k, n))[0]
@@ -409,13 +406,12 @@ def test_section_bottom_normal_in_k_but_not_in_g():
     section = (d8, n)
     oracle = section_wss_oracle(d8, n)
     got = []
-    for i in lat.within(d8.members):
-        h = lat.subgroups[i]
+    for h in lat.within(d8.members):
         if n.members & ~h.members:
             continue
         ok, t = is_weakly_s_supplemented(lat, h, section)
         assert ok == oracle(h)
-        got.append((i, h.order, ok, t.order, h_sG(lat, h, section).order))
+        got.append((lat.index_of(h), h.order, ok, t.order, h_sG(lat, h, section).order))
     assert got == [
         (7, 2, True, 8, 2),
         (15, 4, True, 4, 4),
@@ -444,7 +440,7 @@ def _scan_cases(lat):
         if n.order > 1
     ]
     cases += [
-        ((k, bottom), [lat.subgroups[i] for i in lat.within(k.members)])
+        ((k, bottom), lat.within(k.members))
         for k in (lat.subgroups[cls[0]] for cls in lat.conjugacy_classes)
         if not k.is_full()
     ]

@@ -11,6 +11,7 @@ from permlat.embedding import core_of
 from permlat.errors import LatticeCapError, PermlatError
 from permlat.groups import (
     Group,
+    Subgroup,
     _close_bits,
     _conjugate_bits,
     close_generators,
@@ -241,8 +242,33 @@ def test_within_and_of_order():
     assert len(lat.of_order(2)) == 9
     d8 = lat.sylow(2)[0]
     inside = lat.within(d8.members)
-    assert all(lat.subgroups[i].members & ~d8.members == 0 for i in inside)
+    assert all(s.members & ~d8.members == 0 for s in inside)
     assert len(lat.within(d8.members, order=4)) == 3
+    # Queries answer in the lattice's own entries, in canonical order.
+    a4 = lat.of_order(12)[0]
+    for got in (
+        lat.of_order(2),
+        inside,
+        lat.within(d8.members, order=4),
+        lat.complements(a4),
+        lat.sylow(2)[1],
+        lat.sylow(3)[1],
+    ):
+        pos = [lat.index_of(s) for s in got]
+        assert all(s is lat.subgroups[i] for s, i in zip(got, pos))
+        assert pos == sorted(set(pos))
+    assert len(lat.complements(a4)) == 6
+    assert lat.sylow(2)[0] is lat.sylow(2)[1][0]
+    maximals = [s for s, f in zip(lat.subgroups, lat.maximal_flags) if f]
+    assert lat.meet(maximals) is lat.frattini()
+    assert lat.meet([d8, a4]).order == 4
+    assert lat.meet([]) is lat.top()
+    # <(1 2 3)> without its square is not closed, so it is no entry.
+    not_entry = 1 | 1 << g.index_of(parse_cycle_string("(1 2 3)", 4))
+    with pytest.raises(PermlatError):
+        lat.entry(not_entry)
+    with pytest.raises(PermlatError):
+        lat.index_of(Subgroup(g, not_entry))
 
 
 def test_maximal_and_minimal_normal():

@@ -492,7 +492,7 @@ def test_supersolvable_mod_rejects_a_non_normal_subgroup():
     ga = analysis("S3")
     c2 = ga.lat.of_order(2)[0]
     with pytest.raises(NotNormalError):
-        ga.supersolvable_mod(ga.lat.subgroups[c2])
+        ga.supersolvable_mod(c2)
 
 
 # sha256 of the JSON report of every statement and the q13 scan over the

@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permlat import embedding, groups, lattice, statements, structure
+from permlat import corpus, embedding, groups, lattice, statements, structure
 from permlat.corpus import builtin_corpus, builtin_group, load_group, parse_group_file
 from permlat.embedding import h_sG, is_permutable, is_s_permutable, is_weakly_s_supplemented
 from permlat.groups import Group, Subgroup, _normal_bits, close_generators, direct_product
@@ -348,6 +348,13 @@ def test_fingerprint_recognition():
         8, gens(8, "(1 2 3 4)(5 6 7 8)", "(1 5 3 7)(2 8 4 6)")
     )
     assert fingerprint(q8).name == "Q8"
+    # Order 24 with one involution: C3:C8 has 2 elements of order 4,
+    # SL(2,3) 6 and Dic6 14.
+    c3_c8 = close_generators(11, gens(11, "(1 2 3)", "(1 2)(4 5 6 7 8 9 10 11)"))
+    assert fingerprint(c3_c8).name == "unrecognized"
+    assert fingerprint(corpus._dicyclic(6, "Dic6")).name == "Dic6"
+    sl23 = close_generators(8, gens(8, "(1 4 7)(2 8 5)", "(1 6 2 3)(4 7 8 5)"))
+    assert fingerprint(sl23).name == "SL(2,3)"
 
 
 def test_fingerprint_equality_across_constructions():
@@ -555,7 +562,7 @@ def test_embedding_questions_close_nothing_after_the_lattice(monkeypatch):
                     is_weakly_s_supplemented(lat, h, (top, n))
         for cls in lat.conjugacy_classes:
             k = lat.subgroups[cls[0]]
-            for i in lat.within(k.members):
-                is_weakly_s_supplemented(lat, lat.subgroups[i], (k, bottom))
+            for h in lat.within(k.members):
+                is_weakly_s_supplemented(lat, h, (k, bottom))
         check_L2_1(ga)
     assert len(analyses) == 86
