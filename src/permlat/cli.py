@@ -193,16 +193,17 @@ def _pred_plain(fn):
 
 
 def _pred_witnessed(fn, prop=None):
-    """A predicate returning (ok, T); with ``prop``, a weak supplement
-    predicate whose witness line also names H meet T and H_sG."""
+    """A predicate answering with its witness T, or None; with ``prop``, a
+    weak supplement predicate whose witness line also names H meet T and
+    H_sG."""
 
     def run(lat, sub):
-        ok, t = fn(lat, sub)
+        t = fn(lat, sub)
         if t is None:
-            return ok, None
+            return False, None
         if prop is None:
-            return ok, t.describe()
-        return ok, (
+            return True, t.describe()
+        return True, (
             f"{prop} via T = {t.describe()}, "
             f"intersection order {(t.members & sub.members).bit_count()}, "
             f"bound order {h_sG(lat, sub).order}"
@@ -310,9 +311,9 @@ def _cannot_write(path, exc: OSError) -> int:
 
 
 def _run_report(args, ids, show_flags: bool) -> int:
-    """Run registry entries over the corpus, print the summary and write the
-    requested report files; the summary's code, or 2 if a file cannot be
-    written."""
+    """Run registry entries over the corpus, print the summary and write
+    every requested report file; the summary's code, or 2 if any file
+    cannot be written."""
     from .reports import run_verification
 
     corpus, description = _load_corpus(args.corpus, args.group_cap)
@@ -336,7 +337,8 @@ def _run_report(args, ids, show_flags: bool) -> int:
         try:
             Path(path).write_text(render(), encoding="utf-8")
         except OSError as exc:
-            return _cannot_write(path, exc)
+            code = _cannot_write(path, exc)
+            continue
         print(f"wrote {what} to {path}")
     return code
 

@@ -25,11 +25,12 @@ every answer is read off the group's own lattice.
   sublattice, so H_sG, their join inside H, is the largest of them inside
   H; in a section it contains N. Results are the preimages in G.
 
-The weak supplement predicates return (ok, T): T, the first admissible
-supplement in canonical order, is the certificate, since H meet T and
-H_sG follow from H and T. The scan walks the section's entries once and
-stops at T. An intersection equal to N lies in H_sG, so H_sG is computed
-only when a supplement meets H in more than N.
+The weak supplement predicates answer with T, the first admissible
+supplement in canonical order, as a lattice entry, or None when there is
+none. T is the certificate, since H meet T and H_sG follow from H and T.
+The scan walks the section's entries once and stops at T. An
+intersection equal to N lies in H_sG, so H_sG is computed only when a
+supplement meets H in more than N.
 
 A section is passed as ``section=(K, N)``; the default is the whole group
 (G, 1), whose memo keys and answers are those of the plain predicates.
@@ -166,9 +167,9 @@ def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
 
 
 def _supplement_scan(lat, h, require_subnormal, section=None):
-    """(True, T) for the first entry T of the section, in canonical order,
-    with |H||T| = |K||H meet T|, subnormal if required, and H meet T equal
-    to N or inside H_sG; (False, None) if there is none. H_sG contains N,
+    """The first entry T of the section, in canonical order, with
+    |H||T| = |K||H meet T|, subnormal if required, and H meet T equal to N
+    or inside H_sG; None if there is none. H_sG contains N,
     and is computed at most once, when a supplement first meets H in more
     than N."""
     k, n, entries = _section(lat, section)
@@ -187,26 +188,25 @@ def _supplement_scan(lat, h, require_subnormal, section=None):
                 hsg = h_sG(lat, h, section).members
             if inter & ~hsg:
                 continue
-        return True, t
-    return False, None
+        return t
+    return None
 
 
 @_per_subgroup
 def is_weakly_s_supplemented(
     lat: SubgroupLattice, h: Subgroup, section: Optional[tuple] = None
-) -> tuple[bool, Optional[Subgroup]]:
-    """(ok, T): whether some supplement T has H meet T inside h_sG(G, H),
-    with the first such T, an entry of the lattice, or None. In the
-    section K/N, whether H/N is weakly s-supplemented in K/N, with T/N the
-    supplement, given as its preimage T."""
+) -> Optional[Subgroup]:
+    """The first supplement T, a lattice entry, with H meet T inside
+    h_sG(G, H), or None if H is not weakly s-supplemented. In the section
+    K/N: the preimage T of the first such supplement T/N of H/N in K/N."""
     return _supplement_scan(lat, h, False, section)
 
 
 @_per_subgroup
 def is_weakly_s_permutable(
     lat: SubgroupLattice, h: Subgroup
-) -> tuple[bool, Optional[Subgroup]]:
-    """(ok, T) as for weak s-supplementation, but T must be subnormal."""
+) -> Optional[Subgroup]:
+    """T or None as for weak s-supplementation, but T must be subnormal."""
     return _supplement_scan(lat, h, True)
 
 
@@ -252,16 +252,16 @@ def is_supersolvable_section(
 @_per_subgroup
 def has_supersolvable_supplement(
     lat: SubgroupLattice, h: Subgroup
-) -> tuple[bool, Optional[Subgroup]]:
-    """The first T in canonical order with H*T = G, i.e.
-    |H||T| = |G||H meet T|, that is supersolvable."""
+) -> Optional[Subgroup]:
+    """The first entry T in canonical order with H*T = G, i.e.
+    |H||T| = |G||H meet T|, that is supersolvable; None if there is none."""
     g_order, h_order, h_bits = lat.group.order, h.order, h.members
     for t in lat.subgroups:
         if t.order * h_order != g_order * (t.members & h_bits).bit_count():
             continue
         if is_supersolvable_section(lat, (t, lat.bottom())):
-            return True, t
-    return False, None
+            return t
+    return None
 
 
 def is_complemented(lat: SubgroupLattice, h: Subgroup) -> bool:

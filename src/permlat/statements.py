@@ -228,9 +228,9 @@ def _order_clause(
     )
     for order in orders:
         for h in lat.within(p_sub.members, order=order):
-            if has_supersolvable_supplement(lat, h)[0]:
+            if has_supersolvable_supplement(lat, h):
                 continue
-            if pred(lat, h)[0]:
+            if pred(lat, h):
                 continue
             return False, h.describe()
     return True, None
@@ -438,7 +438,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
 
     fails = []
     count = 0
-    in_groups = [is_weakly_s_supplemented(lat, k)[0] for k in class_reps]
+    in_groups = [is_weakly_s_supplemented(lat, k) is not None for k in class_reps]
     for h in lat.normal_subgroups():
         if h.is_full():
             continue
@@ -446,7 +446,7 @@ def check_L2_1(ga: GroupAnalysis) -> list:
             if h.members & ~k.members:
                 continue
             count += 1
-            in_quotient = is_weakly_s_supplemented(lat, k, (top, h))[0]
+            in_quotient = is_weakly_s_supplemented(lat, k, (top, h)) is not None
             if in_quotient != in_group:
                 fails.append(
                     f"H={ga.label(h)} K={ga.label(k)}: "
@@ -461,10 +461,10 @@ def check_L2_1(ga: GroupAnalysis) -> list:
         if k.is_full() or k.order == 1:
             continue
         for h in lat.within(k.members):
-            if not is_weakly_s_supplemented(lat, h)[0]:
+            if not is_weakly_s_supplemented(lat, h):
                 continue
             count += 1
-            if not is_weakly_s_supplemented(lat, h, (k, bottom))[0]:
+            if not is_weakly_s_supplemented(lat, h, (k, bottom)):
                 fails.append(f"H={ga.label(h)} K={ga.label(k)}")
     verdicts.append(_implication("L2.1", ga.name, "(ii)", count > 0, fails))
 
@@ -476,13 +476,13 @@ def check_L2_1(ga: GroupAnalysis) -> list:
         for e in class_reps:
             if math.gcd(n.order, e.order) != 1:
                 continue
-            if not is_weakly_s_supplemented(lat, e)[0]:
+            if not is_weakly_s_supplemented(lat, e):
                 continue
             count += 1
             ne = lat.product(n, e)
             if ne is None:
                 raise PermlatError("a normal subgroup times a subgroup is not a subgroup")
-            if not is_weakly_s_supplemented(lat, ne, (top, n))[0]:
+            if not is_weakly_s_supplemented(lat, ne, (top, n)):
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts
@@ -991,8 +991,7 @@ def check_C4_7(ga: GroupAnalysis) -> list:
     hyp, wit = _first_failure(
         ga,
         _sylow_maximals(ga),
-        lambda lat, sub: has_supersolvable_supplement(lat, sub)[0]
-        or lat.is_normal(sub),
+        lambda lat, sub: has_supersolvable_supplement(lat, sub) or lat.is_normal(sub),
         "failing maximal",
     )
     return [_supersolvable_verdict("C4.7", ga, "group", hyp, wit)]
@@ -1004,8 +1003,7 @@ def check_C4_8(ga: GroupAnalysis) -> list:
     hyp, wit = _first_failure(
         ga,
         _sylow_maximals(ga),
-        lambda lat, sub: has_supersolvable_supplement(lat, sub)[0]
-        or is_c_normal(lat, sub),
+        lambda lat, sub: has_supersolvable_supplement(lat, sub) or is_c_normal(lat, sub),
         "failing maximal",
     )
     return [_supersolvable_verdict("C4.8", ga, "group", hyp, wit)]
@@ -1085,7 +1083,7 @@ def check_C4_12(ga: GroupAnalysis) -> list:
             hyp, wit = _first_failure(
                 ga,
                 _minimal_targets(ga, e, "cyclic"),
-                lambda lat, sub: is_weakly_s_permutable(lat, sub)[0],
+                is_weakly_s_permutable,
                 "non-wsp",
             )
         verdicts.append(_supersolvable_verdict("C4.12", ga, f"E={ga.label(e)}", hyp, wit))
@@ -1168,7 +1166,7 @@ def build_example42(
             is_complemented(lat, h), f"maximal {ga.label(h)} not complemented"
         )
         _require(
-            is_weakly_s_supplemented(lat, h)[0],
+            is_weakly_s_supplemented(lat, h),
             f"maximal {ga.label(h)} not weakly s-supplemented",
         )
     pl = p_length(g, 3)

@@ -336,7 +336,7 @@ def section_wss_oracle(k, n):
     def wss(h):
         images = {proj[pos[gi]] for gi in h.element_indices()}
         bits = sum(1 << i for i in images)
-        return is_weakly_s_supplemented(lat, lat.entry(bits))[0]
+        return is_weakly_s_supplemented(lat, lat.entry(bits)) is not None
 
     return wss
 
@@ -409,26 +409,25 @@ def hsg_join_oracle(lat, section=None):
 def supplement_scan_oracle(lat, h, require_subnormal=False, section=None):
     """Weak s-supplementation of H (weak s-permutability when
     ``require_subnormal``) from the full list of H's supplements and
-    H_sG, both computed up front by the oracles above: (True, (T, H meet
-    T, H_sG)) for the first admissible T in canonical order, else
-    (False, None)."""
+    H_sG, both computed up front by the oracles above: (T, H meet T,
+    H_sG) for the first admissible T in canonical order, else None."""
     hsg = hsg_join_oracle(lat, section)(h)
     for t in supplements(lat, h, section):
         if require_subnormal and not subnormal_in(lat, t):
             continue
         inter = h.members & t.members
         if inter & ~hsg == 0:
-            return True, (t, lat.entry(inter), lat.entry(hsg))
-    return False, None
+            return t, lat.entry(inter), lat.entry(hsg)
+    return None
 
 
 def supersolvable_supplement_oracle(lat, h):
-    """(True, T) for the first supplement T of H in G, in canonical order,
-    that is supersolvable as a group of its own, else (False, None)."""
+    """The first supplement T of H in G, in canonical order, that is
+    supersolvable as a group of its own, else None."""
     for t in supplements(lat, h):
         if is_supersolvable(t.as_group()):
-            return True, t
-    return False, None
+            return t
+    return None
 
 
 def quotient_answers(g, n):
@@ -502,8 +501,8 @@ def l2_1_all_entries(ga):
             if h.members & ~k.members:
                 continue
             count += 1
-            in_quotient = wss(lat, k, (top, h))[0]
-            in_group = wss(lat, k)[0]
+            in_quotient = wss(lat, k, (top, h)) is not None
+            in_group = wss(lat, k) is not None
             if in_quotient != in_group:
                 fails.append(f"H={ga.label(h)} K={ga.label(k)}")
     verdicts.append(_implication("L2.1", ga.name, "(i)", count > 0, fails))
@@ -514,10 +513,10 @@ def l2_1_all_entries(ga):
         if k.is_full() or k.order == 1:
             continue
         for h in lat.within(k.members):
-            if not wss(lat, h)[0]:
+            if not wss(lat, h):
                 continue
             count += 1
-            if not wss(lat, h, (k, bottom))[0]:
+            if not wss(lat, h, (k, bottom)):
                 fails.append(f"H={ga.label(h)} K={ga.label(k)}")
     verdicts.append(_implication("L2.1", ga.name, "(ii)", count > 0, fails))
 
@@ -527,11 +526,11 @@ def l2_1_all_entries(ga):
         if n.is_full():
             continue
         for e in lat.subgroups:
-            if math.gcd(n.order, e.order) != 1 or not wss(lat, e)[0]:
+            if math.gcd(n.order, e.order) != 1 or not wss(lat, e):
                 continue
             count += 1
             ne = close_set(lat.group.table(), set(n.element_indices()) | set(e.element_indices()))
-            if not wss(lat, lat.entry(_bits(ne)), (top, n))[0]:
+            if not wss(lat, lat.entry(_bits(ne)), (top, n)):
                 fails.append(f"N={ga.label(n)} E={ga.label(e)}")
     verdicts.append(_implication("L2.1", ga.name, "(iii)", count > 0, fails))
     return verdicts

@@ -204,8 +204,8 @@ def test_criterion_6_embedding_hierarchy(says):
             normal = lat.normal_flags[i]
             perm = is_permutable(lat, sub)
             sp = is_s_permutable(lat, sub)
-            wsp, _ = is_weakly_s_permutable(lat, sub)
-            wss, _ = is_weakly_s_supplemented(lat, sub)
+            wsp = is_weakly_s_permutable(lat, sub)
+            wss = is_weakly_s_supplemented(lat, sub)
             cn = is_c_normal(lat, sub)
             comp = is_complemented(lat, sub)
             for label, a, b in (
@@ -321,8 +321,8 @@ def test_criterion_9_control_fixtures(says):
             set(wit.element_indices()) <= set(p.element_indices())
             for p in sylows
         )
-        and not is_weakly_s_supplemented(lat, wit)[0]
-        and not has_supersolvable_supplement(lat, wit)[0]
+        and is_weakly_s_supplemented(lat, wit) is None
+        and has_supersolvable_supplement(lat, wit) is None
     )
 
     d8c3 = GROUPS["D8xC3"]

@@ -613,20 +613,27 @@ def test_cli_import_does_not_load_dataclasses():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, other",
     [
-        ["verify", "--statement", "remark1", "--max-order", "8", "--report"],
-        ["verify", "--statement", "remark1", "--max-order", "8", "--csv"],
-        ["lattice", "S4", "--dot"],
+        (["verify", "--statement", "remark1", "--max-order", "8", "--report"], "--csv"),
+        (["verify", "--statement", "remark1", "--max-order", "8", "--csv"], "--report"),
+        (["lattice", "S4", "--dot"], None),
     ],
     ids=["report", "csv", "dot"],
 )
-def test_unwritable_output_path_is_usage_error(argv, tmp_path, capsys):
+def test_unwritable_output_path_is_usage_error(argv, other, tmp_path, capsys):
+    """Exit 2 with one error line for the file that cannot be written; the
+    other report file requested with it is still written."""
     path = str(tmp_path / "missing" / "out")
-    assert main(argv + [path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot write {path}: ")
-    assert "Traceback" not in err
+    good = tmp_path / "good"
+    assert main(argv + [path] + ([other, str(good)] if other else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("error: ") == 1
+    assert "Traceback" not in captured.err
+    if other:
+        assert good.stat().st_size > 0
+        assert f" to {good}\n" in captured.out
 
 
 # -- the benchmark's cold CLI commands, byte for byte ------------------------
@@ -757,7 +764,7 @@ def test_readme_quick_start_runs():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "True <order 12: (2 3 4), (1 2)(3 4)>\n"
+    assert proc.stdout == "<order 12: (2 3 4), (1 2)(3 4)>\n"
 
 
 def _readme_cli_blocks():

@@ -108,29 +108,23 @@ def test_supplements_degenerate():
 def test_wss_examples():
     g, lat = make(3, "(1 2)", "(1 2 3)")
     h = sub(lat, "(1 2)")
-    ok, t = is_weakly_s_supplemented(lat, h)
-    assert ok
+    t = is_weakly_s_supplemented(lat, h)
     assert t.order == 3
     assert (t.members & h.members).bit_count() == 1
     g4, lat4 = make(4, "(1 2)", "(1 2 3 4)")
     bad = sub(lat4, "(1 2)", "(3 4)")
     assert bad.order == 4
-    ok, t = is_weakly_s_supplemented(lat4, bad)
-    assert not ok
-    assert t is None
+    assert is_weakly_s_supplemented(lat4, bad) is None
 
 
 def test_wsp_examples():
     # A3 is a normal, hence subnormal, supplement of <(12)> with trivial
     # intersection, so the weak s-permutability scan accepts it.
     g, lat = make(3, "(1 2)", "(1 2 3)")
-    ok, t = is_weakly_s_permutable(lat, sub(lat, "(1 2)"))
-    assert ok
-    assert t.order == 3
+    assert is_weakly_s_permutable(lat, sub(lat, "(1 2)")).order == 3
     g4, lat4 = make(4, "(1 2)", "(1 2 3 4)")
     bad = sub(lat4, "(1 2)", "(3 4)")
-    ok, _ = is_weakly_s_permutable(lat4, bad)
-    assert not ok
+    assert is_weakly_s_permutable(lat4, bad) is None
 
 
 def test_normal_implies_everything():
@@ -139,8 +133,8 @@ def test_normal_implies_everything():
         if not lat.normal_flags[i]:
             continue
         assert is_s_permutable(lat, s)
-        assert is_weakly_s_permutable(lat, s)[0]
-        assert is_weakly_s_supplemented(lat, s)[0]
+        assert is_weakly_s_permutable(lat, s)
+        assert is_weakly_s_supplemented(lat, s)
         assert is_c_normal(lat, s)
 
 
@@ -169,18 +163,14 @@ def test_core_of():
 def test_supersolvable_supplement_examples():
     g, lat = make(4, "(1 2)", "(1 2 3 4)")
     v4 = sub(lat, "(1 2)(3 4)", "(1 3)(2 4)")
-    ok, t = has_supersolvable_supplement(lat, v4)
-    assert ok
-    assert t.order == 6
+    assert has_supersolvable_supplement(lat, v4).order == 6
     a4, lata = make(4, "(1 2 3)", "(2 3 4)")
     h = sub(lata, "(1 2)(3 4)")
-    ok, t = has_supersolvable_supplement(lata, h)
-    assert not ok
-    assert t is None
+    assert has_supersolvable_supplement(lata, h) is None
     # supersolvable parent: T = G always works
     d12, latd = make(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")
     for s in latd.subgroups:
-        assert has_supersolvable_supplement(latd, s)[0]
+        assert has_supersolvable_supplement(latd, s)
 
 
 def test_supersolvable_section_matches_subgroup_groups():
@@ -230,13 +220,13 @@ def test_hierarchy_chain_s4():
     g, lat = make(4, "(1 2)", "(1 2 3 4)")
     for s in lat.subgroups:
         if is_s_permutable(lat, s):
-            assert is_weakly_s_permutable(lat, s)[0]
-        if is_weakly_s_permutable(lat, s)[0]:
-            assert is_weakly_s_supplemented(lat, s)[0]
+            assert is_weakly_s_permutable(lat, s)
+        if is_weakly_s_permutable(lat, s):
+            assert is_weakly_s_supplemented(lat, s)
         if is_c_normal(lat, s):
-            assert is_weakly_s_supplemented(lat, s)[0]
+            assert is_weakly_s_supplemented(lat, s)
         if is_complemented(lat, s):
-            assert is_weakly_s_supplemented(lat, s)[0]
+            assert is_weakly_s_supplemented(lat, s)
 
 
 def test_nilpotent_group_everything_s_permutable():
@@ -317,7 +307,7 @@ def test_section_wss_matches_rebuild_oracle():
         for kind, section, subs in cases:
             oracle = section_wss_oracle(*section)
             for h in subs:
-                got = is_weakly_s_supplemented(lat, h, section)[0]
+                got = is_weakly_s_supplemented(lat, h, section) is not None
                 pairs[kind] += 1
                 false[kind] += not got
                 if got != oracle(h):
@@ -346,7 +336,7 @@ def test_general_section_matches_rebuild_oracle():
                 for h in lat.within(k.members):
                     if n.members & ~h.members:
                         continue
-                    got = is_weakly_s_supplemented(lat, h, (k, n))[0]
+                    got = is_weakly_s_supplemented(lat, h, (k, n)) is not None
                     assert got == oracle(h), (name, k.order, n.order, h.order)
                     checked += 1
                     false += not got
@@ -371,8 +361,7 @@ def test_section_quotient_s4_by_v4():
     section = (lat.top(), v4)
     d8 = sub(lat, "(1 2 3 4)", "(1 3)")
     a4 = sub(lat, "(1 2 3)", "(1 2)(3 4)")
-    ok, t = is_weakly_s_supplemented(lat, d8, section)
-    assert ok
+    t = is_weakly_s_supplemented(lat, d8, section)
     assert t.members == a4.members
     assert t.members & d8.members == v4.members
     # Sylow subgroups of S3, as preimages: the three D8 and A4.
@@ -409,15 +398,15 @@ def test_section_bottom_normal_in_k_but_not_in_g():
     for h in lat.within(d8.members):
         if n.members & ~h.members:
             continue
-        ok, t = is_weakly_s_supplemented(lat, h, section)
-        assert ok == oracle(h)
-        got.append((lat.index_of(h), h.order, ok, t.order, h_sG(lat, h, section).order))
+        t = is_weakly_s_supplemented(lat, h, section)
+        assert oracle(h)
+        got.append((lat.index_of(h), h.order, t.order, h_sG(lat, h, section).order))
     assert got == [
-        (7, 2, True, 8, 2),
-        (15, 4, True, 4, 4),
-        (16, 4, True, 4, 4),
-        (19, 4, True, 4, 4),
-        (25, 8, True, 2, 8),
+        (7, 2, 8, 2),
+        (15, 4, 4, 4),
+        (16, 4, 4, 4),
+        (19, 4, 4, 4),
+        (25, 8, 2, 8),
     ]
     assert [(p, [lat.index_of(s) for s in c]) for p, c in sylow_family(lat, section)] == [
         (2, [25])
@@ -447,49 +436,53 @@ def _scan_cases(lat):
     return cases
 
 
-def _same_answer(lat, h, section, got, want):
-    """The scan's (ok, T) against the oracle's (ok, (T, H meet T, H_sG)),
-    with T the lattice's own entry."""
-    ok, t = got
-    if ok != want[0]:
-        return False
-    if not ok:
-        return t is None and want[1] is None
-    want_t, inter, bound = want[1]
-    return t is lat.subgroups[lat.index_of(t)] and (
-        t.members, t.members & h.members, h_sG(lat, h, section).members
-    ) == (want_t.members, inter.members, bound.members)
+def _same_answer(lat, h, section, t, want):
+    """The scan's T against the oracle's (T, H meet T, H_sG): both None,
+    or the same entry of ``lat.subgroups`` with the same intersection and
+    bound."""
+    if t is None or want is None:
+        return t is want
+    want_t, inter, bound = want
+    return (
+        t is want_t
+        and t is lat.subgroups[lat.index_of(t)]
+        and (t.members & h.members, h_sG(lat, h, section).members)
+        == (inter.members, bound.members)
+    )
 
 
 def test_scan_matches_full_list_oracle():
-    """Weak s-supplementation in every section of ``_scan_cases``, and
-    weak s-permutability in G, for every entry of the builtin groups of
-    order <= 100: the same answer, T, intersection and bound as the scan
-    that lists every supplement and computes H_sG first."""
-    answers = {"wss": 0, "wsp": 0}
-    false = {"wss": 0, "wsp": 0}
+    """Weak s-supplementation in every section of ``_scan_cases`` (G, G/N
+    and K/1), and weak s-permutability in G, for every entry of the
+    builtin groups of order <= 100: None exactly when the scan that lists
+    every supplement and computes H_sG first finds no T, else its first
+    admissible T, as the same entry of ``lat.subgroups``, with the same
+    intersection and bound."""
+    answers = dict.fromkeys(("G", "G/N", "K/1", "wsp"), 0)
+    false = dict(answers)
     wss_not_wsp = 0
     for name, g in builtin_corpus():
         if g.order > 100:
             continue
         lat = enumerate_subgroups(g)
         for section, subs in _scan_cases(lat):
+            kind = "G" if section is None else "K/1" if section[1].order == 1 else "G/N"
             for h in subs:
                 got = is_weakly_s_supplemented(lat, h, section)
                 want = supplement_scan_oracle(lat, h, section=section)
                 assert _same_answer(lat, h, section, got, want), (name, section, h)
-                answers["wss"] += 1
-                false["wss"] += not got[0]
+                answers[kind] += 1
+                false[kind] += got is None
         for h in lat.subgroups:
             got = is_weakly_s_permutable(lat, h)
             want = supplement_scan_oracle(lat, h, require_subnormal=True)
             assert _same_answer(lat, h, None, got, want), (name, h)
             answers["wsp"] += 1
-            false["wsp"] += not got[0]
-            wss_not_wsp += is_weakly_s_supplemented(lat, h)[0] and not got[0]
-    assert answers == {"wss": 6345, "wsp": 1118}
-    # A scan that always said True would fail here.
-    assert false == {"wss": 73, "wsp": 84}
+            false["wsp"] += got is None
+            wss_not_wsp += got is None and is_weakly_s_supplemented(lat, h) is not None
+    assert answers == {"G": 1118, "G/N": 2299, "K/1": 2928, "wsp": 1118}
+    # A scan that always said True, in any kind of section, would fail here.
+    assert false == {"G": 61, "G/N": 3, "K/1": 9, "wsp": 84}
     assert wss_not_wsp == 23
 
 
@@ -517,21 +510,21 @@ def test_h_sG_matches_join_oracle():
 
 
 def test_supersolvable_supplement_matches_oracle():
-    """The supersolvable-supplement answer and witness T for every entry
-    of the builtin groups of order <= 100: the first supplement in
-    canonical order that is supersolvable as a group of its own."""
+    """The supersolvable supplement T for every entry of the builtin groups
+    of order <= 100: None exactly when the oracle finds none, else the
+    first supplement in canonical order that is supersolvable as a group
+    of its own, as the same entry of ``lat.subgroups``."""
     answers = false = 0
     for name, g in builtin_corpus():
         if g.order > 100:
             continue
         lat = enumerate_subgroups(g)
         for h in lat.subgroups:
-            ok, t = has_supersolvable_supplement(lat, h)
-            want_ok, want_t = supersolvable_supplement_oracle(lat, h)
-            assert ok == want_ok, (name, h)
-            assert (t and t.members) == (want_t and want_t.members), (name, h)
+            t = has_supersolvable_supplement(lat, h)
+            assert t is supersolvable_supplement_oracle(lat, h), (name, h)
+            assert t is None or t is lat.subgroups[lat.index_of(t)], (name, h)
             answers += 1
-            false += not ok
+            false += t is None
     assert (answers, false) == (1118, 81)
 
 

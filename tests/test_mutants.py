@@ -5,7 +5,8 @@ hypothesis on where it should be off, or a conclusion off where it should
 be on, must give at least one inconsistent verdict; a check the corpus
 cannot fail shows nothing. Mutants that cannot give an inconsistency on
 this corpus must at least change the registry's golden digest, and the
-``is_c_normal := wss(…)[0]`` mutant is also run row by row."""
+``is_c_normal := is_weakly_s_supplemented`` mutant is also run row by
+row."""
 
 import hashlib
 
@@ -26,12 +27,6 @@ def _wss_as_wsp(lat, h, section=None):
     return embedding.is_weakly_s_supplemented(lat, h, section)
 
 
-def _c_normal_as_wss(lat, h):
-    # A c-normal subgroup is weakly s-supplemented; the mutant drops the
-    # difference.
-    return embedding.is_weakly_s_supplemented(lat, h)[0]
-
-
 # name in statements -> false variant, inconsistent verdicts at the
 # default caps on the builtin corpus.
 KILLED = {
@@ -39,7 +34,7 @@ KILLED = {
     "is_s_permutable": (lambda lat, h, section=None: True, 26),
     # Read by C4.5, C4.6, C4.8 and C4.9.
     "is_c_normal": (lambda lat, h: True, 20),
-    "has_supersolvable_supplement": (lambda lat, h: (True, lat.top()), 55),
+    "has_supersolvable_supplement": (lambda lat, h: lat.top(), 55),
 }
 
 # Mutants the builtin corpus cannot kill, with the digest each gives.
@@ -55,16 +50,19 @@ SURVIVING = {
         embedding.is_weakly_s_supplemented,
         "8caea1a1",
     ),
-    "is_c_normal": (_c_normal_as_wss, "3b11ebdf"),
+    # A c-normal subgroup is weakly s-supplemented; the mutant drops the
+    # difference.
+    "is_c_normal": (embedding.is_weakly_s_supplemented, "3b11ebdf"),
 }
 
-# The rows that read is_c_normal, under _c_normal_as_wss: (kind, digest
-# prefix of the row's report, or None where it stays byte-identical).
-# With wss in place of c-normality the hypotheses of C4.5, C4.6 and C4.8
-# become instances of Theorem B's clause at E = G (|D| = p for C4.5, D
-# maximal in P for C4.6 and C4.8), so only a failure of Theorem B itself
-# could kill them. C4.9 asks only for the cyclic subgroups of order 4 of
-# the U-residual, which Theorem B's companion order does not cover.
+# The rows that read is_c_normal, with is_weakly_s_supplemented in its
+# place: (kind, digest prefix of the row's report, or None where it stays
+# byte-identical). With wss in place of c-normality the hypotheses of
+# C4.5, C4.6 and C4.8 become instances of Theorem B's clause at E = G
+# (|D| = p for C4.5, D maximal in P for C4.6 and C4.8), so only a failure
+# of Theorem B itself could kill them. C4.9 asks only for the cyclic
+# subgroups of order 4 of the U-residual, which Theorem B's companion
+# order does not cover.
 C_NORMAL_ROWS = {
     "C4.5": ("unkillable", "8d5f535f"),
     "C4.6": ("unkillable", "e10b4b64"),
@@ -113,7 +111,7 @@ def test_c_normal_as_wss_by_row(monkeypatch, statement_id):
     builtin corpus cannot even see the mutant there."""
     _kind, prefix = C_NORMAL_ROWS[statement_id]
     plain, plain_digest = _row(statement_id)
-    monkeypatch.setattr(statements, "is_c_normal", _c_normal_as_wss)
+    monkeypatch.setattr(statements, "is_c_normal", embedding.is_weakly_s_supplemented)
     mutant, digest = _row(statement_id)
     assert not mutant.inconsistencies()
     if prefix is None:
