@@ -16,6 +16,7 @@ from permlat.groups import (
     _conjugate_bits,
     close_generators,
     direct_product,
+    wreath_regular,
 )
 from permlat.lattice import (
     _normal_closure_bits,
@@ -368,6 +369,21 @@ def test_lattice_digest_pin():
         entries = [s.members for s in lat.subgroups]
         digest.update(repr((name, entries, lat.conjugacy_classes)).encode())
     assert digest.hexdigest() == LATTICE_DIGEST
+
+
+# The same digest over two larger lattices: AGL(2,3) (646 subgroups in 46
+# classes) and S4 wr C2 (4,586 subgroups in 221 classes).
+LARGE_LATTICE_DIGEST = "6b7adcac48a408537786bf20e9c77917380ee0e2cb631f0ea9186a979fa2688b"
+
+
+def test_large_lattice_digest_pin():
+    cases = [("AGL(2,3)", agl23(), 432), ("S4wrC2", wreath_regular(symmetric(4), 2), 1152)]
+    digest = hashlib.sha256()
+    for name, g, cap in cases:
+        lat = enumerate_subgroups(g, cap=cap)
+        entries = [s.members for s in lat.subgroups]
+        digest.update(repr((name, entries, lat.conjugacy_classes)).encode())
+    assert digest.hexdigest() == LARGE_LATTICE_DIGEST
 
 
 @pytest.mark.parametrize(
