@@ -2,21 +2,23 @@
 
 Subgroups are enumerated one conjugacy class at a time by cyclic extension
 (Neubüser's method): starting from the trivial subgroup, each class
-representative H is joined with the prime-power cyclic subgroups C, and a
+representative H is joined with prime-power cyclic subgroups C, and a
 join not seen before contributes its whole conjugation orbit at once while
-only the join itself goes on the work list. Every subgroup is generated by
-its prime-power cyclic subgroups, so it ends a chain of such joins, and
-working up to conjugacy loses nothing: if K = <H^g, C> then
-K^(g^-1) = <H, C^(g^-1)>, a join made from the representative H. The orbits
-are the conjugacy classes of subgroups.
+only the join itself goes on the work list. The orbits are the conjugacy
+classes of subgroups.
 
-H is joined with one cyclic subgroup per orbit of N_G(H) acting by
-conjugation: for n in N_G(H), <H, C^n> = <H, C>^n, so the rest of C's
-orbit only gives conjugates of <H, C>, which its recorded orbit holds. If
-C lies in H, so does its whole orbit, and nothing is joined. N_G(H) has
-order |G| over the size of H's class, which fixes when its generators
-are all found. Joins stop as soon as they pass half the group (see
-``groups._close_bits``), since such a join is the group. Equivalence
+H is joined only with the C outside H whose p-th power C^p lies in H.
+Every subgroup K is still reached: list K's prime-power cyclic subgroups
+by order. Each one's p-th power comes earlier in that list (it is trivial
+for order p), so each one outside the subgroup that the earlier ones
+generate meets the rule for it, and K ends a chain of such joins. Working
+up to conjugacy loses nothing: if K = <H^g, C> then
+K^(g^-1) = <H, C^(g^-1)>, and C^(g^-1) meets the rule for H as C does for
+H^g. H joins one C per orbit under conjugation by H itself, or by G when
+H is normal: for n normalizing H, <H, C^n> = <H, C>^n, which the orbit
+recorded for <H, C> holds, and C^n meets the rule iff C does, so a C that
+fails is skipped alone. Joins stop as soon as they pass half the group
+(see ``groups._close_bits``), since such a join is the group. Equivalence
 with a brute-force oracle is part of the test suite.
 
 Queries answer in entries, the lattice's own ``Subgroup`` objects:
@@ -213,10 +215,11 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
     gmaps = [[t[t[inv[g]][x]][g] for x in range(n)] for g in gidx]
 
     # The prime-power cyclic subgroups, numbered in the order of their
-    # lowest generating element: cyc_gen[c] is that element, and cyc_of[x]
-    # the number of the cyclic subgroup that x generates (-1 if x has no
-    # prime-power order).
+    # lowest generating element: cyc_gen[c] is that element, cyc_pow[c] its
+    # p-th power (the identity for order p), and cyc_of[x] the number of the
+    # cyclic subgroup that x generates (-1 if x has no prime-power order).
     cyc_gen: list[int] = []
+    cyc_pow: list[int] = []
     cyc_of = [-1] * n
     for i in range(1, n):
         if cyc_of[i] != -1:
@@ -228,31 +231,35 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
         c = len(cyc_gen)
         x = i
         k = 1
+        power = 0
         while x != 0:
             if k % p:
                 cyc_of[x] = c
+            elif k == p:
+                power = x
             x = t[x][i]
             k += 1
         cyc_gen.append(i)
+        cyc_pow.append(power)
 
     orbits = [[1]]
     seen = {1}
-    # Each class representative H with its generators and |N_G(H)|.
-    work: list[tuple[int, tuple[int, ...], int]] = [(1, (), n)]
+    # Each class representative H with its generators and whether it is normal.
+    work: list[tuple[int, tuple[int, ...], bool]] = [(1, (), True)]
     while work:
-        hb, hgens, norm_order = work.pop()
+        hb, hgens, normal = work.pop()
         hmem = list(_iter_bits(hb))
-        if norm_order == n:
-            ngens = gidx
-        else:
-            ngens = _normalizer_generators(t, inv, hb, hgens, norm_order)
-        # How each generator of N_G(H) permutes the cyclic subgroups.
-        acts = [[cyc_of[t[t[inv[g]][x]][g]] for x in cyc_gen] for g in ngens]
+        # How conjugation by H, or by G when H is normal, permutes the
+        # cyclic subgroups.
+        acts = [
+            [cyc_of[t[t[inv[g]][x]][g]] for x in cyc_gen]
+            for g in (gidx if normal else hgens)
+        ]
         marked = bytearray(len(cyc_gen))
-        for c in range(len(cyc_gen)):
-            if marked[c]:
+        for c, cg in enumerate(cyc_gen):
+            if marked[c] or (hb >> cg) & 1 or not (hb >> cyc_pow[c]) & 1:
                 continue
-            # Mark c's orbit under conjugation by N_G(H); only c is joined.
+            # Mark c's orbit; only c is joined.
             marked[c] = 1
             stack = [c]
             while stack:
@@ -262,30 +269,13 @@ def enumerate_subgroups(group: Group, cap: int = DEFAULT_LATTICE_CAP) -> Subgrou
                     if not marked[d]:
                         marked[d] = 1
                         stack.append(d)
-            cg = cyc_gen[c]
-            if (hb >> cg) & 1:
-                continue
             jb = _close_bits(t, hb, hgens, (cg,), hmem)
             if jb not in seen:
                 orbit = _conjugation_orbit(gmaps, jb)
                 seen.update(orbit)
                 orbits.append(orbit)
-                work.append((jb, hgens + (cg,), n // len(orbit)))
+                work.append((jb, hgens + (cg,), len(orbit) == 1))
     return SubgroupLattice(group, orbits)
-
-
-def _normalizer_generators(table, inv, h_bits: int, h_gens, norm_order: int):
-    """Generators of N_G(H), given its order: H's generators, then each
-    element outside their closure, ascending, that conjugates them into H."""
-    n_bits, gens = h_bits, list(h_gens)
-    for g in range(1, len(table)):
-        if n_bits.bit_count() == norm_order:
-            break
-        row = table[inv[g]]
-        if not (n_bits >> g) & 1 and all((h_bits >> table[row[h]][g]) & 1 for h in h_gens):
-            n_bits = _close_bits(table, n_bits, tuple(gens), (g,))
-            gens.append(g)
-    return gens
 
 
 def _conjugation_orbit(maps, bits: int) -> list[int]:

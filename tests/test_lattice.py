@@ -14,13 +14,13 @@ from permlat.groups import (
     Subgroup,
     _close_bits,
     _conjugate_bits,
+    _factorize,
     close_generators,
     direct_product,
     wreath_regular,
 )
 from permlat.lattice import (
     _normal_closure_bits,
-    _normalizer_generators,
     enumerate_subgroups,
     is_subnormal,
 )
@@ -371,13 +371,17 @@ def test_lattice_digest_pin():
     assert digest.hexdigest() == LATTICE_DIGEST
 
 
+def s4_wr_c2():
+    return wreath_regular(symmetric(4), 2)
+
+
 # The same digest over two larger lattices: AGL(2,3) (646 subgroups in 46
 # classes) and S4 wr C2 (4,586 subgroups in 221 classes).
 LARGE_LATTICE_DIGEST = "6b7adcac48a408537786bf20e9c77917380ee0e2cb631f0ea9186a979fa2688b"
 
 
 def test_large_lattice_digest_pin():
-    cases = [("AGL(2,3)", agl23(), 432), ("S4wrC2", wreath_regular(symmetric(4), 2), 1152)]
+    cases = [("AGL(2,3)", agl23(), 432), ("S4wrC2", s4_wr_c2(), 1152)]
     digest = hashlib.sha256()
     for name, g, cap in cases:
         lat = enumerate_subgroups(g, cap=cap)
@@ -386,7 +390,7 @@ def test_large_lattice_digest_pin():
     assert digest.hexdigest() == LARGE_LATTICE_DIGEST
 
 
-@pytest.mark.parametrize(
+builtin_and_agl23 = pytest.mark.parametrize(
     "make, cap",
     [
         (lambda: [g for _, g in builtin_corpus() if g.order <= 400], 400),
@@ -394,38 +398,58 @@ def test_large_lattice_digest_pin():
     ],
     ids=["builtin", "AGL(2,3)"],
 )
+
+
+@builtin_and_agl23
 def test_normalizer_generators_close_to_the_normalizer(make, cap):
     """For the lowest entry H of every conjugacy class, |N_G(H)| is |G|
-    over the class size, and when H is not normal the normalizer
-    generators that the enumeration finds close to N_G(H)."""
+    over the class size."""
     for g in make():
         lat = enumerate_subgroups(g, cap=cap)
-        t, inv = g.table(), g.inverse_table()
         for cls in lat.conjugacy_classes:
-            h = lat.subgroups[cls[0]]
-            want = normalizer(h)
-            assert want.order == g.order // len(cls)
-            if len(cls) > 1:
-                ngens = _normalizer_generators(
-                    t, inv, h.members, h.generator_indices, want.order
-                )
-                assert _close_bits(t, 1, (), ngens) == want.members
+            assert normalizer(lat.subgroups[cls[0]]).order == g.order // len(cls)
 
 
-def test_a6_enumeration_joins_once_per_normalizer_orbit(monkeypatch):
-    """A6's lattice takes at most 450 closures (818 when each
-    representative H joined one cyclic subgroup per orbit of H alone)."""
-    calls = []
+def recorded_joins(monkeypatch, g, cap):
+    """The lattice of g, and (H's bitset, new generator) for every join
+    that its enumeration closes."""
+    joins = []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return _close_bits(*args, **kwargs)
+    def recording(table, base_bits, base_gens, new_gens, *rest):
+        joins.extend((base_bits, x) for x in new_gens)
+        return _close_bits(table, base_bits, base_gens, new_gens, *rest)
 
-    g = builtin("A6")
     g.table()
-    monkeypatch.setattr(lattice, "_close_bits", counting)
-    assert len(enumerate_subgroups(g)) == 501
-    assert len(calls) <= 450
+    monkeypatch.setattr(lattice, "_close_bits", recording)
+    lat = enumerate_subgroups(g, cap=cap)
+    monkeypatch.undo()
+    return lat, joins
+
+
+@builtin_and_agl23
+def test_joins_take_cyclic_subgroups_whose_pth_power_lies_in_h(monkeypatch, make, cap):
+    """Every join <H, x> has x of order a power of a prime p, x outside H
+    and x^p in H."""
+    for g in make():
+        _, joins = recorded_joins(monkeypatch, g, cap)
+        t, orders = g.table(), g.element_orders()
+        assert joins
+        for hb, x in joins:
+            (p,) = _factorize(orders[x])
+            power = x
+            for _ in range(p - 1):
+                power = t[power][x]
+            assert not (hb >> x) & 1
+            assert (hb >> power) & 1
+
+
+def test_s4_wr_c2_enumeration_closes_at_most_9600_joins(monkeypatch):
+    """S4 wr C2's lattice takes 9,553 closures (10,174 when each
+    representative joined one cyclic subgroup per orbit of its normalizer,
+    that count including the closures that built the normalizers)."""
+    lat, joins = recorded_joins(monkeypatch, s4_wr_c2(), 1152)
+    assert len(lat) == 4586
+    assert len(joins) <= 9600
 
 
 def fresh_copy(g):
