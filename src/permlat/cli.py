@@ -9,10 +9,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import (
     builtin_corpus,
     builtin_group,
+    example_pair,
     load_corpus_dir,
     load_group,
     parse_group_file,
@@ -37,7 +39,7 @@ from .errors import (
     NotAnElementError,
     PermlatError,
 )
-from .groups import DEFAULT_GROUP_CAP
+from .groups import DEFAULT_GROUP_CAP, Group, close_generators, p_residual
 from .lattice import (
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
@@ -58,6 +60,7 @@ from .structure import (
     is_nilpotent,
     is_solvable,
     is_supersolvable,
+    p_core,
     p_length,
     u_hypercenter,
 )
@@ -361,16 +364,6 @@ def _cmd_scan_q13(args) -> int:
     return _run_report(args, ["q13"], show_flags=True)
 
 
-def _cmd_example42(args) -> int:
-    from .statements import build_example42
-
-    ex = build_example42(lattice_cap=args.lattice_cap, group_cap=args.group_cap)
-    for line in ex.lines():
-        print(line)
-    print("all example checks passed")
-    return 0
-
-
 def _cmd_lattice(args) -> int:
     group = _resolve_group(args.group, args.group_cap)
     try:
@@ -381,6 +374,98 @@ def _cmd_lattice(args) -> int:
         f"wrote DOT ({len(lat.conjugacy_classes)} class nodes, "
         f"{len(lat)} subgroups) to {args.dot}"
     )
+    return 0
+
+
+# -- reproduce-example42 -----------------------------------------------------
+
+
+class Example42(NamedTuple):
+    group: Group
+    facts: tuple
+
+    def lines(self) -> list[str]:
+        return [f"{k}: {v}" for k, v in self.facts]
+
+
+def _require(cond, message: str):
+    if not cond:
+        raise PermlatError(f"example reproduction failed: {message}")
+
+
+def build_example42(
+    lattice_cap: int = DEFAULT_LATTICE_CAP, group_cap: int = DEFAULT_GROUP_CAP
+) -> Example42:
+    """Control group of order 324 where the minimal-prime hypothesis is
+    dropped and the p-length conclusion fails.
+
+    The 2-residual of the regular wreath product of S3 by C3, in its
+    action on 9 points (``corpus.example_pair``), has order 324, an
+    elementary abelian O_3 of order 27 with quotient of type A4, and a
+    Sylow 3-subgroup of order 81 whose maximal subgroups are all
+    complemented (hence weakly s-supplemented) in G. Yet the 3-length of
+    G is 2: the order-|D| clause alone does not bound p-length once p is
+    not the smallest prime divisor.
+    """
+    b, g = example_pair(cap=group_cap)
+    _require(b.order == 648, f"wreath order {b.order} != 648")
+    _require(g.order == 324, f"2-residual order {g.order} != 324")
+    # G = O^2(B) without B's table. G is normal of index 2 in B, so
+    # O^2(B) <= G; and G = O^2(G) is generated by odd-order elements of B,
+    # so G <= O^2(B).
+    _require(all(x in b for x in g.generators), "G is not inside the wreath product")
+    _require(
+        all(~y * x * y in g for x in g.generators for y in b.generators),
+        "G is not normal in the wreath product",
+    )
+    _require(p_residual(g, 2).is_full(), "G has a normal subgroup of index 2")
+    lat = enumerate_subgroups(g, cap=lattice_cap)
+    o3 = lat.entry(p_core(g, 3).members)
+    _require(o3.order == 27, f"O_3 order {o3.order} != 27")
+    _require(o3.is_abelian() and exponent(g, o3) == 3, "O_3 is not elementary abelian")
+    rep = lat.sylow(3)[0]
+    _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
+    maximals = lat.within(rep.members, order=rep.order // 3)
+    _require(maximals, "Sylow 3-subgroup has no maximal subgroups")
+    for h in maximals:
+        _require(is_complemented(lat, h), f"maximal {h.describe()} not complemented")
+        _require(
+            is_weakly_s_supplemented(lat, h),
+            f"maximal {h.describe()} not weakly s-supplemented",
+        )
+    pl = p_length(g, 3)
+    _require(pl.is_p_solvable, "G is not 3-solvable")
+    _require(pl.p_length == 2, f"3-length {pl.p_length} != 2")
+    comps = lat.complements(o3)
+    _require(comps, "O_3 has no complement")
+    _require(
+        comps[0].order == 12, f"O_3 complement order {comps[0].order} != 12"
+    )
+    # A complement of O_3 maps isomorphically onto G/O_3.
+    qname = fingerprint(close_generators(g.degree, comps[0].generators)).name
+    _require(qname == "A4", f"G/O_3 has type {qname}, not A4")
+    facts = (
+        ("wreath product order", b.order),
+        ("2-residual order", g.order),
+        ("subgroup count", len(lat.subgroups)),
+        ("O_3 order", o3.order),
+        ("O_3 elementary abelian", True),
+        ("quotient by O_3", qname),
+        ("Sylow 3-subgroup order", rep.order),
+        ("maximal subgroups of Sylow 3", len(maximals)),
+        ("each complemented in G", True),
+        ("each weakly s-supplemented in G", True),
+        ("3-length of G", pl.p_length),
+        ("O_3 complement order", comps[0].order),
+    )
+    return Example42(g, facts)
+
+
+def _cmd_example42(args) -> int:
+    ex = build_example42(lattice_cap=args.lattice_cap, group_cap=args.group_cap)
+    for line in ex.lines():
+        print(line)
+    print("all example checks passed")
     return 0
 
 

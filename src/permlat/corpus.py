@@ -255,8 +255,8 @@ def _elementary_abelian(p: int, rank: int, name: str) -> Group:
 
 # The generators that ``p_residual(B648, 2)`` picks, in its order: the
 # three 3-cycles of the base group and two elements of order 3 that move
-# the blocks. ``statements.build_example42`` proves that they generate
-# O^2(B648).
+# the blocks. ``cli.build_example42`` (``reproduce-example42``) proves
+# that they generate O^2(B648).
 _G324_GENERATORS = (
     "(7 8 9)",
     "(4 5 6)",

@@ -1,6 +1,6 @@
 """Verification harness: hypothesis/conclusion checkers for the cataloged
 statements (ids thmB, thm12, L2.1..L2.9, L3.1, C3.2, L3.3, L3.5,
-C4.3..C4.12, remark1), the q13 scanner, and the order-324 example build.
+C4.3..C4.12, remark1) and the q13 scanner.
 
 The statement ids are opaque labels fixed by the CLI contract. Every
 checker evaluates "hypothesis implies conclusion" instances over a group
@@ -26,7 +26,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import NotNormalError, PermlatError
 from .groups import (
-    DEFAULT_GROUP_CAP,
     Group,
     Subgroup,
     _conjugate_bits,
@@ -35,7 +34,7 @@ from .groups import (
     close_generators,
     p_residual,
 )
-from .corpus import _alternating_named, example_pair
+from .corpus import _alternating_named
 from .lattice import (
     DEFAULT_LATTICE_CAP,
     DEFAULT_MAX_NORMAL_E,
@@ -63,7 +62,6 @@ from .structure import (
 from .embedding import (
     has_supersolvable_supplement,
     is_c_normal,
-    is_complemented,
     is_permutable,
     is_s_permutable,
     is_weakly_s_permutable,
@@ -1108,93 +1106,6 @@ def check_remark1(ga: GroupAnalysis) -> list:
                 )
             )
     return verdicts
-
-
-# -- order-324 control example -----------------------------------------------
-
-
-class Example42(NamedTuple):
-    group: Group
-    facts: tuple
-
-    def lines(self) -> list[str]:
-        return [f"{k}: {v}" for k, v in self.facts]
-
-
-def _require(cond, message: str):
-    if not cond:
-        raise PermlatError(f"example reproduction failed: {message}")
-
-
-def build_example42(
-    lattice_cap: int = DEFAULT_LATTICE_CAP, group_cap: int = DEFAULT_GROUP_CAP
-) -> Example42:
-    """Control group of order 324 where the minimal-prime hypothesis is
-    dropped and the p-length conclusion fails.
-
-    The 2-residual of the regular wreath product of S3 by C3, in its
-    action on 9 points (``corpus.example_pair``), has order 324, an
-    elementary abelian O_3 of order 27 with quotient of type A4, and a
-    Sylow 3-subgroup of order 81 whose maximal subgroups are all
-    complemented (hence weakly s-supplemented) in G. Yet the 3-length of
-    G is 2: the order-|D| clause alone does not bound p-length once p is
-    not the smallest prime divisor.
-    """
-    b, g = example_pair(cap=group_cap)
-    _require(b.order == 648, f"wreath order {b.order} != 648")
-    _require(g.order == 324, f"2-residual order {g.order} != 324")
-    # G = O^2(B) without B's table. G is normal of index 2 in B, so
-    # O^2(B) <= G; and G = O^2(G) is generated by odd-order elements of B,
-    # so G <= O^2(B).
-    _require(all(x in b for x in g.generators), "G is not inside the wreath product")
-    _require(
-        all(~y * x * y in g for x in g.generators for y in b.generators),
-        "G is not normal in the wreath product",
-    )
-    _require(p_residual(g, 2).is_full(), "G has a normal subgroup of index 2")
-    ga = GroupAnalysis(g, "example324", lattice_cap=lattice_cap)
-    lat = ga.lat
-    o3 = lat.entry(p_core(g, 3).members)
-    _require(o3.order == 27, f"O_3 order {o3.order} != 27")
-    _require(o3.is_abelian() and exponent(g, o3) == 3, "O_3 is not elementary abelian")
-    rep = lat.sylow(3)[0]
-    _require(rep.order == 81, f"Sylow 3-subgroup order {rep.order} != 81")
-    maximals = lat.within(rep.members, order=rep.order // 3)
-    _require(maximals, "Sylow 3-subgroup has no maximal subgroups")
-    for h in maximals:
-        _require(
-            is_complemented(lat, h), f"maximal {ga.label(h)} not complemented"
-        )
-        _require(
-            is_weakly_s_supplemented(lat, h),
-            f"maximal {ga.label(h)} not weakly s-supplemented",
-        )
-    pl = p_length(g, 3)
-    _require(pl.is_p_solvable, "G is not 3-solvable")
-    _require(pl.p_length == 2, f"3-length {pl.p_length} != 2")
-    comps = lat.complements(o3)
-    _require(comps, "O_3 has no complement")
-    _require(
-        comps[0].order == 12, f"O_3 complement order {comps[0].order} != 12"
-    )
-    # A complement of O_3 maps isomorphically onto G/O_3.
-    qname = fingerprint(close_generators(g.degree, comps[0].generators)).name
-    _require(qname == "A4", f"G/O_3 has type {qname}, not A4")
-    facts = (
-        ("wreath product order", b.order),
-        ("2-residual order", g.order),
-        ("subgroup count", len(lat.subgroups)),
-        ("O_3 order", o3.order),
-        ("O_3 elementary abelian", True),
-        ("quotient by O_3", qname),
-        ("Sylow 3-subgroup order", rep.order),
-        ("maximal subgroups of Sylow 3", len(maximals)),
-        ("each complemented in G", True),
-        ("each weakly s-supplemented in G", True),
-        ("3-length of G", pl.p_length),
-        ("O_3 complement order", comps[0].order),
-    )
-    return Example42(g, facts)
 
 
 # -- statement registry ------------------------------------------------------

@@ -101,15 +101,25 @@ def is_solvable(group: Group) -> bool:
     return derived_series(group)[-1].order == 1
 
 
+def _central_step(group: Group, bits: int) -> int:
+    """Bits of Z_{i+1} from those of Z_i: Z_i and the x with [x, g] in Z_i
+    for every generator g."""
+    t = group.table()
+    inv = group.inverse_table()
+    gens = group.generator_indices()
+    grown = bits
+    for x in range(group.order):
+        if not (bits >> x) & 1 and all(
+            (bits >> t[inv[t[g][x]]][t[x][g]]) & 1 for g in gens
+        ):
+            grown |= 1 << x
+    return grown
+
+
 @_memoized
 def center(group: Group) -> Subgroup:
-    t = group.table()
-    gens = group.generator_indices()
-    bits = 0
-    for x in range(group.order):
-        if all(t[x][g] == t[g][x] for g in gens):
-            bits |= 1 << x
-    return Subgroup(group, bits)
+    """Z_1, the first step of ``hypercenter``'s walk from the identity."""
+    return Subgroup(group, _central_step(group, 1))
 
 
 def _order_mod(t, x: int, n_bits: int) -> int:
@@ -176,22 +186,12 @@ def _core_over(group: Group, n: Subgroup, keep) -> Subgroup:
 
 @_memoized
 def hypercenter(group: Group) -> Subgroup:
-    """The ordinary Z-infinity: Z_{i+1} holds the x with [x, g] in Z_i for
-    every generator g, until the series stops growing."""
-    t = group.table()
-    inv = group.inverse_table()
-    gens = group.generator_indices()
-    bits = 1
-    while True:
-        grown = bits
-        for x in range(group.order):
-            if not (bits >> x) & 1 and all(
-                (bits >> t[inv[t[g][x]]][t[x][g]]) & 1 for g in gens
-            ):
-                grown |= 1 << x
-        if grown == bits:
-            return Subgroup(group, bits)
+    """The ordinary Z-infinity: the upper central series from the center,
+    one ``_central_step`` at a time, until it stops growing."""
+    bits = center(group).members
+    while (grown := _central_step(group, bits)) != bits:
         bits = grown
+    return Subgroup(group, bits)
 
 
 # -- nilpotency, Sylow towers --------------------------------------------

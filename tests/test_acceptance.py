@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from permlat.cli import main
+from permlat.cli import build_example42, main
 from permlat.corpus import builtin_corpus
 from permlat.embedding import (
     has_supersolvable_supplement,
@@ -28,7 +28,7 @@ from permlat.embedding import (
 from permlat.lattice import enumerate_subgroups
 from permlat.perms import parse_cycle_string
 from permlat.reports import run_verification
-from permlat.statements import GroupAnalysis, build_example42, thmB_hypothesis
+from permlat.statements import GroupAnalysis, thmB_hypothesis
 from permlat.structure import (
     chief_series,
     fingerprint,

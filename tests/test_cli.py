@@ -596,6 +596,19 @@ def test_cli_import_defers_registry_and_reports():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    # reproduce-example42 runs without the registry, the report layer or
+    # dataclasses; -S keeps the site's .pth imports out of the child.
+    code = (
+        "import sys, permlat.cli; "
+        "code = permlat.cli.main(['reproduce-example42']); "
+        "loaded = {'permlat.statements', 'permlat.reports', 'dataclasses'}; "
+        "print(code, sorted(loaded & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_import_does_not_load_dataclasses():

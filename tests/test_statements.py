@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from permlat.cli import build_example42
 from permlat.corpus import builtin_corpus, example_pair
 from permlat.embedding import is_supersolvable_section
 from permlat.errors import NotNormalError, PermlatError
@@ -24,7 +25,6 @@ from permlat.statements import (
     _frattini_bits,
     _hall_meet_bits,
     _is_p_nilpotent_entry,
-    build_example42,
     check_thmB,
     check_thm12,
     scan_question13,
@@ -297,14 +297,14 @@ def test_example42_facts():
 
 
 def test_example42_rejects_a_conjugate_outside_the_wreath(monkeypatch):
-    from permlat import statements
+    from permlat import cli
 
     b, g = example_pair()
     c = parse_cycle_string("(1 2 4)", 9)
     assert c not in b
     moved = close_generators(9, [~c * x * c for x in g.generators], name="G324")
     assert moved.order == 324
-    monkeypatch.setattr(statements, "example_pair", lambda cap: (b, moved))
+    monkeypatch.setattr(cli, "example_pair", lambda cap: (b, moved))
     with pytest.raises(PermlatError, match="example reproduction failed"):
         build_example42()
 
