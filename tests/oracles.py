@@ -24,7 +24,8 @@ a witness, to cross-check the library's early-exit scan. The join oracle
 takes the set closure of N and every s-permutable subgroup inside H, so
 it also cross-checks the library's reading of H_sG as the largest
 s-permutable subgroup inside H (Kegel). ``supersolvable_supplement_oracle``
-walks the same list with each supplement built as a group of its own.
+walks the same list with each supplement built as a group of its own, and
+``c_normal_oracle`` with normality and the core taken on element sets.
 ``compose`` and ``naive_closure`` work below the table, on image tuples:
 they pin the package's gathered products and closures to the definition
 of left-to-right composition. ``report_dict`` and ``verdict_dict`` give
@@ -427,6 +428,23 @@ def supersolvable_supplement_oracle(lat, h):
     for t in supplements(lat, h):
         if is_supersolvable(t.as_group()):
             return t
+    return None
+
+
+def c_normal_oracle(lat, h):
+    """The first supplement T of H in G, in canonical order, that is
+    normal (every element conjugates it onto itself) and meets H inside
+    the intersection of H's conjugates, taken on element sets; else None."""
+    g = lat.group
+    t, inv = g.table(), g.inverse_table()
+    hs = frozenset(h.element_indices())
+    core = frozenset.intersection(
+        *(frozenset(t[t[inv[x]][y]][x] for y in hs) for x in range(g.order))
+    )
+    for sup in supplements(lat, h):
+        ts = frozenset(sup.element_indices())
+        if brute_is_normal(g, ts) and hs & ts <= core:
+            return sup
     return None
 
 

@@ -30,6 +30,7 @@ from permlat.structure import is_supersolvable
 from oracles import (
     agl23,
     brute_is_normal,
+    c_normal_oracle,
     hsg_join_oracle,
     normalizer,
     section_wss_oracle,
@@ -526,6 +527,24 @@ def test_supersolvable_supplement_matches_oracle():
             answers += 1
             false += t is None
     assert (answers, false) == (1118, 81)
+
+
+def test_c_normal_matches_oracle():
+    """c-normality of every entry of the builtin groups of order <= 100:
+    True exactly when the oracle finds a normal supplement that meets H
+    inside the intersection of H's conjugates, both taken on element
+    sets."""
+    answers = false = 0
+    for name, g in builtin_corpus():
+        if g.order > 100:
+            continue
+        lat = enumerate_subgroups(g)
+        for h in lat.subgroups:
+            got = is_c_normal(lat, h)
+            assert got is (c_normal_oracle(lat, h) is not None), (name, h)
+            answers += 1
+            false += not got
+    assert (answers, false) == (1118, 84)
 
 
 def test_l2_1_computes_few_h_sG():
