@@ -25,12 +25,21 @@ every answer is read off the group's own lattice.
   sublattice, so H_sG, their join inside H, is the largest of them inside
   H; in a section it contains N. Results are the preimages in G.
 
-The weak supplement predicates answer with T, the first admissible
-supplement in canonical order, as a lattice entry, or None when there is
-none. T is the certificate, since H meet T and H_sG follow from H and T.
-The scan walks the section's entries once and stops at T. An
-intersection equal to N lies in H_sG, so H_sG is computed only when a
-supplement meets H in more than N.
+The supplement predicates share one search, ``_supplement_scan``: the
+first entry T in canonical order with HT = G (HT = K in a section), T of
+a given class, and H meet T equal to N or inside a given bound, which is
+computed only when a supplement first meets H in more than N.
+
+  predicate                       class of T     bound on H meet T
+  is_weakly_s_supplemented        any            H_sG, also in sections
+  is_weakly_s_permutable          subnormal      H_sG
+  is_c_normal                     normal         the core H_G
+  has_supersolvable_supplement    supersolvable  none
+  is_complemented                 any            trivial
+
+They answer with T, a lattice entry and the certificate, or None;
+``is_c_normal`` with True or False. ``is_complemented`` asks
+``lat.complements`` instead, since Example 4.2 reads that list.
 
 A section is passed as ``section=(K, N)``; the default is the whole group
 (G, 1), whose memo keys and answers are those of the plain predicates.
@@ -166,27 +175,25 @@ def subnormal_in(lat: SubgroupLattice, h: Subgroup) -> bool:
     return lat.is_normal(h) or is_subnormal(h)
 
 
-def _supplement_scan(lat, h, require_subnormal, section=None):
-    """The first entry T of the section, in canonical order, with
-    |H||T| = |K||H meet T|, subnormal if required, and H meet T equal to N
-    or inside H_sG; None if there is none. H_sG contains N,
-    and is computed at most once, when a supplement first meets H in more
-    than N."""
-    k, n, entries = _section(lat, section)
+def _supplement_scan(h, k, n, entries, admissible=None, bound=None):
+    """The first T of ``entries`` with |H||T| = |K||H meet T|,
+    ``admissible(T)`` if given, and H meet T equal to N or inside
+    ``bound()`` if given; None if there is none. ``bound()`` runs at most
+    once, when a supplement first meets H in more than N."""
     k_order, h_order, h_bits, n_bits = k.order, h.order, h.members, n.members
-    hsg = None
+    limit = None
     for t in entries:
         if t.order * h_order < k_order:
             continue
         inter = t.members & h_bits
         if t.order * h_order != k_order * inter.bit_count():
             continue
-        if require_subnormal and not subnormal_in(lat, t):
+        if admissible is not None and not admissible(t):
             continue
-        if inter != n_bits:
-            if hsg is None:
-                hsg = h_sG(lat, h, section).members
-            if inter & ~hsg:
+        if bound is not None and inter != n_bits:
+            if limit is None:
+                limit = bound().members
+            if inter & ~limit:
                 continue
         return t
     return None
@@ -199,7 +206,9 @@ def is_weakly_s_supplemented(
     """The first supplement T, a lattice entry, with H meet T inside
     h_sG(G, H), or None if H is not weakly s-supplemented. In the section
     K/N: the preimage T of the first such supplement T/N of H/N in K/N."""
-    return _supplement_scan(lat, h, False, section)
+    k, n, entries = _section(lat, section)
+    bound = functools.partial(h_sG, lat, h, section)
+    return _supplement_scan(h, k, n, entries, None, bound)
 
 
 @_per_subgroup
@@ -207,7 +216,10 @@ def is_weakly_s_permutable(
     lat: SubgroupLattice, h: Subgroup
 ) -> Optional[Subgroup]:
     """T or None as for weak s-supplementation, but T must be subnormal."""
-    return _supplement_scan(lat, h, True)
+    k, n, entries = _section(lat)
+    subnormal = functools.partial(subnormal_in, lat)
+    bound = functools.partial(h_sG, lat, h)
+    return _supplement_scan(h, k, n, entries, subnormal, bound)
 
 
 @_per_subgroup
@@ -220,17 +232,9 @@ def core_of(lat: SubgroupLattice, h: Subgroup) -> Subgroup:
 @_per_subgroup
 def is_c_normal(lat: SubgroupLattice, h: Subgroup) -> bool:
     """Whether some normal T has HT = G and H meet T inside the core of H."""
-    g_order = lat.group.order
-    bound = core_of(lat, h).members
-    for t in lat.normal_subgroups():
-        if t.order * h.order < g_order:
-            continue
-        inter = h.members & t.members
-        if t.order * h.order != g_order * inter.bit_count():
-            continue
-        if inter & ~bound == 0:
-            return True
-    return False
+    k, n, normal = lat.top(), lat.bottom(), lat.normal_subgroups()
+    core = functools.partial(core_of, lat, h)
+    return _supplement_scan(h, k, n, normal, None, core) is not None
 
 
 @_per_section
@@ -253,15 +257,12 @@ def is_supersolvable_section(
 def has_supersolvable_supplement(
     lat: SubgroupLattice, h: Subgroup
 ) -> Optional[Subgroup]:
-    """The first entry T in canonical order with H*T = G, i.e.
-    |H||T| = |G||H meet T|, that is supersolvable; None if there is none."""
-    g_order, h_order, h_bits = lat.group.order, h.order, h.members
-    for t in lat.subgroups:
-        if t.order * h_order != g_order * (t.members & h_bits).bit_count():
-            continue
-        if is_supersolvable_section(lat, (t, lat.bottom())):
-            return t
-    return None
+    """The first supplement T in canonical order that is supersolvable;
+    None if there is none."""
+    k, n, entries = _section(lat)
+    return _supplement_scan(
+        h, k, n, entries, lambda t: is_supersolvable_section(lat, (t, n))
+    )
 
 
 def is_complemented(lat: SubgroupLattice, h: Subgroup) -> bool:

@@ -443,15 +443,10 @@ class Subgroup:
         return all(t[a][b] == t[b][a] for i, a in enumerate(gens) for b in gens[i + 1:])
 
     def as_group(self) -> Group:
-        """Materialize as a standalone Group, whose table is built from the
+        """A fresh standalone Group, whose table is built from the
         subgroup's generators on first use."""
-        cache = self.parent._memo.setdefault("subgroup_groups", {})
-        got = cache.get(self.members)
-        if got is None:
-            elements = tuple(self.parent.elements[i] for i in self.element_indices())
-            got = Group(self.parent.degree, self.generators, elements)
-            cache[self.members] = got
-        return got
+        elements = tuple(self.parent.elements[i] for i in self.element_indices())
+        return Group(self.parent.degree, self.generators, elements)
 
     def __eq__(self, other) -> bool:
         return (

@@ -51,6 +51,7 @@ from .structure import (
     fitting_subgroup,
     iota,
     is_p_solvable,
+    is_simple,
     is_solvable,
     is_supersolvable,
     minimal_normal_subgroups,
@@ -628,8 +629,6 @@ def check_L2_6(ga: GroupAnalysis) -> list:
     """Prime-power-index subgroups of nonabelian simple groups match the
     classified cases: alternating point stabilizers, or projective linear
     groups with the projective-space index."""
-    from .structure import is_simple
-
     g = ga.group
     if g.is_abelian() or not is_simple(g):
         return []
