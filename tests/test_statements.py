@@ -7,11 +7,12 @@ test_acceptance.py.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from permlat.cli import build_example42
-from permlat.corpus import builtin_corpus, example_pair
+from permlat.corpus import builtin_corpus, example_pair, load_group, parse_group_file
 from permlat.embedding import is_supersolvable_section
 from permlat.errors import NotNormalError, PermlatError
 from permlat.groups import Subgroup, _factorize, close_generators, direct_product
@@ -29,6 +30,7 @@ from permlat.statements import (
     check_thm12,
     scan_question13,
     statement_spec,
+    sylow_of,
     thmB_hypothesis,
 )
 from permlat.structure import (
@@ -177,6 +179,39 @@ def test_cyclic_sylows_vacuous():
     assert rep.hypothesis
     assert all(pr.sylow_cyclic for pr in rep.per_prime)
     assert all(not pr.d_orders for pr in rep.per_prime)
+
+
+def test_a_condition_holds_at_order_p():
+    """At |D| = p one of the conditions always holds: (iii) when P is
+    abelian (|P'| = 1 < p and gcd(iota(P), 1) = 1), (ii) when it is not
+    (p <= |P'|). So a Sylow with no |D| where clause and condition meet
+    fails its clause at |D| = p, and a q13 flag's bare clause holds only at
+    |D| >= p^2: C2^4:C3 flags |D| = 4."""
+    data = Path(__file__).parent / "data" / "c2_4_c3.group"
+    cases = [GroupAnalysis(g, n) for n, g in builtin_corpus() if g.order <= 400]
+    cases.append(GroupAnalysis(agl23(), "AGL(2,3)", lattice_cap=432))
+    c2_4_c3 = GroupAnalysis(load_group(parse_group_file(data)))
+    cases.append(c2_4_c3)
+    reports = 0
+    for ga in cases:
+        for e in ga.lat.normal_subgroups():
+            for mode in ("supplemented", "permutable"):
+                for syl in thmB_hypothesis(ga, e, mode).per_prime:
+                    if syl.sylow_cyclic:
+                        continue
+                    reports += 1
+                    first = syl.d_orders[0]
+                    assert first.d_order == syl.p, (ga.name, e.order, mode)
+                    if sylow_of(ga, e, syl.p).is_abelian():
+                        assert first.cond_iii, (ga.name, e.order, mode, syl.p)
+                    else:
+                        assert first.cond_ii, (ga.name, e.order, mode, syl.p)
+    assert reports == 456
+    flags = [v for v in scan_question13(c2_4_c3) if v.conclusion_holds is False]
+    assert len(flags) == 2
+    for v in flags:
+        (bare,) = [w for w in v.witnesses if "no condition" in w]
+        assert bare.startswith("p=2: clause holds at |D|=4 "), bare
 
 
 def test_question13_scan_clean_on_controls():
