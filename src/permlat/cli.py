@@ -7,6 +7,7 @@ Exit codes: 0 all consistent, 1 verification inconsistency (witness named),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -175,13 +176,7 @@ def _cmd_analyze(args) -> int:
             file=sys.stderr,
         )
         return 2
-    lat_box: list = []
-
-    def lat():
-        if not lat_box:
-            lat_box.append(enumerate_subgroups(group, cap=args.lattice_cap))
-        return lat_box[0]
-
+    lat = functools.cache(lambda: enumerate_subgroups(group, cap=args.lattice_cap))
     print(f"group: {group.name or args.group}")
     for prop in props:
         print(f"{prop}: {_PROPS[prop](group, lat)}")

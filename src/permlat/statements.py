@@ -114,7 +114,6 @@ class DOrderEntry(NamedTuple):
     d_order: int
     clause_holds: bool
     failing_h: Optional[str]
-    cond_i: bool
     cond_ii: bool
     cond_iii: bool
 
@@ -123,8 +122,10 @@ class SylowReport(NamedTuple):
     p: int
     sylow_order: int
     sylow_cyclic: bool
+    cond_i: bool
     d_orders: list
     satisfied: bool
+    with_condition: bool
 
 
 class HypothesisReport(NamedTuple):
@@ -254,9 +255,9 @@ def thmB_hypothesis(
     (and of order 2|D| when p = 2, P is nonabelian, and |P:D| > 2) has a
     supersolvable supplement in G or is weakly s-supplemented (mode
     "supplemented") resp. weakly s-permutable (mode "permutable") in G.
-    Conditions (i)/(ii)/(iii) are recorded per (P, |D|); the report's
-    hypothesis_with_condition requires some |D| whose clause AND one of
-    the conditions hold, for every non-cyclic Sylow.
+    Condition (i) is recorded per P, conditions (ii)/(iii) per (P, |D|);
+    the report's hypothesis_with_condition requires, for every non-cyclic
+    Sylow, some |D| whose clause AND one of the conditions hold.
     """
     if mode not in ("supplemented", "permutable"):
         raise PermlatError(f"unknown mode {mode!r}")
@@ -268,19 +269,20 @@ def thmB_hypothesis(
     hyp = True
     hyp_cond = True
     for p in sorted(_factorize(e.order)):
-        syl, with_cond = _sylow_clause(lat, sylow_of(ga, e, p), p, mode)
+        syl = _sylow_clause(lat, sylow_of(ga, e, p), p, mode)
         per_prime.append(syl)
         hyp = hyp and syl.satisfied
-        hyp_cond = hyp_cond and with_cond
+        hyp_cond = hyp_cond and syl.with_condition
     return HypothesisReport(per_prime, hyp, hyp_cond)
 
 
 @_memoized
-def _sylow_clause(lat: SubgroupLattice, rep: Subgroup, p: int, mode: str) -> tuple:
-    """A Sylow P's report, and whether some |D| has the clause and a
-    condition. Memoized on the lattice per (P, mode): E plays no part."""
+def _sylow_clause(lat: SubgroupLattice, rep: Subgroup, p: int, mode: str) -> SylowReport:
+    """A Sylow P's report. Memoized on the lattice per (P, mode): E plays
+    no part. A cyclic P imposes nothing: it has no |D| entries and counts
+    as satisfied with a condition, and (i) is not evaluated for it."""
     if rep.is_cyclic():
-        return SylowReport(p, rep.order, True, [], True), True
+        return SylowReport(p, rep.order, True, False, [], True, True)
     i_p = iota(rep.order, p)
     derived_bits = _derived_bits(lat.group, rep.generator_indices)[0]
     derived_order = derived_bits.bit_count()
@@ -298,59 +300,48 @@ def _sylow_clause(lat: SubgroupLattice, rep: Subgroup, p: int, mode: str) -> tup
             math.gcd(i_p - i_pprime, k - i_pprime) == 1
             or math.gcd(i_p, i_p - k) == 1
         )
-        entries.append(DOrderEntry(d, holds, failing, cond_i, cond_ii, cond_iii))
+        entries.append(DOrderEntry(d, holds, failing, cond_ii, cond_iii))
         if holds:
             any_clause = True
             if cond_i or cond_ii or cond_iii:
                 any_with_cond = True
-    return SylowReport(p, rep.order, False, entries, any_clause), any_with_cond
+    return SylowReport(p, rep.order, False, cond_i, entries, any_clause, any_with_cond)
 
 
 def _hyp_witnesses(rep: HypothesisReport, flag: bool = False) -> list:
     """One line per Sylow: the first |D| whose clause holds with a
     condition, else the last failing |D|. A q13 flag (``flag``) names
-    instead the first |D| whose clause holds with no condition."""
+    instead the first |D| whose clause holds with no condition.
+
+    Some condition holds at |D| = p: (iii) when P is abelian, as
+    |P'| = 1 < p and gcd(iota(P), 1) = 1, and (ii) when it is not, as
+    p <= |P'|. So a Sylow with no |D| of clause and condition fails its
+    clause at |D| = p, and a flag's bare clause holds only at |D| >= p^2.
+    """
     out = []
     for syl in rep.per_prime:
         if syl.sylow_cyclic:
             out.append(f"p={syl.p}: Sylow cyclic, imposes nothing")
             continue
-        chosen = next(
-            (
-                d
-                for d in syl.d_orders
-                if d.clause_holds and (d.cond_i or d.cond_ii or d.cond_iii)
-            ),
-            None,
-        )
-        if chosen is not None:
-            conds = "".join(
-                name
-                for name, on in (
-                    ("(i)", chosen.cond_i),
-                    ("(ii)", chosen.cond_ii),
-                    ("(iii)", chosen.cond_iii),
-                )
-                if on
+        holding = [d for d in syl.d_orders if d.clause_holds]
+        if syl.with_condition:
+            d = next(d for d in holding if syl.cond_i or d.cond_ii or d.cond_iii)
+            conds = (
+                ("(i)" if syl.cond_i else "")
+                + ("(ii)" if d.cond_ii else "")
+                + ("(iii)" if d.cond_iii else "")
             )
+            out.append(f"p={syl.p}: clause holds at |D|={d.d_order} with {conds}")
+        elif flag and holding:
             out.append(
-                f"p={syl.p}: clause holds at |D|={chosen.d_order} with {conds}"
+                f"p={syl.p}: clause holds at |D|={holding[0].d_order} "
+                "with no condition; (i), (ii), (iii) fail"
             )
         else:
-            bare = [d for d in syl.d_orders if d.clause_holds]
-            fails = [d for d in syl.d_orders if not d.clause_holds]
-            if flag and bare:
-                out.append(
-                    f"p={syl.p}: clause holds at |D|={bare[0].d_order} "
-                    "with no condition; (i), (ii), (iii) fail"
-                )
-            elif fails:
-                d = fails[-1]
-                out.append(
-                    f"p={syl.p}: clause fails at |D|={d.d_order}, H = {d.failing_h}"
-                )
-            else:
-                out.append(f"p={syl.p}: clause holds but no condition does")
+            d = [d for d in syl.d_orders if not d.clause_holds][-1]
+            out.append(
+                f"p={syl.p}: clause fails at |D|={d.d_order}, H = {d.failing_h}"
+            )
     return out
 
 
@@ -360,18 +351,17 @@ def check_thmB(ga: GroupAnalysis, e: Subgroup, mode: str = "supplemented") -> Ve
     permutable mode does not. Conclusion: G in F. F is the formation U of
     supersolvable groups."""
     rep = thmB_hypothesis(ga, e, mode)
+    if mode == "supplemented":
+        statement_id, clause = "thmB", rep.hypothesis_with_condition
+    else:
+        statement_id, clause = "thm12", rep.hypothesis
     quotient_in_f = ga.supersolvable_mod(e)
-    clause = (
-        rep.hypothesis_with_condition
-        if mode == "supplemented"
-        else rep.hypothesis
-    )
     hyp = quotient_in_f and clause
     concl = is_supersolvable(ga.group)
     witnesses = ["formation U", f"G/E in F: {quotient_in_f}"]
     witnesses.extend(_hyp_witnesses(rep))
     return _verdict(
-        "thmB" if mode == "supplemented" else "thm12",
+        statement_id,
         ga.name,
         f"E={ga.label(e)}",
         hyp,
