@@ -5,7 +5,8 @@ c-normality, supersolvable supplements, permutability, complements.
 Existential searches scan lattice entries in canonical order, so the first
 witness found is deterministic. Predicates and witnesses are memoized on
 the lattice by ``_per_section`` and ``_per_subgroup``, under the
-function's name, H's bitset and the section's bitsets.
+function's name, H's bitset and the section's bitsets; ``core_of``,
+read once per H by the memoized ``is_c_normal``, is not.
 
 The weak s-supplementation family (``sylow_family``, ``is_s_permutable``,
 ``h_sG``, ``is_weakly_s_supplemented``) also evaluates in a section K/N of
@@ -222,7 +223,6 @@ def is_weakly_s_permutable(
     return _supplement_scan(h, k, n, entries, subnormal, bound)
 
 
-@_per_subgroup
 def core_of(lat: SubgroupLattice, h: Subgroup) -> Subgroup:
     """Largest normal subgroup inside H: intersection of H's conjugates."""
     cls = lat.conjugacy_classes[lat.class_of[lat.index_of(h)]]

@@ -31,7 +31,6 @@ from .groups import (
     _conjugate_bits,
     _factorize,
     _memoized,
-    close_generators,
     p_residual,
 )
 from .corpus import _alternating_named
@@ -642,7 +641,7 @@ def check_L2_6(ga: GroupAnalysis) -> list:
             matched = None
             if math.factorial(index) // 2 == g.order:
                 alt_print = alt_print or fingerprint(_alternating_named(index - 1, f"A{index - 1}"))
-                if fingerprint(close_generators(g.degree, sub.generators)) == alt_print:
+                if fingerprint(sub.as_group()) == alt_print:
                     matched = f"alternating point stabilizer, n={index}"
             if matched is None:
                 for size, n, q, proj_index in psl:

@@ -12,7 +12,8 @@ the list can be exponentially long (C2^n). Results are memoized on G
 by ``groups._memoized``, under the function's name and arguments, until
 G releases its derived data (``Group.release_caches``, which the
 registry runner calls once a group's entries have run); a later call
-recomputes them.
+recomputes them. Those no caller asks for twice are not: the Fitting
+subgroup, O_{p'}, the hypercenter, Sylow towers and fingerprints.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ def _core_over(group: Group, n: Subgroup, keep) -> Subgroup:
     return Subgroup(group, bits, gens)
 
 
-@_memoized
 def hypercenter(group: Group) -> Subgroup:
     """The ordinary Z-infinity: the upper central series from the center,
     one ``_central_step`` at a time, until it stops growing."""
@@ -223,7 +223,6 @@ def sylow_normal(group: Group, p: int) -> bool:
     return _p_element_count(group, p, (1 << group.order) - 1) == p**e
 
 
-@_memoized
 def has_sylow_tower(group: Group) -> bool:
     """Sylow tower of supersolvable type: for each k a normal Hall
     subgroup for the k largest primes. Given one for the k - 1 largest,
@@ -266,7 +265,6 @@ def p_core(group: Group, p: int) -> Subgroup:
     return sub
 
 
-@_memoized
 def p_prime_core(group: Group, p: int) -> Subgroup:
     """O_{p'}(G), the largest normal subgroup of order coprime to p."""
     sub = _core_over(group, group.trivial_subgroup(), lambda n: n % p != 0)
@@ -275,7 +273,6 @@ def p_prime_core(group: Group, p: int) -> Subgroup:
     return sub
 
 
-@_memoized
 def fitting_subgroup(group: Group) -> Subgroup:
     """The product of the O_p(G), normal of coprime orders."""
     t = group.table()
@@ -446,7 +443,6 @@ class Fingerprint(NamedTuple):
         return _recognize(self)
 
 
-@_memoized
 def fingerprint(group: Group) -> Fingerprint:
     orders = group.element_orders()
     hist: dict[int, int] = {}

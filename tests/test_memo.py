@@ -50,10 +50,10 @@ def test_memoized_names_are_unique():
     found = _memoized_functions()
     names = list(found.values())
     assert len(names) == len(set(names)), sorted(names)
-    assert len(names) == 34
+    assert len(names) == 28
     for where in (
         "groups.Group.prime_factorization",
-        "structure.fingerprint",
+        "structure.chief_series",
         "embedding._section",
         "embedding.h_sG",
         "statements._sylow_clause",

@@ -27,9 +27,7 @@ PACKAGE_DIR = os.path.dirname(permlat.__file__)
 # are exempt as a class: Python calls them implicitly, and some only on
 # comparisons or reprs that tests make.
 ALLOWED = {
-    "groups.Subgroup.as_group": "wrapped and reported by the benchmark's tracer",
     "perms.Perm.order": "wrapped and reported by the benchmark's tracer",
-    "groups.Subgroup.element_indices": "the element list of as_group and the test oracles",
     "cli._cannot_write": "error path: an output path that cannot be written",
     "corpus.serialize_group": "writes the group file format the loaders read",
     # Regular representations: the tests build them, and the benchmark's

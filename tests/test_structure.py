@@ -311,8 +311,9 @@ def test_L2_6_builds_no_table_for_a_two_prime_order():
 
 def test_L2_6_checks_each_class_once(monkeypatch):
     """A5's five index-5 subgroups are one conjugacy class: A4 is built
-    once and one subgroup is closed, yet the verdict still lists each."""
-    calls = {"alternating": 0, "close": 0}
+    once and one subgroup is rebuilt as a group, yet the verdict still
+    lists each."""
+    calls = {"alternating": 0, "as_group": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -322,9 +323,9 @@ def test_L2_6_checks_each_class_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(statements, "_alternating_named", counted("alternating", statements._alternating_named))
-    monkeypatch.setattr(statements, "close_generators", counted("close", statements.close_generators))
+    monkeypatch.setattr(Subgroup, "as_group", counted("as_group", Subgroup.as_group))
     (verdict,) = statements.check_L2_6(GroupAnalysis(builtin_group("A5"), "A5"))
-    assert calls == {"alternating": 1, "close": 1}
+    assert calls == {"alternating": 1, "as_group": 1}
     assert verdict.hypothesis_satisfied and verdict.conclusion_holds
     assert verdict.witnesses == ("index 5: alternating point stabilizer, n=5",)
 
